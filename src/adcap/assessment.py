@@ -12,6 +12,13 @@ trace, are fitted independently, and an "overall" response is formed as the
 per-realization minimum across classes (for surrogates: minimum of the class
 surrogates evaluated on one shared standard-normal block).
 
+Execution: every method maps one guarded per-input trace over its inputs,
+with builtin ``map`` in this process (one worker) or ``pool.map`` over a
+process pool whose workers receive the trace context once, when the pool
+starts.  A run opens at most one pool and shares it between its methods.
+``pool.map`` keeps input order, so the results do not depend on the worker
+count.
+
 Everything that lands in report.json is a pure function of (feeder, scenario,
 config); wall-clock timings go to report.md only.
 """
@@ -21,11 +28,12 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import chaos, continuation, powerflow, stochastic
 from .errors import ConfigurationError, ConvergenceError, SingularJacobianError
@@ -114,79 +122,59 @@ class MethodResult:
         }
 
 
-# -- worker machinery ----------------------------------------------------------
+# -- trace execution -------------------------------------------------------------
+# A trace context ``ctx`` is (case, registry, continuation options, solve options).
 
-_CTX = None
-
-
-def _make_ctx(model_doc, scenario, copts, sopts):
-    from .feeder import load_feeder
-
-    model = load_feeder(model_doc)
-    case = powerflow.NetworkCase(model)
-    registry = stochastic.build_registry(model, scenario)
-    return case, registry, copts, sopts
+_WORKER_CTX = None  # the trace context of a pool worker process
 
 
-def _worker_init(model_doc, scenario, copts, sopts):
-    global _CTX
-    _CTX = _make_ctx(model_doc, scenario, copts, sopts)
+def _init_worker(ctx):
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
 
 
-def _trace_one(case, registry, copts, sopts, u):
+def trace_pool(ctx, workers: int):
+    """Context manager yielding a process pool whose workers hold ``ctx``,
+    or None for a single worker (trace in this process)."""
+    if workers == 1:
+        return nullcontext()
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(ctx,)
+    )
+
+
+def _guarded_trace(ctx, u):
+    """Trace one input realization.
+
+    Returns ``(True, row, "")``, or ``(False, None, reason)`` when a
+    numerical failure stops the trace.  ``ctx`` is None in a pool worker,
+    which uses the context the pool gave it.
+    """
+    case, registry, copts, sopts = _WORKER_CTX if ctx is None else ctx
     variation = stochastic.assemble_variation(u, registry)
-    res = continuation.trace_adc(case, variation, copts, sopts)
-    binding = {}
-    for cls in ("voltage", "thermal"):
-        el = res.binding_element.get(cls)
-        if el is not None:
-            binding[cls] = el if isinstance(el, str) else f"{el[1][0]}.{el[1][1]}:{el[0]}"
-        else:
-            binding[cls] = None
-    return (
+    try:
+        res = continuation.trace_adc(case, variation, copts, sopts)
+    except (ConvergenceError, SingularJacobianError) as exc:
+        return False, None, f"{type(exc).__name__}: {exc}"
+    row = (
         res.adc_mw["voltage"],
         res.adc_mw["thermal"],
         res.adc_mw["collapse"],
         res.binding_class,
-        binding["voltage"],
-        binding["thermal"],
+        continuation.binding_label(res.binding_element["voltage"]),
+        continuation.binding_label(res.binding_element["thermal"]),
         res.capped,
     )
+    return True, row, ""
 
 
-def _worker_trace(task):
-    i, u = task
-    case, registry, copts, sopts = _CTX
-    try:
-        return i, True, _trace_one(case, registry, copts, sopts, u), ""
-    except (ConvergenceError, SingularJacobianError) as exc:
-        return i, False, None, f"{type(exc).__name__}: {exc}"
-
-
-def _run_traces(ctx, inputs, workers):
-    """Trace every input in-process; results indexed by realization."""
-    case, registry, copts, sopts = ctx
-    results = [None] * len(inputs)
-    for i, u in enumerate(inputs):
-        try:
-            results[i] = (True, _trace_one(case, registry, copts, sopts, u), "")
-        except (ConvergenceError, SingularJacobianError) as exc:
-            results[i] = (False, None, f"{type(exc).__name__}: {exc}")
-    return results
-
-
-def _run_traces_parallel(model_doc, scenario, copts, sopts, inputs, workers):
-    results = [None] * len(inputs)
-    tasks = list(enumerate(inputs))
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(model_doc, scenario, copts, sopts),
-    ) as pool:
-        for i, ok, payload, err in pool.map(_worker_trace, tasks, chunksize=chunk):
-            results[i] = (ok, payload, err)
-    return results
+def _trace_inputs(ctx, inputs, pool, workers):
+    """Guarded traces of ``inputs``, in input order: in this process when
+    ``pool`` is None, otherwise over its ``workers`` processes."""
+    if pool is None:
+        return list(map(partial(_guarded_trace, ctx), inputs))
+    chunk = max(1, len(inputs) // (workers * 8))
+    return list(pool.map(partial(_guarded_trace, None), inputs, chunksize=chunk))
 
 
 # -- aggregation helpers ---------------------------------------------------------
@@ -213,22 +201,17 @@ def _aggregate_samples(rows):
     return samples, {"overall_class": freq_overall, "voltage": freq_v, "thermal": freq_t}
 
 
-def run_mcs(ctx, config: AssessmentConfig, parallel_args=None) -> MethodResult:
-    """Monte Carlo assessment: one continuation trace per input realization."""
-    case, registry, copts, sopts = ctx
+def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
+    """Monte Carlo assessment: one continuation trace per input realization,
+    over ``pool`` (see :func:`trace_pool`) when given."""
+    _, registry, _, _ = ctx
     t0 = time.perf_counter()
     inputs = stochastic.sample_inputs(
         registry.distributions(),
         config.mcs_samples,
         [config.seed, _STREAM_MCS],
     )
-    if config.workers > 1 and parallel_args is not None:
-        model_doc, scenario = parallel_args
-        raw = _run_traces_parallel(
-            model_doc, scenario, copts, sopts, inputs, config.workers
-        )
-    else:
-        raw = _run_traces(ctx, inputs, 1)
+    raw = _trace_inputs(ctx, inputs, pool, config.workers)
 
     ok = [payload for okflag, payload, _ in raw if okflag]
     reasons = [err for okflag, _, err in raw if not okflag]
@@ -251,9 +234,10 @@ def run_mcs(ctx, config: AssessmentConfig, parallel_args=None) -> MethodResult:
     )
 
 
-def run_pce(ctx, config: AssessmentConfig, sparse: bool, parallel_args=None) -> MethodResult:
-    """Collocation + chaos-expansion assessment (full or sparse)."""
-    case, registry, copts, sopts = ctx
+def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodResult:
+    """Collocation + chaos-expansion assessment (full or sparse), tracing the
+    design over ``pool`` (see :func:`trace_pool`) when given."""
+    _, registry, _, _ = ctx
     t0 = time.perf_counter()
     n = registry.dimension
     pcfg = chaos.PceConfig(n, config.order)
@@ -274,13 +258,7 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, parallel_args=None) -> 
     dists = registry.distributions()
     inputs = [chaos.quantile_transform(xi, dists) for xi in design.points]
 
-    if config.workers > 1 and parallel_args is not None:
-        model_doc, scenario = parallel_args
-        raw = _run_traces_parallel(
-            model_doc, scenario, copts, sopts, inputs, config.workers
-        )
-    else:
-        raw = _run_traces(ctx, inputs, 1)
+    raw = _trace_inputs(ctx, inputs, pool, config.workers)
     bad = [(i, err) for i, (okflag, _, err) in enumerate(raw) if not okflag]
     if bad:
         i0, err0 = bad[0]
@@ -341,6 +319,18 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, parallel_args=None) -> 
     )
 
 
+def ks_distance(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical CDFs of ``a`` and ``b``, evaluated at every sample of both."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    gap = (
+        np.searchsorted(a, both, side="right") / len(a)
+        - np.searchsorted(b, both, side="right") / len(b)
+    )
+    return float(np.max(np.abs(gap)))
+
+
 def compare(results: dict) -> dict:
     """Per-class moment deltas, KS distance and evaluation-count ratio of
     every method against the baseline (MCS when present)."""
@@ -358,7 +348,7 @@ def compare(results: dict) -> dict:
                 continue
             b = base.classes[cls].stats
             o = res.classes[cls].stats
-            ks = float(sstats.ks_2samp(b.samples, o.samples, method="asymp").statistic)
+            ks = ks_distance(b.samples, o.samples)
             rows[cls] = {
                 "mean_rel_delta": abs(o.mean - b.mean) / abs(b.mean) if b.mean else 0.0,
                 "var_rel_delta": abs(o.variance - b.variance) / b.variance

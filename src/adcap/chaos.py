@@ -65,16 +65,6 @@ def hermite_1d(k: int, x):
     return curr
 
 
-def hermite(index: tuple, xi) -> np.ndarray:
-    """Product basis function H_index over points xi (m, n)."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    out = np.ones(xi.shape[0])
-    for dim, k in enumerate(index):
-        if k:
-            out = out * hermite_1d(k, xi[:, dim])
-    return out
-
-
 def basis_norm_sq(index: tuple) -> float:
     """E[H_index^2] = product of factorials of the entries."""
     out = 1.0

@@ -21,6 +21,7 @@ from .errors import (
     ConvergenceError,
     DesignRankError,
     FeederFormatError,
+    IllConditionedElementError,
     InfeasibleBaseCaseError,
     SingularJacobianError,
     TopologyError,
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
     except InfeasibleBaseCaseError as exc:
         print(f"infeasible base case: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigurationError, ZeroDirectionError) as exc:
+    except (ConfigurationError, IllConditionedElementError, ZeroDirectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ConvergenceError, SingularJacobianError, DesignRankError) as exc:

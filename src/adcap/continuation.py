@@ -97,6 +97,15 @@ class AdcResult:
     curve: list = field(default_factory=list)
 
 
+def binding_label(element):
+    """Report label of a binding element: ``"<bus>.<phase>:<side>"`` for a
+    voltage node, the branch id for a thermal limit, None when unbound."""
+    if element is None or isinstance(element, str):
+        return element
+    side, (bus, phase) = element
+    return f"{bus}.{phase}:{side}"
+
+
 def check_limits(case: pf.NetworkCase, state: pf.PowerFlowState, limits=None) -> LimitStatus:
     """Voltage-band and ampacity margins of a solved state.
 
@@ -119,6 +128,23 @@ def check_limits(case: pf.NetworkCase, state: pf.PowerFlowState, limits=None) ->
         nodes[i_hi],
         flows[i_th].branch_id,
     )
+
+
+def solve_base_case(case: pf.NetworkCase, solve_options=None, limits=None):
+    """Solve the base case (lambda = 0) and check every operating limit there.
+
+    Returns ``(state, status)``; raises InfeasibleBaseCaseError naming each
+    violated limit.
+    """
+    state = pf.solve(case, 0.0, None, solve_options)
+    status = check_limits(case, state, limits)
+    bad = status.violated()
+    if bad:
+        desc = "; ".join(f"{k} at {el}" for k, el, _ in bad)
+        raise InfeasibleBaseCaseError(
+            f"base case violates operating limits: {desc}", violations=bad
+        )
+    return state, status
 
 
 # -- predictor / corrector over augmented vectors z = [x..., lambda] ----------
@@ -212,28 +238,17 @@ class _Curve:
     def residual(self, z):
         vm, theta, lam = self.unpack(z)
         p_spec, q_spec = self.case.spec_injections(lam, self.direction, self.q_switched)
-        v = vm * np.exp(1j * theta)
-        s = v * np.conj(self.case.y @ v)
-        return np.concatenate(
-            [p_spec[self.idx_p] - s.real[self.idx_p],
-             q_spec[self.idx_q] - s.imag[self.idx_q]]
-        )
+        return pf.mismatch_at(self.case, vm, theta, self.idx_p, self.idx_q, p_spec, q_spec)
 
     def jac_aug(self, z):
+        """[d(mismatch)/dx | d(mismatch)/dlambda]; the last column is the direction."""
         vm, theta, _ = self.unpack(z)
-        ds_dth, ds_dvm = pf._jacobian_blocks(self.case, vm, theta)
         dp, dq = self.direction
-        top = np.hstack([
-            -ds_dth.real[np.ix_(self.idx_p, self.idx_p)],
-            -ds_dvm.real[np.ix_(self.idx_p, self.idx_q)],
-            dp[self.idx_p, None],
+        d_lam = np.concatenate([dp[self.idx_p], dq[self.idx_q]])
+        return np.hstack([
+            pf.jacobian_at(self.case, vm, theta, self.idx_p, self.idx_q),
+            d_lam[:, None],
         ])
-        bot = np.hstack([
-            -ds_dth.imag[np.ix_(self.idx_q, self.idx_p)],
-            -ds_dvm.imag[np.ix_(self.idx_q, self.idx_q)],
-            dq[self.idx_q, None],
-        ])
-        return np.vstack([top, bot])
 
     def vm_coord(self, node_index):
         """Position in z of the magnitude at a node index."""
@@ -288,32 +303,19 @@ class _Tracer:
         self.n_newton += iters
         state = curve.state(z, iters)
         lam = float(z[-1])
-        # a fresh reactive-limit violation re-enters through the usual switch
-        sw = self._fresh_switches(state, lam)
-        if sw:
+        # fresh reactive-limit violations all switch at once, then re-correct
+        _, violations = pf.reactive_violations(
+            self.case, state.vm, state.theta, lam, self.direction, curve.q_switched
+        )
+        if violations:
             switched = dict(curve.q_switched)
-            switched.update(sw)
+            switched.update({self.case.nodes[i]: side for _, i, side in violations})
             state2 = pf.PowerFlowState(state.vm, state.theta, switched)
             curve2 = _Curve(self.case, self.direction, switched, self.sopts)
             pin_node = curve.idx_q[pin_coord - curve.n_p]
             z2 = curve2.pack(state2, lam)
             return self._solve_local(curve2, z2, curve2.vm_coord(pin_node))
         return z, state, lam, curve
-
-    def _fresh_switches(self, state, lam):
-        s = state.voltage() * np.conj(self.case.y @ state.voltage())
-        out = {}
-        dq = self.direction[1]
-        for i in self.case.pv_nodes:
-            node = self.case.nodes[i]
-            if node in state.q_switched:
-                continue
-            qg = s.imag[i] - (self.case.q0[i] + lam * dq[i])
-            if qg > self.case.q_max[i]:
-                out[node] = "max"
-            elif qg < self.case.q_min[i]:
-                out[node] = "min"
-        return out
 
     # margin bookkeeping -------------------------------------------------------
 
@@ -412,14 +414,9 @@ class _Tracer:
 
     def run(self) -> AdcResult:
         opts = self.opts
-        base = self._solve_natural(0.0, None)
-        status0 = self._status(base)
-        bad = status0.violated()
-        if bad:
-            desc = "; ".join(f"{k} at {el}" for k, el, _ in bad)
-            raise InfeasibleBaseCaseError(
-                f"base case violates operating limits: {desc}", violations=bad
-            )
+        base, status0 = solve_base_case(self.case, self.sopts, self.limits)
+        self.n_solves += 1
+        self.n_newton += base.newton_total
 
         lam_cross = {"voltage": None, "thermal": None}
         binding = {"voltage": None, "thermal": None, "collapse": None}

@@ -421,19 +421,6 @@ class AdmittanceMatrix:
     nodes: tuple
     index: dict
     matrix: np.ndarray  # (n, n) complex
-    bus_blocks: frozenset  # structurally coupled (bus_i, bus_j) pairs
-
-    @property
-    def dimension(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.matrix.real
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.matrix.imag
 
 
 def _series_admittance(branch: Branch, z_pu: np.ndarray) -> np.ndarray:
@@ -504,7 +491,6 @@ def build_admittance(model: FeederModel) -> AdmittanceMatrix:
     index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
     y = np.zeros((n, n), dtype=complex)
-    blocks = set()
 
     for br in model.branches:
         fb, tb = model.bus(br.from_bus), model.bus(br.to_bus)
@@ -517,20 +503,11 @@ def build_admittance(model: FeederModel) -> AdmittanceMatrix:
         y[np.ix_(fi, ti)] += yft
         y[np.ix_(ti, fi)] += ytf
         y[np.ix_(ti, ti)] += ytt
-        blocks.update(
-            {
-                (br.from_bus, br.from_bus),
-                (br.from_bus, br.to_bus),
-                (br.to_bus, br.from_bus),
-                (br.to_bus, br.to_bus),
-            }
-        )
 
     for bus in model.buses:
         for ph, kvar in bus.shunt_kvar.items():
             # shunt injecting Q at 1 pu: y = +j q_pu on the diagonal
             y[index[(bus.id, ph)], index[(bus.id, ph)]] += 1j * (kvar / 1000.0)
-            blocks.add((bus.id, bus.id))
 
     y.setflags(write=False)
-    return AdmittanceMatrix(nodes, index, y, frozenset(blocks))
+    return AdmittanceMatrix(nodes, index, y)

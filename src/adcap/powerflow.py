@@ -6,9 +6,13 @@ complex-voltage derivative identities
     dS/dtheta = j diag(V) conj(diag(I) - Y diag(V))
     dS/d|V|   = diag(V/|V|) conj(diag(I)) + diag(V) conj(Y diag(V/|V|))
 
-with I = Y V.  Mismatch is g(x) = S_spec(lambda) - S(x); the Jacobian
-operator returned by :func:`jacobian` is d(mismatch)/dx = -dS/dx restricted
-to the unknown rows/columns.
+with I = Y V.  Mismatch is g(x) = S_spec(lambda) - S(x).  One residual
+(:func:`mismatch_at`) and one Jacobian builder (:func:`jacobian_at`), both
+over (vm, theta, idx_p, idx_q), serve every caller: the Newton solve, the
+:func:`mismatch`/:func:`jacobian` views of a state, and the continuation
+corrector, whose augmented Jacobian is this one plus the direction column.
+The builder returns d(mismatch)/dx = -dS/dx restricted to the unknown
+rows/columns, so a Newton step solves J dx = -g.
 
 Row/column ordering: active-power rows over all non-slack nodes (node order),
 then reactive rows over PQ nodes (including PV phases switched to a reactive
@@ -223,48 +227,52 @@ def _complex_power(case: NetworkCase, vm, theta):
     return v, i_bus, v * np.conj(i_bus)
 
 
-def mismatch(case: NetworkCase, state: PowerFlowState, lam=0.0, direction=None) -> MismatchVector:
-    """Power mismatch g = S_spec(lambda) - S(x) over the unknown rows."""
-    p_spec, q_spec = case.spec_injections(lam, direction, state.q_switched)
-    _, _, s = _complex_power(case, state.vm, state.theta)
-    idx_p, idx_q = case.partition(state.q_switched)
-    return MismatchVector(
-        p_spec[idx_p] - s.real[idx_p],
-        q_spec[idx_q] - s.imag[idx_q],
-        [case.nodes[i] for i in idx_p],
-        [case.nodes[i] for i in idx_q],
-    )
+def mismatch_at(case: NetworkCase, vm, theta, idx_p, idx_q, p_spec, q_spec) -> np.ndarray:
+    """Power mismatch g = S_spec - S(x): P rows over ``idx_p``, then Q rows
+    over ``idx_q``."""
+    _, _, s = _complex_power(case, vm, theta)
+    return np.concatenate([p_spec[idx_p] - s.real[idx_p], q_spec[idx_q] - s.imag[idx_q]])
 
 
-def _jacobian_blocks(case: NetworkCase, vm, theta):
-    v = vm * np.exp(1j * theta)
-    i_bus = case.y @ v
-    y_dv = case.y * v[None, :]
-    a = -y_dv
-    a[np.diag_indices_from(a)] += i_bus
+def jacobian_at(case: NetworkCase, vm, theta, idx_p, idx_q) -> np.ndarray:
+    """d(mismatch)/dx, rows [P over idx_p; Q over idx_q], columns [theta over
+    idx_p; vm over idx_q]."""
+    v, i_bus, _ = _complex_power(case, vm, theta)
+    diag = np.diag_indices_from(case.y)
+    a = -(case.y * v[None, :])
+    a[diag] += i_bus
     ds_dth = 1j * v[:, None] * np.conj(a)
     vnorm = v / vm
     ds_dvm = v[:, None] * np.conj(case.y * vnorm[None, :])
-    ds_dvm[np.diag_indices_from(ds_dvm)] += vnorm * np.conj(i_bus)
-    return ds_dth, ds_dvm
-
-
-def jacobian(case: NetworkCase, state: PowerFlowState) -> np.ndarray:
-    """d(mismatch)/dx, rows [P; Q], columns [theta; vm] per module docstring."""
-    idx_p, idx_q = case.partition(state.q_switched)
-    ds_dth, ds_dvm = _jacobian_blocks(case, state.vm, state.theta)
+    ds_dvm[diag] += vnorm * np.conj(i_bus)
     top = np.hstack([ds_dth.real[np.ix_(idx_p, idx_p)], ds_dvm.real[np.ix_(idx_p, idx_q)]])
     bot = np.hstack([ds_dth.imag[np.ix_(idx_q, idx_p)], ds_dvm.imag[np.ix_(idx_q, idx_q)]])
     return -np.vstack([top, bot])
 
 
+def mismatch(case: NetworkCase, state: PowerFlowState, lam=0.0, direction=None) -> MismatchVector:
+    """Power mismatch g = S_spec(lambda) - S(x) over the unknown rows."""
+    p_spec, q_spec = case.spec_injections(lam, direction, state.q_switched)
+    idx_p, idx_q = case.partition(state.q_switched)
+    g = mismatch_at(case, state.vm, state.theta, idx_p, idx_q, p_spec, q_spec)
+    return MismatchVector(
+        g[:len(idx_p)],
+        g[len(idx_p):],
+        [case.nodes[i] for i in idx_p],
+        [case.nodes[i] for i in idx_q],
+    )
+
+
+def jacobian(case: NetworkCase, state: PowerFlowState) -> np.ndarray:
+    """d(mismatch)/dx, rows [P; Q], columns [theta; vm] per module docstring."""
+    idx_p, idx_q = case.partition(state.q_switched)
+    return jacobian_at(case, state.vm, state.theta, idx_p, idx_q)
+
+
 def _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q, opts):
     n_p = len(idx_p)
     for it in range(opts.max_iter + 1):
-        v = vm * np.exp(1j * theta)
-        i_bus = case.y @ v
-        s = v * np.conj(i_bus)
-        g = np.concatenate([p_spec[idx_p] - s.real[idx_p], q_spec[idx_q] - s.imag[idx_q]])
+        g = mismatch_at(case, vm, theta, idx_p, idx_q, p_spec, q_spec)
         norm = float(np.max(np.abs(g))) if g.size else 0.0
         if norm < opts.tol:
             return vm, theta, it, norm
@@ -274,18 +282,8 @@ def _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q, opts):
                 max_mismatch=norm,
                 iterations=it,
             )
-        y_dv = case.y * v[None, :]
-        a = -y_dv
-        a[np.diag_indices_from(a)] += i_bus
-        ds_dth = 1j * v[:, None] * np.conj(a)
-        vnorm = v / vm
-        ds_dvm = v[:, None] * np.conj(case.y * vnorm[None, :])
-        ds_dvm[np.diag_indices_from(ds_dvm)] += vnorm * np.conj(i_bus)
-        top = np.hstack([ds_dth.real[np.ix_(idx_p, idx_p)], ds_dvm.real[np.ix_(idx_p, idx_q)]])
-        bot = np.hstack([ds_dth.imag[np.ix_(idx_q, idx_p)], ds_dvm.imag[np.ix_(idx_q, idx_q)]])
-        jac = np.vstack([top, bot])
         try:
-            dx = np.linalg.solve(jac, g)
+            dx = np.linalg.solve(jacobian_at(case, vm, theta, idx_p, idx_q), -g)
         except np.linalg.LinAlgError:
             raise SingularJacobianError(
                 f"jacobian factorization failed at iteration {it}"
@@ -298,6 +296,29 @@ def _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q, opts):
         vm[idx_q] += dx[n_p:]
         np.maximum(vm, opts.vm_floor, out=vm)
     raise AssertionError("unreachable")
+
+
+def reactive_violations(case: NetworkCase, vm, theta, lam, direction, q_switched):
+    """Reactive output of every PV phase not yet switched, and its limit breaches.
+
+    Returns ``(q_gen, violations)``: ``q_gen`` maps node -> output (pu) and
+    ``violations`` lists ``(excess, node index, "min"|"max")`` in node order.
+    """
+    _, _, s = _complex_power(case, vm, theta)
+    dq = direction[1] if direction is not None else np.zeros(case.n)
+    q_gen = {}
+    violations = []
+    for i in case.pv_nodes:
+        node = case.nodes[i]
+        if node in q_switched:
+            continue
+        qg = s.imag[i] - (case.q0[i] + lam * dq[i])
+        q_gen[node] = qg
+        if qg > case.q_max[i]:
+            violations.append((qg - case.q_max[i], i, "max"))
+        elif qg < case.q_min[i]:
+            violations.append((case.q_min[i] - qg, i, "min"))
+    return q_gen, violations
 
 
 def solve(
@@ -322,7 +343,6 @@ def solve(
         switched = {}
         newton_before = 0
 
-    p_spec0, _ = case.spec_injections(lam, direction, {})
     total_newton = 0
     for _round in range(len(case.pv_nodes) + 1):
         idx_p, idx_q = case.partition(switched)
@@ -337,20 +357,7 @@ def solve(
         )
         total_newton += iters
 
-        # reactive output of still-active PV phases
-        _, _, s = _complex_power(case, vm, theta)
-        q_gen = {}
-        candidates = []
-        for i in case.pv_nodes:
-            node = case.nodes[i]
-            if node in switched:
-                continue
-            qg = s.imag[i] - (case.q0[i] + lam * (direction[1][i] if direction is not None else 0.0))
-            q_gen[node] = qg
-            if qg > case.q_max[i]:
-                candidates.append((qg - case.q_max[i], i, "max"))
-            elif qg < case.q_min[i]:
-                candidates.append((case.q_min[i] - qg, i, "min"))
+        q_gen, candidates = reactive_violations(case, vm, theta, lam, direction, switched)
         if not candidates:
             state = PowerFlowState(vm, theta, switched, q_gen, iters, norm)
             state.newton_total = newton_before + total_newton

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assessment, continuation, stochastic
-from .powerflow import NetworkCase
+from . import assessment, continuation, powerflow, stochastic
 
 _CLASS_ORDER = ("voltage", "thermal", "collapse", "overall")
 
@@ -185,28 +184,14 @@ def write_outputs(report: AdcReport, out_dir) -> list:
 
 def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -> AdcReport:
     """Assemble the full report for a parsed feeder model and scenario dict."""
-    case = NetworkCase(model)
+    case = powerflow.NetworkCase(model)
     registry = stochastic.build_registry(model, scenario)
     ctx = (case, registry, config.continuation_options, config.solve_options)
-    parallel_args = None
-    if config.workers > 1:
-        parallel_args = (json.dumps(model.to_document()), scenario)
 
     # base-case feasibility gate (shared by every method) and mean-input trace
-    from .powerflow import branch_flows, solve
-
-    base_state = solve(case, 0.0, None, config.solve_options)
-    status = continuation.check_limits(case, base_state)
-    bad = status.violated()
-    if bad:
-        from .errors import InfeasibleBaseCaseError
-
-        desc = "; ".join(f"{k} at {el}" for k, el, _ in bad)
-        raise InfeasibleBaseCaseError(
-            f"base case violates operating limits: {desc}", violations=bad
-        )
+    base_state, _ = continuation.solve_base_case(case, config.solve_options)
     mon = ~case.slack_mask
-    flows = branch_flows(case, base_state)
+    flows = powerflow.branch_flows(case, base_state)
     base_summary = {
         "v_min_pu": float(np.min(base_state.vm[mon])),
         "v_max_pu": float(np.max(base_state.vm[mon])),
@@ -231,23 +216,19 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
         "overall_mw": det.overall_mw,
         "binding_class": det.binding_class,
         "binding": {
-            "voltage": None
-            if det.binding_element["voltage"] is None
-            else f"{det.binding_element['voltage'][1][0]}."
-            f"{det.binding_element['voltage'][1][1]}:{det.binding_element['voltage'][0]}",
-            "thermal": det.binding_element["thermal"],
+            k: continuation.binding_label(det.binding_element[k])
+            for k in ("voltage", "thermal")
         },
         "capped": det.capped,
     }
 
     results = {}
-    for method in config.methods():
-        if method == "mcs":
-            results["mcs"] = assessment.run_mcs(ctx, config, parallel_args)
-        elif method == "pce":
-            results["pce"] = assessment.run_pce(ctx, config, False, parallel_args)
-        else:
-            results["spce"] = assessment.run_pce(ctx, config, True, parallel_args)
+    with assessment.trace_pool(ctx, config.workers) as pool:
+        for method in config.methods():
+            if method == "mcs":
+                results["mcs"] = assessment.run_mcs(ctx, config, pool)
+            else:
+                results[method] = assessment.run_pce(ctx, config, method == "spce", pool)
 
     return AdcReport(
         feeder_name=model.name,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigurationError
 
@@ -25,8 +24,7 @@ class ForecastDistribution:
     """Normal marginal for one random input.
 
     ``from_standard_normal`` is the exact affine specialization of the
-    general inverse-CDF composition F^-1(Phi(xi)); ``ppf`` exposes the
-    general route so non-normal marginals can override it.
+    general inverse-CDF composition F^-1(Phi(xi)).
     """
 
     kind: str
@@ -36,11 +34,12 @@ class ForecastDistribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown input kind '{self.kind}'")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_dev)):
+            raise ConfigurationError(
+                f"{self.kind}: mean and std_dev must be finite numbers"
+            )
         if self.std_dev < 0:
             raise ConfigurationError("std_dev must be nonnegative")
-
-    def ppf(self, q):
-        return stats.norm.ppf(q, loc=self.mean, scale=self.std_dev)
 
     def from_standard_normal(self, xi):
         return self.mean + self.std_dev * np.asarray(xi, dtype=float)
@@ -178,57 +177,68 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
     reg = StochasticRegistry()
     bus_ids = {b.id: b for b in model.buses}
 
+    def _field(raw, key, ctx):
+        if key not in raw:
+            raise ConfigurationError(f"{ctx}: missing field '{key}'")
+        return raw[key]
+
     def _phases(raw, ctx):
         s = raw.get("phases", "abc")
         return tuple(ph for ph in ("a", "b", "c") if ph in s)
 
     for raw in scenario.get("wind", []):
         ctx = f"wind at '{raw.get('bus', '?')}'"
-        bus = raw["bus"]
+        bus = _field(raw, "bus", ctx)
         if bus not in bus_ids:
             raise ConfigurationError(f"{ctx}: unknown bus")
         unit = WindTurbine(
             bus,
             _phases(raw, ctx),
-            float(raw["p_rated_kw"]),
-            float(raw["v_cut_in"]),
-            float(raw["v_rated"]),
-            float(raw["v_cut_out"]),
+            float(_field(raw, "p_rated_kw", ctx)),
+            float(_field(raw, "v_cut_in", ctx)),
+            float(_field(raw, "v_rated", ctx)),
+            float(_field(raw, "v_cut_out", ctx)),
             float(raw.get("power_factor", 0.85)),
         )
         dist = ForecastDistribution(
-            "wind_speed", float(raw["mean_speed"]), float(raw["std_speed"])
+            "wind_speed",
+            float(_field(raw, "mean_speed", ctx)),
+            float(_field(raw, "std_speed", ctx)),
         )
         reg.wind_units.append((unit, dist))
 
     for raw in scenario.get("solar", []):
         ctx = f"solar at '{raw.get('bus', '?')}'"
-        bus = raw["bus"]
+        bus = _field(raw, "bus", ctx)
         if bus not in bus_ids:
             raise ConfigurationError(f"{ctx}: unknown bus")
         unit = SolarUnit(
             bus,
             _phases(raw, ctx),
-            float(raw["p_rated_kw"]),
-            float(raw["r_certain"]),
-            float(raw["r_standard"]),
+            float(_field(raw, "p_rated_kw", ctx)),
+            float(_field(raw, "r_certain", ctx)),
+            float(_field(raw, "r_standard", ctx)),
         )
         dist = ForecastDistribution(
-            "solar_radiation", float(raw["mean_radiation"]), float(raw["std_radiation"])
+            "solar_radiation",
+            float(_field(raw, "mean_radiation", ctx)),
+            float(_field(raw, "std_radiation", ctx)),
         )
         reg.solar_units.append((unit, dist))
 
     for raw in scenario.get("loads_stochastic", []):
         ctx = f"stochastic load at '{raw.get('bus', '?')}'"
-        bus = raw["bus"]
+        bus = _field(raw, "bus", ctx)
         if bus not in bus_ids:
             raise ConfigurationError(f"{ctx}: unknown bus")
-        phase = raw["phase"]
+        phase = _field(raw, "phase", ctx)
         if phase not in bus_ids[bus].phases:
             raise ConfigurationError(f"{ctx}: phase '{phase}' absent at bus")
         unit = StochasticLoad(bus, phase, float(raw.get("power_factor", 0.85)))
         dist = ForecastDistribution(
-            "load_active_power", float(raw["mean_kw"]), float(raw["std_kw"])
+            "load_active_power",
+            float(_field(raw, "mean_kw", ctx)),
+            float(_field(raw, "std_kw", ctx)),
         )
         reg.load_units.append((unit, dist))
 
@@ -245,15 +255,6 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
                 reg.constant_dq_kvar.get(key, 0.0) + g.delta_q_kvar * share
             )
     return reg
-
-
-def clamp_physical(u: RandomInputVector) -> RandomInputVector:
-    """Clamp negative speeds/radiations/demands to zero."""
-    return RandomInputVector(
-        np.maximum(u.wind_speeds, 0.0),
-        np.maximum(u.radiations, 0.0),
-        np.maximum(u.load_p_kw, 0.0),
-    )
 
 
 def sample_inputs(distributions, count, seed) -> list[RandomInputVector]:

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from adcap import assessment, chaos
-from adcap.assessment import AssessmentConfig, MethodResult, compare, run_mcs, run_pce
+from adcap.assessment import (
+    AssessmentConfig,
+    MethodResult,
+    compare,
+    ks_distance,
+    run_mcs,
+    run_pce,
+)
 from adcap.cli import main as cli_main
 from adcap.continuation import ContinuationOptions
 from adcap.errors import ConfigurationError
@@ -190,6 +197,34 @@ def test_compare_identical_samples_gives_zero_deltas():
     assert compare({}) == {}
 
 
+def test_ks_distance_matches_scipy():
+    # scipy is the oracle; rounding to one decimal makes ties within and
+    # across the two samples
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(4)
+    for n_a, n_b in ((20, 20), (37, 200), (200, 13), (1, 5), (50, 50)):
+        a = np.round(rng.normal(0.0, 1.0, n_a), 1)
+        b = np.round(rng.normal(0.3, 1.2, n_b), 1)
+        expect = ks_2samp(a, b, method="asymp").statistic
+        assert ks_distance(a, b) == expect
+        assert ks_distance(b, a) == expect
+    assert ks_distance(a, a) == 0.0
+
+
+def test_report_identical_at_one_and_two_workers(model, scenario_doc):
+    blobs = []
+    for workers in (1, 2):
+        cfg = AssessmentConfig(
+            method="all", mcs_samples=8, surrogate_samples=200, sparse_terms=31,
+            seed=5, workers=workers,
+        )
+        blob = json.loads(run_assessment(model, scenario_doc, cfg).to_json())
+        del blob["config"]["workers"]
+        blobs.append(blob)
+    assert blobs[0] == blobs[1]
+
+
 def _write_inputs(tmp_path, doc, scenario):
     fp = tmp_path / "feeder.json"
     sp = tmp_path / "scenario.json"
@@ -319,6 +354,52 @@ def test_cli_exit_code_numerical_failure(tmp_path):
         "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"),
     ])
     assert rc == 3
+
+
+def _wind_without_mean_speed():
+    scenario = _small_scenario()
+    scenario["wind"] = [{
+        "bus": "r", "phases": "a", "p_rated_kw": 100.0, "v_cut_in": 3.0,
+        "v_rated": 12.0, "v_cut_out": 25.0, "std_speed": 1.0,
+    }]
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "doc, scenario, message",
+    [
+        (two_bus_doc(x_ohm=0.0, v_min=0.90), _small_scenario(), "singular series impedance"),
+        (two_bus_doc(v_min=0.90), _wind_without_mean_speed(), "missing field 'mean_speed'"),
+        (two_bus_doc(v_min=0.90), _small_scenario(std_kw=math.nan), "must be finite"),
+    ],
+    ids=["singular-impedance", "wind-without-mean-speed", "nan-std"],
+)
+def test_cli_bad_input_exits_1_with_one_line(tmp_path, capsys, doc, scenario, message):
+    fp, sp = _write_inputs(tmp_path, doc, scenario)
+    rc = cli_main([
+        "run", "--feeder", str(fp), "--scenario", str(sp),
+        "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
+def test_cli_and_report_import_without_scipy():
+    # scipy is a test-only dependency: the program must not load it
+    code = (
+        "import sys, adcap.cli, adcap.report; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _declared_entry_point(name):

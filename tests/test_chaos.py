@@ -15,7 +15,6 @@ from adcap.chaos import (
     evaluate,
     fit_full,
     fit_sparse,
-    hermite,
     hermite_1d,
     lars_select,
     multi_indices,

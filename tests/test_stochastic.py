@@ -92,11 +92,13 @@ def test_affine_transform_exact():
 
 
 def test_ppf_matches_affine():
+    # scipy is the oracle for the inverse-CDF route F^-1(Phi(xi))
     from scipy.stats import norm
 
     d = ForecastDistribution("wind_speed", 10.0, 0.6)
     for xi in (-2.5, -0.3, 0.0, 1.7):
-        assert d.ppf(norm.cdf(xi)) == pytest.approx(d.from_standard_normal(xi), rel=1e-9)
+        expect = norm.ppf(norm.cdf(xi), loc=d.mean, scale=d.std_dev)
+        assert d.from_standard_normal(xi) == pytest.approx(expect, rel=1e-9)
 
 
 def test_sampler_is_deterministic():
