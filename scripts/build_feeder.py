@@ -20,16 +20,12 @@ from pathlib import Path
 
 # --- calibration knobs --------------------------------------------------------
 
-import os
-
-TRUNK_SCALE = float(os.environ.get("FD_TRUNK", "1.75"))
-LAT_611_SCALE = float(os.environ.get("FD_LAT", "4.0"))  # weak c-phase lateral 684-611
-_T = os.environ.get("FD_TAPS", "1.040,1.022,1.045").split(",")
-TAPS = {"a": float(_T[0]), "b": float(_T[1]), "c": float(_T[2])}
-_C = os.environ.get("FD_CAPS", "200,100,200,100").split(",")
-CAP_675_KVAR = {"a": float(_C[0]), "b": float(_C[1]), "c": float(_C[2])}
-CAP_611_KVAR = float(_C[3])
-AMP_632_671 = float(os.environ.get("FD_AMP", "421.4"))
+TRUNK_SCALE = 1.75
+LAT_611_SCALE = 4.0  # weak c-phase lateral 684-611
+TAPS = {"a": 1.040, "b": 1.022, "c": 1.045}
+CAP_675_KVAR = {"a": 200.0, "b": 100.0, "c": 200.0}
+CAP_611_KVAR = 100.0
+AMP_632_671 = 421.4
 
 AMPACITY = {
     "ln-650-rg60": 700.0,

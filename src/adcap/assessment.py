@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chaos, continuation, powerflow, stochastic
+from . import chaos, continuation, stochastic
 from .errors import ConfigurationError, ConvergenceError, SingularJacobianError
 
 _CLASSES = ("voltage", "thermal", "collapse")
@@ -47,6 +47,8 @@ _STREAM_MCS = 0
 _STREAM_PCE_SURROGATE = 1
 _STREAM_SPCE_SURROGATE = 2
 
+PCE_ORDER = 2  # total degree of every PCE and SPCE basis
+
 
 @dataclass
 class AssessmentConfig:
@@ -54,15 +56,10 @@ class AssessmentConfig:
     mcs_samples: int = 10000
     surrogate_samples: int = 10000
     sparse_terms: int | str = "auto"
-    order: int = 2
     seed: int = 0
     workers: int = 1
     out_dir: Path | None = None
     dump_trace: bool = False
-    continuation_options: continuation.ContinuationOptions = field(
-        default_factory=continuation.ContinuationOptions
-    )
-    solve_options: powerflow.SolveOptions = field(default_factory=powerflow.SolveOptions)
 
     def __post_init__(self):
         if self.method not in _METHODS + ("all",):
@@ -123,7 +120,7 @@ class MethodResult:
 
 
 # -- trace execution -------------------------------------------------------------
-# A trace context ``ctx`` is (case, registry, continuation options, solve options).
+# A trace context ``ctx`` is (case, registry).
 
 _WORKER_CTX = None  # the trace context of a pool worker process
 
@@ -150,10 +147,10 @@ def _guarded_trace(ctx, u):
     numerical failure stops the trace.  ``ctx`` is None in a pool worker,
     which uses the context the pool gave it.
     """
-    case, registry, copts, sopts = _WORKER_CTX if ctx is None else ctx
+    case, registry = _WORKER_CTX if ctx is None else ctx
     variation = stochastic.assemble_variation(u, registry)
     try:
-        res = continuation.trace_adc(case, variation, copts, sopts)
+        res = continuation.trace_adc(case, variation)
     except (ConvergenceError, SingularJacobianError) as exc:
         return False, None, f"{type(exc).__name__}: {exc}"
     row = (
@@ -204,7 +201,7 @@ def _aggregate_samples(rows):
 def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
     """Monte Carlo assessment: one continuation trace per input realization,
     over ``pool`` (see :func:`trace_pool`) when given."""
-    _, registry, _, _ = ctx
+    _, registry = ctx
     t0 = time.perf_counter()
     inputs = stochastic.sample_inputs(
         registry.distributions(),
@@ -237,11 +234,11 @@ def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
 def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodResult:
     """Collocation + chaos-expansion assessment (full or sparse), tracing the
     design over ``pool`` (see :func:`trace_pool`) when given."""
-    _, registry, _, _ = ctx
+    _, registry = ctx
     t0 = time.perf_counter()
     n = registry.dimension
-    pcfg = chaos.PceConfig(n, config.order)
-    k_full = chaos.basis_size(n, config.order)
+    pcfg = chaos.PceConfig(n, PCE_ORDER)
+    k_full = chaos.basis_size(n, PCE_ORDER)
 
     if sparse:
         if isinstance(config.sparse_terms, int):

@@ -16,6 +16,12 @@ the margin; the collapse point is the fold itself, located from a quadratic
 fit of lambda against the pinned magnitude near the sign change of
 delta-lambda.  Violations that first appear past the fold are ignored: every
 margin is evaluated on the upper branch only.
+
+Every setting is a module constant, not an option: the step control,
+lambda cap, point budget, crossing refinement and nose sharpening below
+(STEP0 ... MAX_VM_STEP), and the Newton tolerance, iteration budget and
+magnitude floor that the corrector shares with every power-flow solve
+(``powerflow.TOL``, ``MAX_ITER``, ``VM_FLOOR``).
 """
 
 from __future__ import annotations
@@ -34,23 +40,22 @@ from . import powerflow as pf
 
 _CLASSES = ("voltage", "thermal", "collapse")
 
-
-@dataclass(frozen=True)
-class ContinuationOptions:
-    step0: float = 0.1  # initial lambda step
-    step_max: float = 0.5
-    step_min: float = 1e-4
-    grow_after: int = 3  # consecutive easy corrections before doubling
-    easy_iters: int = 3  # newton iterations counted as "easy"
-    lambda_cap: float = 20.0
-    max_points: int = 600
-    refine_margin_tol: float = 1e-7  # pu / loading fraction
-    refine_max_iter: int = 40
-    nose_extra_rounds: int = 2  # step-halving passes around the fold
-    # largest voltage-magnitude change accepted in one step; a converged
-    # corrector that moved further has almost certainly slid onto the lower
-    # branch, so the step is rejected like a corrector failure
-    max_vm_step: float = 0.15
+# Step control: the first lambda step, its bounds, and doubling after
+# GROW_AFTER consecutive corrections of at most EASY_ITERS Newton iterations
+STEP0 = 0.1
+STEP_MAX = 0.5
+STEP_MIN = 1e-4
+GROW_AFTER = 3
+EASY_ITERS = 3
+LAMBDA_CAP = 20.0  # a trace passing this lambda stops there, flagged capped
+MAX_POINTS = 600  # step attempts per trace, rejected ones included
+REFINE_MARGIN_TOL = 1e-7  # pu / loading fraction
+REFINE_MAX_ITER = 40
+NOSE_EXTRA_ROUNDS = 2  # step-halving passes around the fold
+# largest voltage-magnitude change accepted in one step; a converged
+# corrector that moved further has almost certainly slid onto the lower
+# branch, so the step is rejected like a corrector failure
+MAX_VM_STEP = 0.15
 
 
 @dataclass
@@ -58,7 +63,6 @@ class CurvePoint:
     lam: float
     min_vm: float
     max_loading: float
-    pinned_vm: float | None = None
 
 
 @dataclass
@@ -90,7 +94,6 @@ class AdcResult:
     overall_mw: float
     binding_class: str
     binding_element: dict  # class -> element id or None
-    delivered_kw_per_lambda: float
     capped: bool = False
     n_solves: int = 0
     n_newton: int = 0
@@ -106,13 +109,13 @@ def binding_label(element):
     return f"{bus}.{phase}:{side}"
 
 
-def check_limits(case: pf.NetworkCase, state: pf.PowerFlowState, limits=None) -> LimitStatus:
+def check_limits(case: pf.NetworkCase, state: pf.PowerFlowState) -> LimitStatus:
     """Voltage-band and ampacity margins of a solved state.
 
     Slack phases are excluded from the voltage scan (their magnitude is a
     boundary condition, not a delivered quantity).
     """
-    limits = limits or case.model.limits
+    limits = case.model.limits
     mon = ~case.slack_mask
     vm = state.vm[mon]
     nodes = [case.nodes[i] for i in np.flatnonzero(mon)]
@@ -130,14 +133,14 @@ def check_limits(case: pf.NetworkCase, state: pf.PowerFlowState, limits=None) ->
     )
 
 
-def solve_base_case(case: pf.NetworkCase, solve_options=None, limits=None):
+def solve_base_case(case: pf.NetworkCase):
     """Solve the base case (lambda = 0) and check every operating limit there.
 
     Returns ``(state, status)``; raises InfeasibleBaseCaseError naming each
     violated limit.
     """
-    state = pf.solve(case, 0.0, None, solve_options)
-    status = check_limits(case, state, limits)
+    state = pf.solve(case)
+    status = check_limits(case, state)
     bad = status.violated()
     if bad:
         desc = "; ".join(f"{k} at {el}" for k, el, _ in bad)
@@ -173,22 +176,22 @@ def predict_tangent(jac_aug: np.ndarray, z_curr: np.ndarray, h: float, param_ind
     return z_curr + h * t
 
 
-def correct(residual_fn, jac_aug_fn, z0: np.ndarray, param_index: int,
-            tol: float = 1e-8, max_iter: int = 15) -> tuple[np.ndarray, int]:
+def correct(residual_fn, jac_aug_fn, z0: np.ndarray, param_index: int) -> tuple[np.ndarray, int]:
     """Newton correction with one coordinate pinned at its predicted value.
 
     ``residual_fn(z)`` returns the m residuals, ``jac_aug_fn(z)`` the
     m x (m+1) augmented Jacobian; coordinate ``param_index`` is held fixed
-    and the remaining m coordinates are solved for.
+    and the remaining m coordinates are solved for, to the power-flow
+    tolerance within the power-flow iteration budget.
     """
     z = z0.copy()
     free = np.array([i for i in range(len(z)) if i != param_index])
-    for it in range(max_iter + 1):
+    for it in range(pf.MAX_ITER + 1):
         g = residual_fn(z)
         norm = float(np.max(np.abs(g))) if g.size else 0.0
-        if norm < tol:
+        if norm < pf.TOL:
             return z, it
-        if it == max_iter:
+        if it == pf.MAX_ITER:
             raise ConvergenceError(
                 f"corrector stalled at residual {norm:.3e}",
                 max_mismatch=norm, iterations=it,
@@ -207,15 +210,12 @@ def correct(residual_fn, jac_aug_fn, z0: np.ndarray, param_index: int,
 class _Curve:
     """Closures binding the augmented residual/Jacobian to a switch set."""
 
-    def __init__(self, case, direction, q_switched, solve_opts):
+    def __init__(self, case, direction, q_switched):
         self.case = case
         self.direction = direction
         self.q_switched = dict(q_switched)
         self.idx_p, self.idx_q = case.partition(q_switched)
         self.n_p = len(self.idx_p)
-        self.n_q = len(self.idx_q)
-        self.tol = solve_opts.tol
-        self.vm_floor = solve_opts.vm_floor
 
     def pack(self, state, lam):
         return np.concatenate(
@@ -226,7 +226,7 @@ class _Curve:
         vm = self.case.v_set.copy()
         theta = self.case.theta_ref.copy()
         theta[self.idx_p] = z[: self.n_p]
-        vm[self.idx_q] = np.maximum(z[self.n_p:-1], self.vm_floor)
+        vm[self.idx_q] = np.maximum(z[self.n_p:-1], pf.VM_FLOOR)
         return vm, theta, float(z[-1])
 
     def state(self, z, iterations=0, norm=0.0) -> pf.PowerFlowState:
@@ -268,37 +268,32 @@ class _TracePoint:
 class _Tracer:
     """One continuation run for a fixed variation direction."""
 
-    def __init__(self, case, variation, options, solve_options, limits=None, collect_curve=False):
+    def __init__(self, case, variation, collect_curve=False):
         if variation.is_zero():
             raise ZeroDirectionError("variation direction is identically zero")
         self.case = case
         self.variation = variation
         self.direction = case.direction_arrays(variation)
-        self.opts = options
-        self.sopts = solve_options
-        self.limits = limits or case.model.limits
         self.collect_curve = collect_curve
         self.n_solves = 0
         self.n_newton = 0
         self.curve: list[CurvePoint] = []
+        self.points: list[_TracePoint] = []
+        self.lam_cross = {"voltage": None, "thermal": None}
+        self.binding = {"voltage": None, "thermal": None, "collapse": None}
 
     # corrector entry points ---------------------------------------------------
 
     def _solve_natural(self, lam, warm) -> pf.PowerFlowState:
-        state = pf.solve(
-            self.case, lam, self.direction, self.sopts,
-            initial=warm,
-        )
+        state = pf.solve(self.case, lam, self.direction, initial=warm)
         self.n_solves += 1
-        self.n_newton += state.newton_total - (warm.newton_total if warm else 0)
+        self.n_newton += state.newton_total - warm.newton_total
         return state
 
     def _solve_local(self, curve: _Curve, z_pred, pin_coord):
-        """Local-parameterization correction with reactive-limit follow-up."""
-        z, iters = correct(
-            curve.residual, curve.jac_aug, z_pred, pin_coord,
-            tol=self.sopts.tol, max_iter=self.sopts.max_iter,
-        )
+        """Local-parameterization correction with reactive-limit follow-up;
+        returns ``(state, lambda)``."""
+        z, iters = correct(curve.residual, curve.jac_aug, z_pred, pin_coord)
         self.n_solves += 1
         self.n_newton += iters
         state = curve.state(z, iters)
@@ -311,16 +306,33 @@ class _Tracer:
             switched = dict(curve.q_switched)
             switched.update({self.case.nodes[i]: side for _, i, side in violations})
             state2 = pf.PowerFlowState(state.vm, state.theta, switched)
-            curve2 = _Curve(self.case, self.direction, switched, self.sopts)
+            curve2 = _Curve(self.case, self.direction, switched)
             pin_node = curve.idx_q[pin_coord - curve.n_p]
             z2 = curve2.pack(state2, lam)
             return self._solve_local(curve2, z2, curve2.vm_coord(pin_node))
-        return z, state, lam, curve
+        return state, lam
+
+    def _natural_warm(self, prev, h, z_prev, z_curr) -> pf.PowerFlowState:
+        """Predicted start of the natural step of length h from ``prev``: the
+        tangent from the base point, then the secant through the last two
+        natural points when both carry the current switch set, else ``prev``
+        itself."""
+        if len(self.points) == 1:
+            curve = _Curve(self.case, self.direction, prev.state.q_switched)
+            z0 = curve.pack(prev.state, prev.lam)
+            return curve.state(predict_tangent(curve.jac_aug(z0), z0, h, len(z0) - 1))
+        if z_prev is None:
+            return prev.state.copy()
+        curve = _Curve(self.case, self.direction, prev.state.q_switched)
+        return curve.state(predict_secant(z_prev, z_curr, h, len(z_curr) - 1))
+
+    @staticmethod
+    def _sane(lam, state, ref) -> bool:
+        """A converged step is kept only at nonnegative lambda and within
+        MAX_VM_STEP of ``ref``; further away it has slid onto the lower branch."""
+        return lam >= 0.0 and float(np.max(np.abs(state.vm - ref.vm))) <= MAX_VM_STEP
 
     # margin bookkeeping -------------------------------------------------------
-
-    def _status(self, state) -> LimitStatus:
-        return check_limits(self.case, state, self.limits)
 
     def _margins(self, status: LimitStatus):
         return {
@@ -335,14 +347,27 @@ class _Tracer:
             return ("upper", status.v_upper_node)
         return status.thermal_branch
 
-    def _record(self, lam, state, status, pinned_vm=None):
+    def _accept(self, lam, state, status=None):
+        """Append a solved point with its limit status (computed unless
+        given), first refining each limit crossed since the previous point,
+        and record it on the curve when collecting one."""
+        new = _TracePoint(lam, state, status or check_limits(self.case, state))
+        if self.points:
+            prev = self.points[-1]
+            for cls in ("voltage", "thermal"):
+                if self.lam_cross[cls] is None and (
+                    self._margins(prev.status)[cls] >= 0 > self._margins(new.status)[cls]
+                ):
+                    lam_star, status_star = self._refine_crossing(cls, prev, new)
+                    self.lam_cross[cls] = lam_star
+                    self.binding[cls] = self._binding(status_star, cls)
+        self.points.append(new)
         if self.collect_curve:
             self.curve.append(
                 CurvePoint(
                     lam,
                     float(np.min(state.vm[~self.case.slack_mask])),
-                    float(1.0 - status.thermal_margin),
-                    pinned_vm,
+                    float(1.0 - new.status.thermal_margin),
                 )
             )
 
@@ -363,8 +388,8 @@ class _Tracer:
         state_a = a.state
         best = (lb, abs(fb), b.status)
         side = 0
-        for _ in range(self.opts.refine_max_iter):
-            if best[1] < self.opts.refine_margin_tol or abs(lb - la) < 1e-12:
+        for _ in range(REFINE_MAX_ITER):
+            if best[1] < REFINE_MARGIN_TOL or abs(lb - la) < 1e-12:
                 break
             lm = (la * fb - lb * fa) / (fb - fa) if fb != fa else 0.5 * (la + lb)
             if not (min(la, lb) < lm < max(la, lb)):
@@ -376,7 +401,7 @@ class _Tracer:
                 lb, fb = lm, -abs(fa)
                 side = 0
                 continue
-            stm = self._status(sm)
+            stm = check_limits(self.case, sm)
             fm = self._margins(stm)[cls]
             if abs(fm) < best[1]:
                 best = (lm, abs(fm), stm)
@@ -413,217 +438,146 @@ class _Tracer:
     # main driver --------------------------------------------------------------------
 
     def run(self) -> AdcResult:
-        opts = self.opts
-        base, status0 = solve_base_case(self.case, self.sopts, self.limits)
+        base, status0 = solve_base_case(self.case)
         self.n_solves += 1
         self.n_newton += base.newton_total
+        self._accept(0.0, base, status0)
+        points = self.points
 
-        lam_cross = {"voltage": None, "thermal": None}
-        binding = {"voltage": None, "thermal": None, "collapse": None}
-        points = [_TracePoint(0.0, base, status0)]
-        self._record(0.0, base, status0)
-
-        h = opts.step0
+        h = STEP0
         easy = 0
         mode = "natural"
         pin_node = None
         eta_h = None
-        lam_collapse = None
         capped = False
         local_pts = []  # (eta, lam, state) along the pinned coordinate
-        curve_ctx = None
         z_prev = None
         z_curr = None
 
-        def margins_of(p):
-            return self._margins(p.status)
-
-        def handle_crossings(prev_pt, new_pt):
-            for cls in ("voltage", "thermal"):
-                if lam_cross[cls] is not None:
-                    continue
-                m0 = margins_of(prev_pt)[cls]
-                m1 = margins_of(new_pt)[cls]
-                if m0 >= 0 > m1:
-                    lam_star, status_star = self._refine_crossing(cls, prev_pt, new_pt)
-                    lam_cross[cls] = lam_star
-                    binding[cls] = self._binding(status_star, cls)
-
-        for _step in range(opts.max_points):
+        for _step in range(MAX_POINTS):
             prev = points[-1]
             if mode == "natural":
-                lam_try = prev.lam + h
+                lam_new = prev.lam + h
                 try:
-                    if len(points) == 1:
-                        # tangent first step
-                        curve0 = _Curve(self.case, self.direction, prev.state.q_switched, self.sopts)
-                        z0 = curve0.pack(prev.state, prev.lam)
-                        zp = predict_tangent(curve0.jac_aug(z0), z0, h, len(z0) - 1)
-                        warm = curve0.state(zp)
-                        warm.q_switched = dict(prev.state.q_switched)
-                    else:
-                        warm = prev.state.copy()
-                        if z_prev is not None and z_curr is not None and len(z_prev) == len(z_curr):
-                            try:
-                                zp = predict_secant(z_prev, z_curr, h, len(z_curr) - 1)
-                                cc = _Curve(self.case, self.direction, prev.state.q_switched, self.sopts)
-                                if len(zp) == cc.n_p + cc.n_q + 1:
-                                    warm = cc.state(zp)
-                                    warm.q_switched = dict(prev.state.q_switched)
-                            except ZeroDivisionError:
-                                pass
-                    new_state = self._solve_natural(lam_try, warm)
+                    new_state = self._solve_natural(
+                        lam_new, self._natural_warm(prev, h, z_prev, z_curr)
+                    )
                 except (ConvergenceError, SingularJacobianError):
+                    new_state = None
+                if new_state is None or not self._sane(lam_new, new_state, prev.state):
                     h *= 0.5
                     easy = 0
-                    if h < opts.step_min:
+                    if h < STEP_MIN:
                         # the corrector cannot advance in lambda: go local
                         mode = "local"
-                        h = opts.step0
-                        continue
+                        h = STEP0
                     continue
+                self._accept(lam_new, new_state)
 
-                if float(np.max(np.abs(new_state.vm - prev.state.vm))) > opts.max_vm_step:
-                    # converged, but onto a distant (lower-branch) solution
-                    h *= 0.5
-                    easy = 0
-                    if h < opts.step_min:
-                        mode = "local"
-                        h = opts.step0
-                    continue
-
-                new_pt = _TracePoint(lam_try, new_state, self._status(new_state))
-                handle_crossings(prev, new_pt)
-                points.append(new_pt)
-                self._record(lam_try, new_state, new_pt.status)
-
-                cc = _Curve(self.case, self.direction, new_state.q_switched, self.sopts)
-                z_new = cc.pack(new_state, lam_try)
-                if len(points) >= 2 and prev.state.q_switched == new_state.q_switched:
+                z_new = _Curve(self.case, self.direction, new_state.q_switched).pack(
+                    new_state, lam_new
+                )
+                if prev.state.q_switched == new_state.q_switched:
                     z_prev, z_curr = z_curr, z_new
                 else:
                     z_prev, z_curr = None, z_new
 
                 # mode decision from the latest secant
                 dvm = new_state.vm - prev.state.vm
-                dlam = lam_try - prev.lam
+                dlam = lam_new - prev.lam
                 if np.max(np.abs(dvm)) > abs(dlam):
                     mode = "local"
                     pin_node = int(np.argmax(np.abs(dvm)))
                     eta_h = -abs(float(dvm[pin_node]))  # magnitudes fall into the nose
                     local_pts = [
                         (float(prev.state.vm[pin_node]), prev.lam, prev.state),
-                        (float(new_state.vm[pin_node]), lam_try, new_state),
+                        (float(new_state.vm[pin_node]), lam_new, new_state),
                     ]
-                else:
-                    if new_state.iterations <= opts.easy_iters:
-                        easy += 1
-                        if easy >= opts.grow_after:
-                            h = min(h * 2.0, opts.step_max)
-                            easy = 0
-                    else:
+                elif new_state.iterations <= EASY_ITERS:
+                    easy += 1
+                    if easy >= GROW_AFTER:
+                        h = min(h * 2.0, STEP_MAX)
                         easy = 0
-                if lam_try > opts.lambda_cap:
-                    capped = True
-                    lam_collapse = opts.lambda_cap
-                    break
-                continue
+                else:
+                    easy = 0
+            else:
+                # ---- local parameterization ----
+                if pin_node is None:
+                    # entered on corrector failure: pin the magnitude that moved most
+                    ref = prev.state
+                    prev2 = points[-2].state if len(points) >= 2 else None
+                    dvm = ref.vm - prev2.vm if prev2 is not None else -np.ones(self.case.n)
+                    mon = ~self.case.slack_mask
+                    cand = np.where(mon, np.abs(dvm), -1.0)
+                    pin_node = int(np.argmax(cand))
+                    eta_h = -max(abs(float(dvm[pin_node])), 0.005)
+                    local_pts = [(float(ref.vm[pin_node]), prev.lam, ref)]
 
-            # ---- local parameterization ----
-            if pin_node is None:
-                # entered on corrector failure: pin the magnitude that moved most
-                ref = points[-1].state
-                prev2 = points[-2].state if len(points) >= 2 else None
-                dvm = ref.vm - prev2.vm if prev2 is not None else -np.ones(self.case.n)
-                mon = ~self.case.slack_mask
-                cand = np.where(mon, np.abs(dvm), -1.0)
-                pin_node = int(np.argmax(cand))
-                eta_h = -max(abs(float(dvm[pin_node])), 0.005)
-                local_pts = [(float(ref.vm[pin_node]), points[-1].lam, ref)]
-
-            prev = points[-1]
-            curve_ctx = _Curve(self.case, self.direction, prev.state.q_switched, self.sopts)
-            try:
-                pin_coord = curve_ctx.vm_coord(pin_node)
-            except ValueError:
-                # pinned magnitude is not free (pv node); fall back to the
-                # largest free magnitude change
-                free = curve_ctx.idx_q
-                dvm = prev.state.vm[free] - points[-2].state.vm[free] if len(points) >= 2 else -np.ones(len(free))
-                pin_node = int(free[np.argmax(np.abs(dvm))])
-                pin_coord = curve_ctx.vm_coord(pin_node)
-
-            z_here = curve_ctx.pack(prev.state, prev.lam)
-            if len(local_pts) >= 2:
-                eta_prev, lam_prev, st_prev = local_pts[-2]
-                z_last2 = curve_ctx.pack(st_prev, lam_prev)
+                curve_ctx = _Curve(self.case, self.direction, prev.state.q_switched)
                 try:
-                    zp = predict_secant(z_last2, z_here, eta_h, pin_coord)
-                except ZeroDivisionError:
+                    pin_coord = curve_ctx.vm_coord(pin_node)
+                except ValueError:
+                    # pinned magnitude is not free (pv node); fall back to the
+                    # largest free magnitude change
+                    free = curve_ctx.idx_q
+                    dvm = prev.state.vm[free] - points[-2].state.vm[free] if len(points) >= 2 else -np.ones(len(free))
+                    pin_node = int(free[np.argmax(np.abs(dvm))])
+                    pin_coord = curve_ctx.vm_coord(pin_node)
+
+                z_here = curve_ctx.pack(prev.state, prev.lam)
+                zp = None
+                if len(local_pts) >= 2:
+                    _, lam_prev, st_prev = local_pts[-2]
+                    z_last2 = curve_ctx.pack(st_prev, lam_prev)
+                    try:
+                        zp = predict_secant(z_last2, z_here, eta_h, pin_coord)
+                    except ZeroDivisionError:
+                        pass
+                if zp is None:  # no usable secant: move the pinned magnitude only
                     zp = z_here.copy()
                     zp[pin_coord] += eta_h
-            else:
-                zp = z_here.copy()
-                zp[pin_coord] += eta_h
 
-            sane = True
-            try:
-                z_new, new_state, lam_new, curve_used = self._solve_local(
-                    curve_ctx, zp, pin_coord
-                )
-                sane = lam_new >= 0.0 and float(
-                    np.max(np.abs(new_state.vm - prev.state.vm))
-                ) <= opts.max_vm_step
-            except (ConvergenceError, SingularJacobianError):
-                sane = False
-            if not sane:
-                eta_h *= 0.5
-                if abs(eta_h) < 1e-6:
-                    if len(local_pts) >= 3:
-                        lam_collapse = self._fold_fit(
-                            [(e, l) for e, l, _ in local_pts[-3:]]
+                try:
+                    new_state, lam_new = self._solve_local(curve_ctx, zp, pin_coord)
+                except (ConvergenceError, SingularJacobianError):
+                    new_state = None
+                if new_state is None or not self._sane(lam_new, new_state, prev.state):
+                    eta_h *= 0.5
+                    if abs(eta_h) < 1e-6:
+                        if len(local_pts) >= 3:
+                            lam_collapse = self._fold_fit(
+                                [(e, l) for e, l, _ in local_pts[-3:]]
+                            )
+                            break
+                        raise ConvergenceError(
+                            "continuation stalled before locating the fold"
                         )
-                        break
-                    raise ConvergenceError(
-                        "continuation stalled before locating the fold"
-                    )
-                continue
+                    continue
+                self._accept(lam_new, new_state)
+                local_pts.append((float(new_state.vm[pin_node]), lam_new, new_state))
 
-            new_pt = _TracePoint(lam_new, new_state, self._status(new_state))
-            handle_crossings(prev, new_pt)
-            points.append(new_pt)
-            eta_new = float(new_state.vm[pin_node])
-            self._record(lam_new, new_state, new_pt.status, pinned_vm=eta_new)
-            local_pts.append((eta_new, lam_new, new_state))
-
-            if lam_new > opts.lambda_cap:
+            if lam_new > LAMBDA_CAP:
                 capped = True
-                lam_collapse = opts.lambda_cap
+                lam_collapse = LAMBDA_CAP
                 break
 
             if lam_new < prev.lam:
-                # past the fold: sharpen with halved steps, then fit
-                for _ in range(opts.nose_extra_rounds):
-                    if len(local_pts) < 2:
-                        break
+                # past the fold (local steps only: natural ones raise lambda):
+                # sharpen with halved steps, then fit
+                for _ in range(NOSE_EXTRA_ROUNDS):
                     e2, l2, s2 = local_pts[-2]  # highest-lambda point so far
                     eh = 0.5 * (local_pts[-1][0] - e2)
-                    cu = _Curve(self.case, self.direction, s2.q_switched, self.sopts)
+                    cu = _Curve(self.case, self.direction, s2.q_switched)
                     try:
                         pc = cu.vm_coord(pin_node)
                         zm = cu.pack(s2, l2)
                         zm[pc] += eh
-                        z_r, st_r, lam_r, _ = self._solve_local(cu, zm, pc)
+                        st_r, lam_r = self._solve_local(cu, zm, pc)
                     except (ConvergenceError, SingularJacobianError, ValueError):
                         break
-                    if lam_r < 0.0 or float(
-                        np.max(np.abs(st_r.vm - s2.vm))
-                    ) > opts.max_vm_step:
+                    if not self._sane(lam_r, st_r, s2):
                         break
-                    pt_r = _TracePoint(lam_r, st_r, self._status(st_r))
-                    handle_crossings(points[-1], pt_r)
-                    points.append(pt_r)
-                    self._record(lam_r, st_r, pt_r.status, pinned_vm=float(st_r.vm[pin_node]))
+                    self._accept(lam_r, st_r)
                     local_pts.append((float(st_r.vm[pin_node]), lam_r, st_r))
                 if len(local_pts) >= 3:
                     trio = sorted(local_pts, key=lambda t: t[1])[-3:]
@@ -637,11 +591,7 @@ class _Tracer:
         else:
             raise ConvergenceError("continuation exceeded the point budget")
 
-        if lam_collapse is None:
-            # loop broke only via cap
-            capped = True
-            lam_collapse = opts.lambda_cap
-
+        lam_cross = self.lam_cross
         lam_v = lam_cross["voltage"] if lam_cross["voltage"] is not None else lam_collapse
         lam_t = lam_cross["thermal"] if lam_cross["thermal"] is not None else lam_collapse
         lambdas = {"voltage": lam_v, "thermal": lam_t, "collapse": lam_collapse}
@@ -653,8 +603,7 @@ class _Tracer:
             adc_mw=adc,
             overall_mw=adc[overall_cls],
             binding_class=overall_cls,
-            binding_element=binding,
-            delivered_kw_per_lambda=self.variation.load_increase_kw,
+            binding_element=self.binding,
             capped=capped,
             n_solves=self.n_solves,
             n_newton=self.n_newton,
@@ -662,22 +611,7 @@ class _Tracer:
         )
 
 
-def trace_adc(
-    case: pf.NetworkCase,
-    variation,
-    options: ContinuationOptions | None = None,
-    solve_options: pf.SolveOptions | None = None,
-    limits=None,
-    collect_curve: bool = False,
-) -> AdcResult:
+def trace_adc(case: pf.NetworkCase, variation, collect_curve: bool = False) -> AdcResult:
     """Trace the solution branch for one variation direction and return the
     delivery margins per violation class."""
-    tracer = _Tracer(
-        case,
-        variation,
-        options or ContinuationOptions(),
-        solve_options or pf.SolveOptions(),
-        limits,
-        collect_curve,
-    )
-    return tracer.run()
+    return _Tracer(case, variation, collect_curve).run()

@@ -197,13 +197,38 @@ def _require(cond, message):
         raise FeederFormatError(message)
 
 
-def _get(obj, key, context, types=None):
+_REQUIRED = object()
+
+
+def _get(obj, key, context, types=None, default=_REQUIRED):
     if key not in obj:
-        raise FeederFormatError(f"{context}: missing field '{key}'")
+        if default is _REQUIRED:
+            raise FeederFormatError(f"{context}: missing field '{key}'")
+        return default
     val = obj[key]
     if types is not None and not isinstance(val, types):
         raise FeederFormatError(f"{context}: field '{key}' has wrong type")
     return val
+
+
+def _number(obj, key, context, default=_REQUIRED):
+    """A JSON-number field as a finite float, or ``default`` when absent."""
+    if key not in obj and default is not _REQUIRED:
+        return default
+    try:
+        val = float(_get(obj, key, context, (int, float)))
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
+    _require(math.isfinite(val), f"{context}: field '{key}' must be finite")
+    return val
+
+
+def _records(doc, key, default=_REQUIRED) -> list:
+    """A top-level list of JSON objects."""
+    records = _get(doc, key, "document", list, default)
+    _require(all(isinstance(r, dict) for r in records),
+             f"document: every entry of '{key}' must be an object")
+    return records
 
 
 def _parse_phases(s, context):
@@ -217,7 +242,10 @@ def _parse_phases(s, context):
 
 def _parse_matrix(entry, key, k, context):
     raw = _get(entry, key, context, list)
-    m = np.asarray(raw, dtype=float)
+    try:
+        m = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        raise FeederFormatError(f"{context}: '{key}' must be a matrix of numbers") from None
     if m.shape != (k, k):
         raise FeederFormatError(f"{context}: '{key}' must be {k}x{k}")
     if not np.allclose(m, m.T, atol=1e-12):
@@ -232,15 +260,14 @@ def load_feeder(document) -> FeederModel:
             doc = json.loads(document)
         except json.JSONDecodeError as exc:
             raise FeederFormatError(f"document is not valid JSON: {exc}") from exc
-    elif isinstance(document, dict):
-        doc = document
     else:
-        raise FeederFormatError("document must be JSON text or a dict")
+        doc = document
+    _require(isinstance(doc, dict), "document must be a JSON object")
 
     name = doc.get("name", "feeder")
     buses = []
     seen = set()
-    for raw in _get(doc, "buses", "document", list):
+    for raw in _records(doc, "buses"):
         ctx = f"bus '{raw.get('id', '?')}'"
         bid = _get(raw, "id", ctx, str)
         if bid in seen:
@@ -249,19 +276,19 @@ def load_feeder(document) -> FeederModel:
         btype = _get(raw, "type", ctx, str)
         _require(btype in _BUS_TYPES, f"{ctx}: unknown type '{btype}'")
         phases = _parse_phases(_get(raw, "phases", ctx, str), ctx)
-        kv = float(_get(raw, "base_kv_ll", ctx, (int, float)))
+        kv = _number(raw, "base_kv_ll", ctx)
         _require(kv > 0, f"{ctx}: base_kv_ll must be positive")
-        v0 = raw.get("v0_pu")
+        v0 = _number(raw, "v0_pu", ctx, None)
         if btype in ("slack", "pv"):
             _require(v0 is not None, f"{ctx}: type '{btype}' requires v0_pu")
-            v0 = float(v0)
             _require(v0 > 0, f"{ctx}: v0_pu must be positive")
         elif v0 is not None:
             raise FeederFormatError(f"{ctx}: v0_pu only allowed on slack/pv buses")
         shunt = {}
-        for ph, kvar in raw.get("shunt_kvar", {}).items():
+        shunt_raw = _get(raw, "shunt_kvar", ctx, dict, {})
+        for ph in shunt_raw:
             _require(ph in phases, f"{ctx}: shunt on absent phase '{ph}'")
-            shunt[ph] = float(kvar)
+            shunt[ph] = _number(shunt_raw, ph, f"{ctx} shunt_kvar")
         buses.append(Bus(bid, btype, phases, kv, v0, shunt))
 
     _require(len(buses) > 0, "document: no buses")
@@ -272,7 +299,7 @@ def load_feeder(document) -> FeederModel:
 
     branches = []
     seen_br = set()
-    for raw in _get(doc, "branches", "document", list):
+    for raw in _records(doc, "branches"):
         ctx = f"branch '{raw.get('id', '?')}'"
         brid = _get(raw, "id", ctx, str)
         if brid in seen_br:
@@ -299,7 +326,7 @@ def load_feeder(document) -> FeederModel:
         else:
             bsh = np.zeros((k, k))
         ysh = 1j * bsh
-        amp = float(_get(raw, "ampacity_a", ctx, (int, float)))
+        amp = _number(raw, "ampacity_a", ctx)
         _require(amp > 0, f"{ctx}: ampacity_a must be positive")
         kind = raw.get("kind", "line")
         _require(kind in _BRANCH_KINDS, f"{ctx}: unknown kind '{kind}'")
@@ -308,9 +335,10 @@ def load_feeder(document) -> FeederModel:
         if kind == "transformer":
             _require(connection in _CONNECTIONS,
                      f"{ctx}: unknown connection '{connection}'")
-            for ph, t in raw.get("tap", {}).items():
+            tap_raw = _get(raw, "tap", ctx, dict, {})
+            for ph in tap_raw:
                 _require(ph in phases, f"{ctx}: tap on absent phase '{ph}'")
-                t = float(t)
+                t = _number(tap_raw, ph, f"{ctx} tap")
                 _require(t > 0, f"{ctx}: tap must be positive")
                 tap[ph] = t
             if connection == "delta-wye":
@@ -322,7 +350,7 @@ def load_feeder(document) -> FeederModel:
         )
 
     loads = []
-    for raw in _get(doc, "loads", "document", list):
+    for raw in _records(doc, "loads"):
         ctx = f"load at '{raw.get('bus', '?')}'"
         bus = _get(raw, "bus", ctx, str)
         _require(bus in bus_by_id, f"{ctx}: unknown bus '{bus}'")
@@ -330,14 +358,12 @@ def load_feeder(document) -> FeederModel:
         _require(phase in bus_by_id[bus].phases,
                  f"{ctx}: phase '{phase}' absent at bus '{bus}'")
         loads.append(
-            Load(bus, phase,
-                 float(_get(raw, "p_kw", ctx, (int, float))),
-                 float(_get(raw, "q_kvar", ctx, (int, float))))
+            Load(bus, phase, _number(raw, "p_kw", ctx), _number(raw, "q_kvar", ctx))
         )
 
     generators = []
     seen_g = set()
-    for raw in doc.get("generators", []):
+    for raw in _records(doc, "generators", []):
         ctx = f"generator '{raw.get('id', '?')}'"
         gid = _get(raw, "id", ctx, str)
         if gid in seen_g:
@@ -351,26 +377,25 @@ def load_feeder(document) -> FeederModel:
                      f"{ctx}: phase '{ph}' absent at bus '{bus}'")
         gtype = raw.get("type", "pq")
         _require(gtype in ("pq", "pv"), f"{ctx}: unknown type '{gtype}'")
-        v0 = raw.get("v0_pu")
+        v0 = _number(raw, "v0_pu", ctx, None)
         if gtype == "pv":
             _require(v0 is not None, f"{ctx}: pv generator requires v0_pu")
-            v0 = float(v0)
         generators.append(
             Generator(
                 gid, bus, phases, gtype,
-                p_kw=float(raw.get("p_kw", 0.0)),
-                q_kvar=float(raw.get("q_kvar", 0.0)),
+                p_kw=_number(raw, "p_kw", ctx, 0.0),
+                q_kvar=_number(raw, "q_kvar", ctx, 0.0),
                 v0_pu=v0,
-                q_min_kvar=float(raw.get("q_min_kvar", -1e9)),
-                q_max_kvar=float(raw.get("q_max_kvar", 1e9)),
-                delta_p_kw=float(raw.get("delta_p_kw", 0.0)),
-                delta_q_kvar=float(raw.get("delta_q_kvar", 0.0)),
+                q_min_kvar=_number(raw, "q_min_kvar", ctx, -1e9),
+                q_max_kvar=_number(raw, "q_max_kvar", ctx, 1e9),
+                delta_p_kw=_number(raw, "delta_p_kw", ctx, 0.0),
+                delta_q_kvar=_number(raw, "delta_q_kvar", ctx, 0.0),
             )
         )
 
     lim_raw = _get(doc, "limits", "document", dict)
-    vmin = float(_get(lim_raw, "v_min_pu", "limits", (int, float)))
-    vmax = float(_get(lim_raw, "v_max_pu", "limits", (int, float)))
+    vmin = _number(lim_raw, "v_min_pu", "limits")
+    vmax = _number(lim_raw, "v_max_pu", "limits")
     _require(0 < vmin < vmax, "limits: require 0 < v_min_pu < v_max_pu")
     limits = OperatingLimits(vmin, vmax)
 

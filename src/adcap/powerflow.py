@@ -48,11 +48,10 @@ from .feeder import (
 _PHASE_REF = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    tol: float = 1e-8  # max-norm of the power mismatch, pu
-    max_iter: int = 30
-    vm_floor: float = 1e-3  # keeps magnitudes positive while iterating
+# Newton settings shared by every solve and by the continuation corrector
+TOL = 1e-8  # max-norm of the power mismatch, pu
+MAX_ITER = 30
+VM_FLOOR = 1e-3  # keeps magnitudes positive while iterating
 
 
 @dataclass
@@ -269,14 +268,14 @@ def jacobian(case: NetworkCase, state: PowerFlowState) -> np.ndarray:
     return jacobian_at(case, state.vm, state.theta, idx_p, idx_q)
 
 
-def _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q, opts):
+def _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q):
     n_p = len(idx_p)
-    for it in range(opts.max_iter + 1):
+    for it in range(MAX_ITER + 1):
         g = mismatch_at(case, vm, theta, idx_p, idx_q, p_spec, q_spec)
         norm = float(np.max(np.abs(g))) if g.size else 0.0
-        if norm < opts.tol:
+        if norm < TOL:
             return vm, theta, it, norm
-        if it == opts.max_iter:
+        if it == MAX_ITER:
             raise ConvergenceError(
                 f"newton stalled at mismatch {norm:.3e} after {it} iterations",
                 max_mismatch=norm,
@@ -294,7 +293,7 @@ def _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q, opts):
         vm = vm.copy()
         theta[idx_p] += dx[:n_p]
         vm[idx_q] += dx[n_p:]
-        np.maximum(vm, opts.vm_floor, out=vm)
+        np.maximum(vm, VM_FLOOR, out=vm)
     raise AssertionError("unreachable")
 
 
@@ -325,7 +324,7 @@ def solve(
     case: NetworkCase,
     lam: float = 0.0,
     direction=None,
-    options: SolveOptions | None = None,
+    *,
     initial: PowerFlowState | None = None,
 ) -> PowerFlowState:
     """Full Newton solve with one-at-a-time PV -> PQ reactive-limit switching.
@@ -333,7 +332,6 @@ def solve(
     ``initial`` provides both the starting point and the inherited switch
     set; solving again from a returned state performs zero extra switches.
     """
-    opts = options or SolveOptions()
     if initial is not None:
         vm, theta = initial.vm.copy(), initial.theta.copy()
         switched = dict(initial.q_switched)
@@ -352,9 +350,7 @@ def solve(
         for i in case.pv_nodes:
             if i not in sw_idx:
                 vm[i] = case.v_set[i]
-        vm, theta, iters, norm = _newton(
-            case, vm, theta, p_spec, q_spec, idx_p, idx_q, opts
-        )
+        vm, theta, iters, norm = _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q)
         total_newton += iters
 
         q_gen, candidates = reactive_violations(case, vm, theta, lam, direction, switched)

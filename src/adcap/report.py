@@ -38,7 +38,7 @@ class AdcReport:
                 "mcs_samples": self.config.mcs_samples,
                 "surrogate_samples": self.config.surrogate_samples,
                 "sparse_terms": self.config.sparse_terms,
-                "order": self.config.order,
+                "order": assessment.PCE_ORDER,
                 "seed": self.config.seed,
                 "workers": self.config.workers,
             },
@@ -186,10 +186,10 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     """Assemble the full report for a parsed feeder model and scenario dict."""
     case = powerflow.NetworkCase(model)
     registry = stochastic.build_registry(model, scenario)
-    ctx = (case, registry, config.continuation_options, config.solve_options)
+    ctx = (case, registry)
 
     # base-case feasibility gate (shared by every method) and mean-input trace
-    base_state, _ = continuation.solve_base_case(case, config.solve_options)
+    base_state, _ = continuation.solve_base_case(case)
     mon = ~case.slack_mask
     flows = powerflow.branch_flows(case, base_state)
     base_summary = {
@@ -203,13 +203,7 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     }
 
     mean_var = stochastic.assemble_variation(registry.mean_inputs(), registry)
-    det = continuation.trace_adc(
-        case,
-        mean_var,
-        config.continuation_options,
-        config.solve_options,
-        collect_curve=config.dump_trace,
-    )
+    det = continuation.trace_adc(case, mean_var, collect_curve=config.dump_trace)
     deterministic = {
         "lambdas": {k: det.lambdas[k] for k in ("voltage", "thermal", "collapse")},
         "adc_mw": {k: det.adc_mw[k] for k in ("voltage", "thermal", "collapse")},

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FeederFormatError
+from .feeder import _get, _number, _parse_phases
 
 _KINDS = ("wind_speed", "solar_radiation", "load_active_power")
 
@@ -84,6 +85,10 @@ class StochasticLoad:
     bus: str
     phase: str
     power_factor: float = 0.85  # constant-power-factor growth
+
+    def __post_init__(self):
+        if not (0.0 < self.power_factor <= 1.0):
+            raise ConfigurationError(f"stochastic load at '{self.bus}': bad power factor")
 
 
 def wind_power_kw(v, unit: WindTurbine) -> float:
@@ -169,76 +174,82 @@ class StochasticRegistry:
         )
 
 
+def _scenario_check(check, *args):
+    """Apply one of the feeder schema's field checks to a scenario document,
+    reporting a failure as a scenario error."""
+    try:
+        return check(*args)
+    except FeederFormatError as exc:
+        raise ConfigurationError(str(exc)) from None
+
+
 def build_registry(model, scenario: dict) -> StochasticRegistry:
     """Validate a scenario document against a feeder model.
 
-    Expects top-level keys ``wind``, ``solar``, ``loads_stochastic``.
+    Expects top-level keys ``wind``, ``solar``, ``loads_stochastic``, each a
+    list of unit objects.  Numbers and phase strings follow the feeder
+    schema's rules.
     """
+    if not isinstance(scenario, dict):
+        raise ConfigurationError("scenario must be a JSON object")
     reg = StochasticRegistry()
     bus_ids = {b.id: b for b in model.buses}
 
-    def _field(raw, key, ctx):
-        if key not in raw:
-            raise ConfigurationError(f"{ctx}: missing field '{key}'")
-        return raw[key]
+    def _units(key, kind):
+        """(record, context, bus) of every unit listed under ``key``."""
+        units = scenario.get(key, [])
+        if not isinstance(units, list) or not all(isinstance(u, dict) for u in units):
+            raise ConfigurationError(f"scenario: '{key}' must be a list of objects")
+        for raw in units:
+            ctx = f"{kind} at '{raw.get('bus', '?')}'"
+            bus = _scenario_check(_get, raw, "bus", ctx, str)
+            if bus not in bus_ids:
+                raise ConfigurationError(f"{ctx}: unknown bus")
+            yield raw, ctx, bus
+
+    def _num(raw, key, ctx, *default):
+        return _scenario_check(_number, raw, key, ctx, *default)
 
     def _phases(raw, ctx):
-        s = raw.get("phases", "abc")
-        return tuple(ph for ph in ("a", "b", "c") if ph in s)
+        return _scenario_check(_parse_phases, raw.get("phases", "abc"), ctx)
 
-    for raw in scenario.get("wind", []):
-        ctx = f"wind at '{raw.get('bus', '?')}'"
-        bus = _field(raw, "bus", ctx)
-        if bus not in bus_ids:
-            raise ConfigurationError(f"{ctx}: unknown bus")
+    for raw, ctx, bus in _units("wind", "wind"):
         unit = WindTurbine(
             bus,
             _phases(raw, ctx),
-            float(_field(raw, "p_rated_kw", ctx)),
-            float(_field(raw, "v_cut_in", ctx)),
-            float(_field(raw, "v_rated", ctx)),
-            float(_field(raw, "v_cut_out", ctx)),
-            float(raw.get("power_factor", 0.85)),
+            _num(raw, "p_rated_kw", ctx),
+            _num(raw, "v_cut_in", ctx),
+            _num(raw, "v_rated", ctx),
+            _num(raw, "v_cut_out", ctx),
+            _num(raw, "power_factor", ctx, 0.85),
         )
         dist = ForecastDistribution(
-            "wind_speed",
-            float(_field(raw, "mean_speed", ctx)),
-            float(_field(raw, "std_speed", ctx)),
+            "wind_speed", _num(raw, "mean_speed", ctx), _num(raw, "std_speed", ctx)
         )
         reg.wind_units.append((unit, dist))
 
-    for raw in scenario.get("solar", []):
-        ctx = f"solar at '{raw.get('bus', '?')}'"
-        bus = _field(raw, "bus", ctx)
-        if bus not in bus_ids:
-            raise ConfigurationError(f"{ctx}: unknown bus")
+    for raw, ctx, bus in _units("solar", "solar"):
         unit = SolarUnit(
             bus,
             _phases(raw, ctx),
-            float(_field(raw, "p_rated_kw", ctx)),
-            float(_field(raw, "r_certain", ctx)),
-            float(_field(raw, "r_standard", ctx)),
+            _num(raw, "p_rated_kw", ctx),
+            _num(raw, "r_certain", ctx),
+            _num(raw, "r_standard", ctx),
         )
         dist = ForecastDistribution(
             "solar_radiation",
-            float(_field(raw, "mean_radiation", ctx)),
-            float(_field(raw, "std_radiation", ctx)),
+            _num(raw, "mean_radiation", ctx),
+            _num(raw, "std_radiation", ctx),
         )
         reg.solar_units.append((unit, dist))
 
-    for raw in scenario.get("loads_stochastic", []):
-        ctx = f"stochastic load at '{raw.get('bus', '?')}'"
-        bus = _field(raw, "bus", ctx)
-        if bus not in bus_ids:
-            raise ConfigurationError(f"{ctx}: unknown bus")
-        phase = _field(raw, "phase", ctx)
+    for raw, ctx, bus in _units("loads_stochastic", "stochastic load"):
+        phase = _scenario_check(_get, raw, "phase", ctx)
         if phase not in bus_ids[bus].phases:
             raise ConfigurationError(f"{ctx}: phase '{phase}' absent at bus")
-        unit = StochasticLoad(bus, phase, float(raw.get("power_factor", 0.85)))
+        unit = StochasticLoad(bus, phase, _num(raw, "power_factor", ctx, 0.85))
         dist = ForecastDistribution(
-            "load_active_power",
-            float(_field(raw, "mean_kw", ctx)),
-            float(_field(raw, "std_kw", ctx)),
+            "load_active_power", _num(raw, "mean_kw", ctx), _num(raw, "std_kw", ctx)
         )
         reg.load_units.append((unit, dist))
 

@@ -17,8 +17,8 @@ from adcap.continuation import trace_adc
 from adcap.feeder import load_feeder
 from adcap.powerflow import (
     NetworkCase,
+    TOL,
     PowerFlowState,
-    SolveOptions,
     jacobian,
     mismatch,
     power_balance,
@@ -120,10 +120,9 @@ def test_criterion_4_solver_correctness(case):
     assert np.max(np.abs(jac - fd)) / np.abs(jac).max() < 1e-6
 
     # power balance on converged states
-    opts = SolveOptions()
-    st0 = solve(case, options=opts)
+    st0 = solve(case)
     s_nodal, s_elem = power_balance(case, st0)
-    assert abs(s_nodal - s_elem) < 10 * opts.tol
+    assert abs(s_nodal - s_elem) < 10 * TOL
 
     # closed-form fold of a lossless two-bus link within 0.1%
     p, q, x = 1.0, 0.2, 0.3
@@ -137,7 +136,7 @@ def test_criterion_4_solver_correctness(case):
     reg = build_registry(two_model, {})
     var = assemble_variation(reg.mean_inputs(), reg)
     lam_star = (math.sqrt(p * p + q * q) - q) / (2 * x * p * p)
-    res = trace_adc(two_case, var, limits=two_model.limits)
+    res = trace_adc(two_case, var)
     assert res.lambdas["collapse"] == pytest.approx(lam_star, rel=1e-3)
 
 

@@ -20,10 +20,9 @@ from adcap.assessment import (
     run_pce,
 )
 from adcap.cli import main as cli_main
-from adcap.continuation import ContinuationOptions
 from adcap.errors import ConfigurationError
 from adcap.feeder import load_feeder
-from adcap.powerflow import NetworkCase, SolveOptions
+from adcap.powerflow import NetworkCase
 from adcap.report import run_assessment, write_outputs
 from adcap.stochastic import build_registry
 
@@ -49,7 +48,7 @@ def _small_ctx(scenario=None, ampacity=600.0, v_min=0.90):
     doc["branches"][0]["ampacity_a"] = ampacity
     model = load_feeder(doc)
     registry = build_registry(model, scenario or _small_scenario())
-    return (NetworkCase(model), registry, ContinuationOptions(), SolveOptions()), model
+    return (NetworkCase(model), registry), model
 
 
 def test_config_rejects_bad_values():
@@ -365,14 +364,47 @@ def _wind_without_mean_speed():
     return scenario
 
 
+def _solar_on_phases(phases):
+    scenario = _small_scenario()
+    scenario["solar"] = [{
+        "bus": "r", "phases": phases, "p_rated_kw": 50.0, "r_certain": 150.0,
+        "r_standard": 1000.0, "mean_radiation": 500.0, "std_radiation": 25.0,
+    }]
+    return scenario
+
+
+def _with_generator(**fields):
+    doc = two_bus_doc(v_min=0.90)
+    doc["generators"].append({"id": "g", "bus": "r", "phases": "a", "type": "pq", **fields})
+    return doc
+
+
+def _transformer_with_tap(tap):
+    doc = two_bus_doc(v_min=0.90)
+    doc["branches"][0].update(kind="transformer", tap={"a": tap})
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, scenario, message",
     [
         (two_bus_doc(x_ohm=0.0, v_min=0.90), _small_scenario(), "singular series impedance"),
         (two_bus_doc(v_min=0.90), _wind_without_mean_speed(), "missing field 'mean_speed'"),
         (two_bus_doc(v_min=0.90), _small_scenario(std_kw=math.nan), "must be finite"),
+        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw="abc"), "field 'mean_kw' has wrong type"),
+        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw=None), "field 'mean_kw' has wrong type"),
+        (two_bus_doc(v_min=0.90), _solar_on_phases("x"), "unknown phase 'x'"),
+        (_with_generator(p_kw="abc"), _small_scenario(), "field 'p_kw' has wrong type"),
+        (_transformer_with_tap("x"), _small_scenario(), "tap: field 'a' has wrong type"),
+        (two_bus_doc(v_min=0.90), _small_scenario(pf=1.5), "bad power factor"),
+        ([two_bus_doc(v_min=0.90)], _small_scenario(), "document must be a JSON object"),
+        (two_bus_doc(v_min=0.90), [_small_scenario()], "scenario must be a JSON object"),
     ],
-    ids=["singular-impedance", "wind-without-mean-speed", "nan-std"],
+    ids=[
+        "singular-impedance", "wind-without-mean-speed", "nan-std", "string-mean-kw",
+        "null-mean-kw", "solar-phase-letter", "string-generator-p-kw", "string-tap",
+        "load-power-factor-above-1", "feeder-not-object", "scenario-not-object",
+    ],
 )
 def test_cli_bad_input_exits_1_with_one_line(tmp_path, capsys, doc, scenario, message):
     fp, sp = _write_inputs(tmp_path, doc, scenario)

@@ -216,6 +216,60 @@ def test_lars_matches_sklearn_entry_order():
     assert set(order[:3]) == {3, 11, 17}
 
 
+def _lars_reference(x, y, steps):
+    """Plain LARS after Efron et al. (2004), written independently of
+    ``lars_select``.
+
+    The direction is the least-squares fit of the residual on the signed
+    active columns: moving the fit a fraction t along it scales every active
+    correlation by (1 - t).  The step stops at the first t where an inactive
+    correlation ties the shrinking active one.  Returns the entry order and,
+    per step, (active set, correlations with the residual).
+    """
+    mu = np.zeros(len(y))
+    active = [int(np.argmax(np.abs(x.T @ y)))]
+    history = []
+    while True:
+        r = y - mu
+        c = x.T @ r
+        history.append((list(active), c))
+        if len(active) == steps:
+            return active, history
+        signs = np.sign(c[active])
+        xa = x[:, active] * signs
+        d = xa @ np.linalg.lstsq(xa, r, rcond=None)[0]
+        a = x.T @ d
+        big_c = np.abs(c[active]).max()
+        t_best, j_best = 1.0, None
+        for j in sorted(set(range(x.shape[1])) - set(active)):
+            for num, den in ((big_c - c[j], big_c - a[j]), (big_c + c[j], big_c + a[j])):
+                if den > 0 and 0 < num / den < t_best:
+                    t_best, j_best = num / den, j
+        mu = mu + t_best * d
+        active.append(j_best)
+
+
+def test_lars_matches_in_repo_oracle():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((40, 15))
+        x -= x.mean(axis=0)
+        x /= np.linalg.norm(x, axis=0)
+        beta = np.zeros(15)
+        beta[rng.choice(15, 4, replace=False)] = rng.normal(0.0, 2.0, 4)
+        y = x @ beta + 0.3 * rng.standard_normal(40)
+        y -= y.mean()
+        order, history = _lars_reference(x, y, steps=10)
+        for active, c in history:
+            # equiangular: every active predictor has the same |correlation|,
+            # and no inactive one exceeds it
+            big_c = np.abs(c[active]).max()
+            assert np.allclose(np.abs(c[active]), big_c, rtol=1e-9)
+            inactive = np.setdiff1d(np.arange(15), active)
+            assert np.abs(c[inactive]).max() <= big_c * (1 + 1e-9)
+        assert lars_select(x, y, max_steps=10) == order
+
+
 def test_sparse_recovers_three_term_truth():
     design = _design(rows=60)
     idx = design.indices

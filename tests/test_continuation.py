@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adcap.continuation import (
-    ContinuationOptions,
+    LAMBDA_CAP,
     check_limits,
     correct,
     predict_secant,
@@ -84,7 +84,7 @@ def test_two_bus_nose_matches_closed_form():
     p, q, x = 1.0, 0.2, 0.3
     case, var, model = _two_bus_case(1000.0 * p, 1000.0 * q, x_ohm=x)
     lam_star = (math.sqrt(p * p + q * q) - q) / (2 * x * p * p)
-    res = trace_adc(case, var, limits=model.limits)
+    res = trace_adc(case, var)
     assert res.lambdas["collapse"] == pytest.approx(lam_star, rel=1e-3)
     assert res.adc_mw["collapse"] == pytest.approx(lam_star * 1.0, rel=1e-3)
     assert res.binding_class in ("collapse", "voltage")
@@ -100,7 +100,7 @@ def test_two_bus_voltage_crossing_matches_quadratic():
     bb = 2 * q * x * y
     cc = y * y - y
     lam_v = (-bb + math.sqrt(bb * bb - 4 * aa * cc)) / (2 * aa)
-    res = trace_adc(case, var, limits=model.limits)
+    res = trace_adc(case, var)
     assert res.lambdas["voltage"] == pytest.approx(lam_v, rel=1e-4)
     assert res.binding_element["voltage"] == ("lower", ("r", "a"))
     assert res.binding_class == "voltage"
@@ -121,7 +121,7 @@ def test_two_bus_thermal_crossing_refined_to_margin():
     doc["branches"][0]["ampacity_a"] = i_pu * 1000.0
     model2 = load_feeder(doc)
     case2 = NetworkCase(model2)
-    res = trace_adc(case2, var, limits=model2.limits)
+    res = trace_adc(case2, var)
     assert res.lambdas["thermal"] == pytest.approx(lam_probe, rel=1e-4)
     assert res.binding_element["thermal"] == "ln"
 
@@ -136,7 +136,7 @@ def test_infeasible_base_raises():
     reg = build_registry(model2, {})
     var = assemble_variation(reg.mean_inputs(), reg)
     with pytest.raises(InfeasibleBaseCaseError) as exc:
-        trace_adc(NetworkCase(model2), var, limits=model2.limits)
+        trace_adc(NetworkCase(model2), var)
     assert ("r", "a") in [el for _, el, _ in exc.value.violations]
 
 
@@ -148,10 +148,9 @@ def test_zero_direction_rejected(case):
 def test_lambda_cap_flags_result():
     # direction so small the fold is beyond the cap
     case, var, model = _two_bus_case(50.0, 10.0, x_ohm=0.3)
-    opts = ContinuationOptions(lambda_cap=5.0)
-    res = trace_adc(case, var, options=opts, limits=model.limits)
+    res = trace_adc(case, var)
     assert res.capped
-    assert res.lambdas["collapse"] == pytest.approx(5.0)
+    assert res.lambdas["collapse"] == pytest.approx(LAMBDA_CAP)
 
 
 def test_check_limits_ignores_slack():
@@ -160,7 +159,7 @@ def test_check_limits_ignores_slack():
     model = load_feeder(doc)
     case = NetworkCase(model)
     st = solve(case)
-    status = check_limits(case, st, model.limits)
+    status = check_limits(case, st)
     bad = status.violated()
     assert all(el != ("s", "a") for _, el, _ in bad)
     assert any(k == "voltage_upper" and el == ("r", "a") for k, el, _ in bad)
@@ -171,7 +170,7 @@ def test_check_limits_ignores_slack():
 
 def test_bundled_crossing_sits_on_margin(case, model, registry):
     var = assemble_variation(registry.mean_inputs(), registry)
-    res = trace_adc(case, var, limits=model.limits)
+    res = trace_adc(case, var)
     lam_v = res.lambdas["voltage"]
     st = solve(case, lam_v, case.direction_arrays(var))
     i = case.index[("611", "c")]
@@ -181,7 +180,7 @@ def test_bundled_crossing_sits_on_margin(case, model, registry):
 
 def test_bundled_nose_agrees_with_bisection_oracle(case, registry, model):
     var = assemble_variation(registry.mean_inputs(), registry)
-    res = trace_adc(case, var, limits=model.limits)
+    res = trace_adc(case, var)
     d = case.direction_arrays(var)
 
     def solvable(lam):
@@ -217,7 +216,7 @@ def test_runaway_guard_regression(case, registry):
 
 def test_curve_collection(case, registry, model):
     var = assemble_variation(registry.mean_inputs(), registry)
-    res = trace_adc(case, var, limits=model.limits, collect_curve=True)
+    res = trace_adc(case, var, collect_curve=True)
     assert len(res.curve) >= 5
     lams = [p.lam for p in res.curve]
     assert lams[0] == 0.0

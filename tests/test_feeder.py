@@ -1,4 +1,6 @@
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from adcap.feeder import (
     z_base_ohm,
 )
 
-from conftest import two_bus_doc
+from conftest import DATA, two_bus_doc
+
+BUILD_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "build_feeder.py"
 
 
 def test_round_trip(feeder_doc):
@@ -177,3 +181,21 @@ def test_total_load(model):
 
 def test_phase_constants():
     assert PHASES == ("a", "b", "c")
+
+
+def test_build_script_reproduces_bundled_data():
+    # the bundled files are the calibration script's output, byte for byte;
+    # run_path compiles the script in memory, so nothing is written
+    script = runpy.run_path(str(BUILD_SCRIPT))
+    feeder = json.dumps(script["build_feeder"](), indent=2) + "\n"
+    scenario = json.dumps(script["build_scenario"](), indent=2) + "\n"
+    assert feeder == (DATA / "ieee13_mod.json").read_text()
+    assert scenario == (DATA / "scenario_ieee13.json").read_text()
+
+
+def test_build_script_calibration_runs(capsys):
+    # the calibration trace goes through the same check_limits/trace_adc API
+    # as the program
+    runpy.run_path(str(BUILD_SCRIPT))["calibrate"]()
+    out = capsys.readouterr().out
+    assert "lambdas:" in out and "capped=False" in out

@@ -5,8 +5,8 @@ from adcap.errors import ConvergenceError
 from adcap.feeder import load_feeder
 from adcap.powerflow import (
     NetworkCase,
+    TOL,
     PowerFlowState,
-    SolveOptions,
     branch_flows,
     jacobian,
     mismatch,
@@ -57,17 +57,16 @@ def test_jacobian_matches_finite_differences(case):
 
 
 def test_power_balance_on_converged_state(case):
-    opts = SolveOptions()
-    state = solve(case, options=opts)
+    state = solve(case)
     s_nodal, s_elem = power_balance(case, state)
-    assert abs(s_nodal - s_elem) < 10 * opts.tol
+    assert abs(s_nodal - s_elem) < 10 * TOL
 
 
 def test_power_balance_under_direction(case, registry):
     var = assemble_variation(registry.mean_inputs(), registry)
     state = solve(case, 0.4, case.direction_arrays(var))
     s_nodal, s_elem = power_balance(case, state)
-    assert abs(s_nodal - s_elem) < 10 * SolveOptions().tol
+    assert abs(s_nodal - s_elem) < 10 * TOL
 
 
 def test_no_load_flat_profile():
@@ -94,7 +93,7 @@ def test_two_bus_closed_form_voltage():
 def test_newton_iteration_count_reasonable(case):
     state = solve(case)
     assert state.iterations <= 6
-    assert state.max_mismatch < SolveOptions().tol
+    assert state.max_mismatch < TOL
 
 
 def test_unsolvable_raises():
