@@ -3,12 +3,16 @@ of delivery margins.
 
 The driver marches the solution branch in the load-growth parameter lambda
 using a tangent first step and secant predictors afterwards, correcting with
-Newton.  Away from the nose the curve is parameterized naturally (lambda
-fixed per step); when the secant direction shows voltage magnitudes moving
-faster than lambda, the driver pins the fastest-changing magnitude instead
-and lets lambda float (local parameterization), which carries the corrector
-through the fold.  Step length doubles after three easy corrections and
-halves on rejection, with a hard floor.
+the power flow's one Newton loop (``powerflow.correct``) on its augmented
+system (``powerflow.Curve``).  Away from the nose the curve is parameterized
+naturally: each step is a power-flow solve (``powerflow.solve``) with lambda
+pinned.  When the secant direction shows voltage magnitudes moving faster
+than lambda, or natural steps stop converging, the trace pins the free
+magnitude that moved most instead and lets lambda float (local
+parameterization), which carries the corrector through the fold.  Both kinds
+of step share the power flow's magnitude floor and its reactive-limit rule
+(nearest violation first, one switch per round).  Step length doubles after
+three easy corrections and halves on rejection, with a hard floor.
 
 Limit crossings (voltage band, branch ampacity) are bracketed between
 accepted points and refined by an Illinois-type false-position iteration on
@@ -20,8 +24,8 @@ margin is evaluated on the upper branch only.
 Every setting is a module constant, not an option: the step control,
 lambda cap, point budget, crossing refinement and nose sharpening below
 (STEP0 ... MAX_VM_STEP), and the Newton tolerance, iteration budget and
-magnitude floor that the corrector shares with every power-flow solve
-(``powerflow.TOL``, ``MAX_ITER``, ``VM_FLOOR``).
+magnitude floor of the shared loop (``powerflow.TOL``, ``MAX_ITER``,
+``VM_FLOOR``).
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .errors import (
     ZeroDirectionError,
 )
 from . import powerflow as pf
+# local steps call the loop as this module's ``correct``; a wrapper set here sees only them
+from .powerflow import correct
 
 _CLASSES = ("voltage", "thermal", "collapse")
 
@@ -150,7 +156,7 @@ def solve_base_case(case: pf.NetworkCase):
     return state, status
 
 
-# -- predictor / corrector over augmented vectors z = [x..., lambda] ----------
+# -- predictors over augmented vectors z = [theta_p, vm_q, lambda] -------------
 
 def predict_secant(z_prev: np.ndarray, z_curr: np.ndarray, h: float, param_index: int) -> np.ndarray:
     """Advance along the secant so the pinned coordinate moves by exactly h."""
@@ -174,88 +180,6 @@ def predict_tangent(jac_aug: np.ndarray, z_curr: np.ndarray, h: float, param_ind
     rhs[m] = 1.0
     t = np.linalg.solve(sq, rhs)
     return z_curr + h * t
-
-
-def correct(residual_fn, jac_aug_fn, z0: np.ndarray, param_index: int) -> tuple[np.ndarray, int]:
-    """Newton correction with one coordinate pinned at its predicted value.
-
-    ``residual_fn(z)`` returns the m residuals, ``jac_aug_fn(z)`` the
-    m x (m+1) augmented Jacobian; coordinate ``param_index`` is held fixed
-    and the remaining m coordinates are solved for, to the power-flow
-    tolerance within the power-flow iteration budget.
-    """
-    z = z0.copy()
-    free = np.array([i for i in range(len(z)) if i != param_index])
-    for it in range(pf.MAX_ITER + 1):
-        g = residual_fn(z)
-        norm = float(np.max(np.abs(g))) if g.size else 0.0
-        if norm < pf.TOL:
-            return z, it
-        if it == pf.MAX_ITER:
-            raise ConvergenceError(
-                f"corrector stalled at residual {norm:.3e}",
-                max_mismatch=norm, iterations=it,
-            )
-        j = jac_aug_fn(z)[:, free]
-        try:
-            dz = np.linalg.solve(j, -g)
-        except np.linalg.LinAlgError:
-            raise SingularJacobianError("singular corrector jacobian") from None
-        if not np.all(np.isfinite(dz)):
-            raise SingularJacobianError("non-finite corrector step")
-        z[free] += dz
-    raise AssertionError("unreachable")
-
-
-class _Curve:
-    """Closures binding the augmented residual/Jacobian to a switch set."""
-
-    def __init__(self, case, direction, q_switched):
-        self.case = case
-        self.direction = direction
-        self.q_switched = dict(q_switched)
-        self.idx_p, self.idx_q = case.partition(q_switched)
-        self.n_p = len(self.idx_p)
-
-    def pack(self, state, lam):
-        return np.concatenate(
-            [state.theta[self.idx_p], state.vm[self.idx_q], [lam]]
-        )
-
-    def unpack(self, z):
-        vm = self.case.v_set.copy()
-        theta = self.case.theta_ref.copy()
-        theta[self.idx_p] = z[: self.n_p]
-        vm[self.idx_q] = np.maximum(z[self.n_p:-1], pf.VM_FLOOR)
-        return vm, theta, float(z[-1])
-
-    def state(self, z, iterations=0, norm=0.0) -> pf.PowerFlowState:
-        vm, theta, _ = self.unpack(z)
-        return pf.PowerFlowState(
-            vm, theta, dict(self.q_switched), {}, iterations, norm
-        )
-
-    def residual(self, z):
-        vm, theta, lam = self.unpack(z)
-        p_spec, q_spec = self.case.spec_injections(lam, self.direction, self.q_switched)
-        return pf.mismatch_at(self.case, vm, theta, self.idx_p, self.idx_q, p_spec, q_spec)
-
-    def jac_aug(self, z):
-        """[d(mismatch)/dx | d(mismatch)/dlambda]; the last column is the direction."""
-        vm, theta, _ = self.unpack(z)
-        dp, dq = self.direction
-        d_lam = np.concatenate([dp[self.idx_p], dq[self.idx_q]])
-        return np.hstack([
-            pf.jacobian_at(self.case, vm, theta, self.idx_p, self.idx_q),
-            d_lam[:, None],
-        ])
-
-    def vm_coord(self, node_index):
-        """Position in z of the magnitude at a node index."""
-        pos = np.flatnonzero(self.idx_q == node_index)
-        if pos.size == 0:
-            raise ValueError("node magnitude is not a free coordinate")
-        return self.n_p + int(pos[0])
 
 
 @dataclass
@@ -290,41 +214,43 @@ class _Tracer:
         self.n_newton += state.newton_total - warm.newton_total
         return state
 
-    def _solve_local(self, curve: _Curve, z_pred, pin_coord):
-        """Local-parameterization correction with reactive-limit follow-up;
-        returns ``(state, lambda)``."""
-        z, iters = correct(curve.residual, curve.jac_aug, z_pred, pin_coord)
-        self.n_solves += 1
-        self.n_newton += iters
-        state = curve.state(z, iters)
-        lam = float(z[-1])
-        # fresh reactive-limit violations all switch at once, then re-correct
-        _, violations = pf.reactive_violations(
-            self.case, state.vm, state.theta, lam, self.direction, curve.q_switched
-        )
-        if violations:
-            switched = dict(curve.q_switched)
-            switched.update({self.case.nodes[i]: side for _, i, side in violations})
-            state2 = pf.PowerFlowState(state.vm, state.theta, switched)
-            curve2 = _Curve(self.case, self.direction, switched)
-            pin_node = curve.idx_q[pin_coord - curve.n_p]
-            z2 = curve2.pack(state2, lam)
-            return self._solve_local(curve2, z2, curve2.vm_coord(pin_node))
-        return state, lam
+    def _solve_local(self, curve: pf.Curve, z, pin_node):
+        """Local-parameterization correction from ``z`` with the magnitude at
+        ``pin_node`` pinned, switching reactive limits by the power-flow
+        rule; returns ``(state, lambda)``."""
+        while True:  # each round switches one more PV phase, so this ends
+            z, iters, norm = correct(curve.linearize, z, curve.vm_coord(pin_node))
+            self.n_solves += 1
+            self.n_newton += iters
+            state, next_curve = curve.settle(z, iters, norm)
+            if next_curve is None:
+                return state, float(z[-1])
+            curve = next_curve
+            z = curve.pack(state, z[-1])
+
+    def _pin(self, state, dvm) -> int:
+        """The free magnitude of ``state``'s switch set that ``dvm`` moves
+        most; raises ConvergenceError when every magnitude is held."""
+        free = self.case.partition(state.q_switched)[1]
+        if not free.size:
+            raise ConvergenceError(
+                "local parameterization has no free voltage magnitude to pin"
+            )
+        return int(free[np.argmax(np.abs(dvm[free]))])
 
     def _natural_warm(self, prev, h, z_prev, z_curr) -> pf.PowerFlowState:
         """Predicted start of the natural step of length h from ``prev``: the
         tangent from the base point, then the secant through the last two
         natural points when both carry the current switch set, else ``prev``
         itself."""
-        if len(self.points) == 1:
-            curve = _Curve(self.case, self.direction, prev.state.q_switched)
-            z0 = curve.pack(prev.state, prev.lam)
-            return curve.state(predict_tangent(curve.jac_aug(z0), z0, h, len(z0) - 1))
-        if z_prev is None:
+        if z_prev is None and len(self.points) > 1:
             return prev.state.copy()
-        curve = _Curve(self.case, self.direction, prev.state.q_switched)
-        return curve.state(predict_secant(z_prev, z_curr, h, len(z_curr) - 1))
+        curve = pf.Curve(self.case, self.direction, prev.state.q_switched)
+        if len(self.points) == 1:
+            jac = curve.jacobian(prev.state.vm, prev.state.theta)
+            z0 = curve.pack(prev.state, prev.lam)
+            return curve.state(predict_tangent(jac, z0, h, curve.lam_coord))
+        return curve.state(predict_secant(z_prev, z_curr, h, curve.lam_coord))
 
     @staticmethod
     def _sane(lam, state, ref) -> bool:
@@ -474,7 +400,7 @@ class _Tracer:
                     continue
                 self._accept(lam_new, new_state)
 
-                z_new = _Curve(self.case, self.direction, new_state.q_switched).pack(
+                z_new = pf.Curve(self.case, self.direction, new_state.q_switched).pack(
                     new_state, lam_new
                 )
                 if prev.state.q_switched == new_state.q_switched:
@@ -487,7 +413,7 @@ class _Tracer:
                 dlam = lam_new - prev.lam
                 if np.max(np.abs(dvm)) > abs(dlam):
                     mode = "local"
-                    pin_node = int(np.argmax(np.abs(dvm)))
+                    pin_node = self._pin(new_state, dvm)
                     eta_h = -abs(float(dvm[pin_node]))  # magnitudes fall into the nose
                     local_pts = [
                         (float(prev.state.vm[pin_node]), prev.lam, prev.state),
@@ -503,27 +429,17 @@ class _Tracer:
             else:
                 # ---- local parameterization ----
                 if pin_node is None:
-                    # entered on corrector failure: pin the magnitude that moved most
+                    # entered on corrector failure: pin the free magnitude that moved most
                     ref = prev.state
                     prev2 = points[-2].state if len(points) >= 2 else None
                     dvm = ref.vm - prev2.vm if prev2 is not None else -np.ones(self.case.n)
-                    mon = ~self.case.slack_mask
-                    cand = np.where(mon, np.abs(dvm), -1.0)
-                    pin_node = int(np.argmax(cand))
+                    pin_node = self._pin(ref, dvm)
                     eta_h = -max(abs(float(dvm[pin_node])), 0.005)
                     local_pts = [(float(ref.vm[pin_node]), prev.lam, ref)]
 
-                curve_ctx = _Curve(self.case, self.direction, prev.state.q_switched)
-                try:
-                    pin_coord = curve_ctx.vm_coord(pin_node)
-                except ValueError:
-                    # pinned magnitude is not free (pv node); fall back to the
-                    # largest free magnitude change
-                    free = curve_ctx.idx_q
-                    dvm = prev.state.vm[free] - points[-2].state.vm[free] if len(points) >= 2 else -np.ones(len(free))
-                    pin_node = int(free[np.argmax(np.abs(dvm))])
-                    pin_coord = curve_ctx.vm_coord(pin_node)
-
+                # the pin is free in every later point: switch sets only grow
+                curve_ctx = pf.Curve(self.case, self.direction, prev.state.q_switched)
+                pin_coord = curve_ctx.vm_coord(pin_node)
                 z_here = curve_ctx.pack(prev.state, prev.lam)
                 zp = None
                 if len(local_pts) >= 2:
@@ -538,7 +454,7 @@ class _Tracer:
                     zp[pin_coord] += eta_h
 
                 try:
-                    new_state, lam_new = self._solve_local(curve_ctx, zp, pin_coord)
+                    new_state, lam_new = self._solve_local(curve_ctx, zp, pin_node)
                 except (ConvergenceError, SingularJacobianError):
                     new_state = None
                 if new_state is None or not self._sane(lam_new, new_state, prev.state):
@@ -567,13 +483,12 @@ class _Tracer:
                 for _ in range(NOSE_EXTRA_ROUNDS):
                     e2, l2, s2 = local_pts[-2]  # highest-lambda point so far
                     eh = 0.5 * (local_pts[-1][0] - e2)
-                    cu = _Curve(self.case, self.direction, s2.q_switched)
+                    cu = pf.Curve(self.case, self.direction, s2.q_switched)
+                    zm = cu.pack(s2, l2)
+                    zm[cu.vm_coord(pin_node)] += eh
                     try:
-                        pc = cu.vm_coord(pin_node)
-                        zm = cu.pack(s2, l2)
-                        zm[pc] += eh
-                        st_r, lam_r = self._solve_local(cu, zm, pc)
-                    except (ConvergenceError, SingularJacobianError, ValueError):
+                        st_r, lam_r = self._solve_local(cu, zm, pin_node)
+                    except (ConvergenceError, SingularJacobianError):
                         break
                     if not self._sane(lam_r, st_r, s2):
                         break

@@ -108,15 +108,11 @@ class FeederModel:
         self._nodes = tuple(
             (b.id, ph) for b in self.buses for ph in PHASES if ph in b.phases
         )
-        self._node_index = {node: i for i, node in enumerate(self._nodes)}
 
     @property
     def nodes(self) -> tuple:
         """Ordered (bus_id, phase) pairs over existing phases only."""
         return self._nodes
-
-    def node_index(self, bus: str, phase: str) -> int:
-        return self._node_index[(bus, phase)]
 
     def bus(self, bus_id: str) -> Bus:
         return self._bus_by_id[bus_id]

@@ -8,20 +8,28 @@ complex-voltage derivative identities
 
 with I = Y V.  Mismatch is g(x) = S_spec(lambda) - S(x).  One residual
 (:func:`mismatch_at`) and one Jacobian builder (:func:`jacobian_at`), both
-over (vm, theta, idx_p, idx_q), serve every caller: the Newton solve, the
-:func:`mismatch`/:func:`jacobian` views of a state, and the continuation
-corrector, whose augmented Jacobian is this one plus the direction column.
-The builder returns d(mismatch)/dx = -dS/dx restricted to the unknown
-rows/columns, so a Newton step solves J dx = -g.
+over (vm, theta, idx_p, idx_q), serve every caller.  The builder returns
+d(mismatch)/dx = -dS/dx restricted to the unknown rows/columns, so a Newton
+step solves J dx = -g.
 
 Row/column ordering: active-power rows over all non-slack nodes (node order),
 then reactive rows over PQ nodes (including PV phases switched to a reactive
 limit); columns are the matching angles then magnitudes.
 
-PV phases are switched to PQ one at a time, nearest violation first (the
-phase whose reactive output exceeds its limit by the smallest margin), and a
-state carries its switch set so re-solving from a solved state performs no
-further switching.
+Every power-flow solve, whether a plain solve or a continuation step, runs
+one Newton loop (:func:`correct`) on one augmented system (:class:`Curve`):
+the m mismatch rows of a switch set over the m + 1 coordinates
+z = [theta_p, vm_q, lambda], with one coordinate pinned.  :func:`solve` pins
+lambda; a local continuation step pins one voltage magnitude.  After every
+update the loop projects the magnitudes of its iterate onto VM_FLOOR, so each
+residual is evaluated at the iterate itself.
+
+Reactive limits follow one rule in every solve: after each converged round,
+the PV phase whose reactive output exceeds its limit by the smallest margin
+(node order breaking ties) is switched to PQ at that limit and the round is
+solved again, until no unswitched PV phase is in violation.  A state carries
+its switch set, so re-solving from a solved state performs no further
+switching.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from .feeder import (
 _PHASE_REF = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
 
 
-# Newton settings shared by every solve and by the continuation corrector
+# settings of the Newton loop (:func:`correct`) behind every solve
 TOL = 1e-8  # max-norm of the power mismatch, pu
 MAX_ITER = 30
 VM_FLOOR = 1e-3  # keeps magnitudes positive while iterating
@@ -73,21 +81,6 @@ class PowerFlowState:
             dict(self.q_gen_pu), self.iterations, self.max_mismatch,
             self.newton_total,
         )
-
-
-@dataclass
-class MismatchVector:
-    """Power mismatch split into P rows (non-slack) and Q rows (PQ)."""
-
-    dp: np.ndarray
-    dq: np.ndarray
-    p_nodes: list
-    q_nodes: list
-
-    @property
-    def max_abs(self) -> float:
-        parts = [np.abs(self.dp), np.abs(self.dq)]
-        return float(max(p.max() if p.size else 0.0 for p in parts))
 
 
 @dataclass
@@ -249,17 +242,11 @@ def jacobian_at(case: NetworkCase, vm, theta, idx_p, idx_q) -> np.ndarray:
     return -np.vstack([top, bot])
 
 
-def mismatch(case: NetworkCase, state: PowerFlowState, lam=0.0, direction=None) -> MismatchVector:
+def mismatch(case: NetworkCase, state: PowerFlowState, lam=0.0, direction=None) -> np.ndarray:
     """Power mismatch g = S_spec(lambda) - S(x) over the unknown rows."""
     p_spec, q_spec = case.spec_injections(lam, direction, state.q_switched)
     idx_p, idx_q = case.partition(state.q_switched)
-    g = mismatch_at(case, state.vm, state.theta, idx_p, idx_q, p_spec, q_spec)
-    return MismatchVector(
-        g[:len(idx_p)],
-        g[len(idx_p):],
-        [case.nodes[i] for i in idx_p],
-        [case.nodes[i] for i in idx_q],
-    )
+    return mismatch_at(case, state.vm, state.theta, idx_p, idx_q, p_spec, q_spec)
 
 
 def jacobian(case: NetworkCase, state: PowerFlowState) -> np.ndarray:
@@ -268,13 +255,121 @@ def jacobian(case: NetworkCase, state: PowerFlowState) -> np.ndarray:
     return jacobian_at(case, state.vm, state.theta, idx_p, idx_q)
 
 
-def _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q):
-    n_p = len(idx_p)
+class Curve:
+    """The power-flow equations of one switch set over the augmented
+    coordinates z = [theta_p, vm_q, lambda]: m mismatch rows in m + 1
+    unknowns, made square by pinning lambda (``lam_coord``) or one magnitude
+    (:meth:`vm_coord`)."""
+
+    def __init__(self, case, direction, q_switched):
+        self.case = case
+        self.direction = direction
+        self.q_switched = dict(q_switched)
+        self.idx_p, self.idx_q = case.partition(q_switched)
+        self.n_p = len(self.idx_p)
+        self.lam_coord = self.n_p + len(self.idx_q)
+        self._spec_at = None  # (lambda, specified injections) last evaluated
+
+    def pack(self, state, lam):
+        return np.concatenate(
+            [state.theta[self.idx_p], state.vm[self.idx_q], [lam]]
+        )
+
+    def unpack(self, z):
+        """Full (vm, theta) at z; pinned PV magnitudes and the slack sit at
+        their set points."""
+        vm = self.case.v_set.copy()
+        theta = self.case.theta_ref.copy()
+        theta[self.idx_p] = z[: self.n_p]
+        vm[self.idx_q] = z[self.n_p:-1]
+        return vm, theta
+
+    def state(self, z, iterations=0, norm=0.0) -> PowerFlowState:
+        vm, theta = self.unpack(z)
+        return PowerFlowState(
+            vm, theta, dict(self.q_switched), {}, iterations, norm
+        )
+
+    def vm_coord(self, node_index):
+        """Position in z of the magnitude at a node index, which must be free."""
+        return self.n_p + int(np.flatnonzero(self.idx_q == node_index)[0])
+
+    def jacobian(self, vm, theta, pin=None):
+        """d(mismatch)/dz at (vm, theta) without column ``pin``: the power-flow
+        Jacobian when lambda is pinned, else the augmented
+        [d(mismatch)/dx | direction] with column ``pin`` removed (kept whole
+        for ``pin=None``)."""
+        jac = jacobian_at(self.case, vm, theta, self.idx_p, self.idx_q)
+        if pin == self.lam_coord:
+            return jac
+        dp, dq = self.direction
+        d_lam = np.concatenate([dp[self.idx_p], dq[self.idx_q]])
+        jac = np.hstack([jac, d_lam[:, None]])
+        return jac if pin is None else np.delete(jac, pin, axis=1)
+
+    def linearize(self, z, pin):
+        """Project the magnitudes of z onto VM_FLOOR in place, then return
+        the mismatch at z and a function giving its Jacobian without
+        column ``pin``."""
+        vm_q = z[self.n_p:-1]
+        np.maximum(vm_q, VM_FLOOR, out=vm_q)
+        vm, theta = self.unpack(z)
+        lam = z[-1]
+        if self._spec_at is None or self._spec_at[0] != lam:
+            # evaluated once per solve while lambda is pinned
+            self._spec_at = lam, self.case.spec_injections(lam, self.direction, self.q_switched)
+        p_spec, q_spec = self._spec_at[1]
+        g = mismatch_at(self.case, vm, theta, self.idx_p, self.idx_q, p_spec, q_spec)
+        return g, lambda: self.jacobian(vm, theta, pin)
+
+    def settle(self, z, iterations, norm):
+        """The state at a converged z and the curve of the next switching
+        round, None once no unswitched PV phase violates its reactive limit.
+
+        The state records the reactive output of every unswitched PV phase;
+        the next round switches the nearest violation (module docstring).
+        """
+        case = self.case
+        state = self.state(z, iterations, norm)
+        if not case.pv_nodes:
+            return state, None
+        lam = z[-1]
+        _, _, s = _complex_power(case, state.vm, state.theta)
+        dq = self.direction[1] if self.direction is not None else np.zeros(case.n)
+        violations = []
+        for i in case.pv_nodes:
+            node = case.nodes[i]
+            if node in self.q_switched:
+                continue
+            qg = s.imag[i] - (case.q0[i] + lam * dq[i])
+            state.q_gen_pu[node] = qg
+            if qg > case.q_max[i]:
+                violations.append((qg - case.q_max[i], i, "max"))
+            elif qg < case.q_min[i]:
+                violations.append((case.q_min[i] - qg, i, "min"))
+        if not violations:
+            return state, None
+        _, i, side = min(violations)
+        return state, Curve(case, self.direction, {**self.q_switched, case.nodes[i]: side})
+
+
+def correct(linearize, z0: np.ndarray, pin: int):
+    """Newton's method on m equations in the m + 1 coordinates of z, with
+    coordinate ``pin`` held at its value in ``z0``.
+
+    ``linearize(z, pin)`` returns the residual at z and a function giving
+    its Jacobian over the other m coordinates; it may first project z in
+    place (:meth:`Curve.linearize` floors the magnitudes).  Returns
+    ``(z, iterations, max-norm of the residual)`` once that norm is below
+    TOL; raises ConvergenceError after MAX_ITER iterations and
+    SingularJacobianError on a singular or non-finite step.
+    """
+    z = z0.copy()
     for it in range(MAX_ITER + 1):
-        g = mismatch_at(case, vm, theta, idx_p, idx_q, p_spec, q_spec)
+        g, jac = linearize(z, pin)
         norm = float(np.max(np.abs(g))) if g.size else 0.0
         if norm < TOL:
-            return vm, theta, it, norm
+            return z, it, norm
         if it == MAX_ITER:
             raise ConvergenceError(
                 f"newton stalled at mismatch {norm:.3e} after {it} iterations",
@@ -282,42 +377,16 @@ def _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q):
                 iterations=it,
             )
         try:
-            dx = np.linalg.solve(jacobian_at(case, vm, theta, idx_p, idx_q), -g)
+            dz = np.linalg.solve(jac(), -g)
         except np.linalg.LinAlgError:
             raise SingularJacobianError(
                 f"jacobian factorization failed at iteration {it}"
             ) from None
-        if not np.all(np.isfinite(dx)):
+        if not np.all(np.isfinite(dz)):
             raise SingularJacobianError(f"non-finite newton step at iteration {it}")
-        theta = theta.copy()
-        vm = vm.copy()
-        theta[idx_p] += dx[:n_p]
-        vm[idx_q] += dx[n_p:]
-        np.maximum(vm, VM_FLOOR, out=vm)
+        z[:pin] += dz[:pin]
+        z[pin + 1:] += dz[pin:]
     raise AssertionError("unreachable")
-
-
-def reactive_violations(case: NetworkCase, vm, theta, lam, direction, q_switched):
-    """Reactive output of every PV phase not yet switched, and its limit breaches.
-
-    Returns ``(q_gen, violations)``: ``q_gen`` maps node -> output (pu) and
-    ``violations`` lists ``(excess, node index, "min"|"max")`` in node order.
-    """
-    _, _, s = _complex_power(case, vm, theta)
-    dq = direction[1] if direction is not None else np.zeros(case.n)
-    q_gen = {}
-    violations = []
-    for i in case.pv_nodes:
-        node = case.nodes[i]
-        if node in q_switched:
-            continue
-        qg = s.imag[i] - (case.q0[i] + lam * dq[i])
-        q_gen[node] = qg
-        if qg > case.q_max[i]:
-            violations.append((qg - case.q_max[i], i, "max"))
-        elif qg < case.q_min[i]:
-            violations.append((case.q_min[i] - qg, i, "min"))
-    return q_gen, violations
 
 
 def solve(
@@ -327,42 +396,26 @@ def solve(
     *,
     initial: PowerFlowState | None = None,
 ) -> PowerFlowState:
-    """Full Newton solve with one-at-a-time PV -> PQ reactive-limit switching.
+    """Newton solve at fixed lambda with reactive-limit switching; each
+    switching round is one :func:`correct` with lambda pinned.
 
-    ``initial`` provides both the starting point and the inherited switch
-    set; solving again from a returned state performs zero extra switches.
+    ``initial`` (default: the flat start) provides both the starting point
+    and the inherited switch set; solving again from a returned state
+    performs zero extra switches.
     """
-    if initial is not None:
-        vm, theta = initial.vm.copy(), initial.theta.copy()
-        switched = dict(initial.q_switched)
-        newton_before = initial.newton_total
-    else:
-        vm, theta = case.v_set.copy(), case.theta_ref.copy()
-        switched = {}
-        newton_before = 0
-
-    total_newton = 0
-    for _round in range(len(case.pv_nodes) + 1):
-        idx_p, idx_q = case.partition(switched)
-        p_spec, q_spec = case.spec_injections(lam, direction, switched)
-        # PV magnitudes are pinned while unswitched
-        sw_idx = {case.index[k] for k in switched}
-        for i in case.pv_nodes:
-            if i not in sw_idx:
-                vm[i] = case.v_set[i]
-        vm, theta, iters, norm = _newton(case, vm, theta, p_spec, q_spec, idx_p, idx_q)
-        total_newton += iters
-
-        q_gen, candidates = reactive_violations(case, vm, theta, lam, direction, switched)
-        if not candidates:
-            state = PowerFlowState(vm, theta, switched, q_gen, iters, norm)
-            state.newton_total = newton_before + total_newton
+    start = initial if initial is not None else case.flat_state()
+    curve = Curve(case, direction, start.q_switched)
+    z = curve.pack(start, lam)
+    total = 0
+    while True:  # each round switches one more PV phase, so this ends
+        z, iters, norm = correct(curve.linearize, z, curve.lam_coord)
+        total += iters
+        state, next_curve = curve.settle(z, iters, norm)
+        if next_curve is None:
+            state.newton_total = start.newton_total + total
             return state
-        # nearest violation first: smallest excess, node order breaking ties
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        _, i_sw, side = candidates[0]
-        switched[case.nodes[i_sw]] = side
-    raise ConvergenceError("reactive-limit switching failed to settle")
+        curve = next_curve
+        z = curve.pack(state, lam)
 
 
 # -- branch flows -------------------------------------------------------------

@@ -58,3 +58,14 @@ def two_bus_doc(p_kw=0.0, q_kvar=0.0, x_ohm=0.3, v_min=0.01):
         "generators": [],
         "limits": {"v_min_pu": v_min, "v_max_pu": 2.0},
     }
+
+
+def pv_two_bus_doc():
+    """two_bus_doc whose receiving bus is held at 1 pu by a pv generator
+    without reactive limits, so no voltage magnitude is free."""
+    doc = two_bus_doc()
+    doc["buses"][1].update(type="pv", v0_pu=1.0)
+    doc["generators"].append(
+        {"id": "g", "bus": "r", "phases": "a", "type": "pv", "v0_pu": 1.0}
+    )
+    return doc

@@ -102,8 +102,7 @@ def test_criterion_4_solver_correctness(case):
     def g_of(vm_, th_):
         st = PowerFlowState(vm=vm_, theta=th_, q_switched={}, q_gen_pu={},
                             iterations=0, max_mismatch=np.inf)
-        m = mismatch(case, st, 0.0, None)
-        return np.concatenate([m.dp, m.dq])
+        return mismatch(case, st, 0.0, None)
 
     cols = []
     for j in idx_p:

@@ -26,7 +26,7 @@ from adcap.powerflow import NetworkCase
 from adcap.report import run_assessment, write_outputs
 from adcap.stochastic import build_registry
 
-from conftest import two_bus_doc
+from conftest import pv_two_bus_doc, two_bus_doc
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -353,6 +353,21 @@ def test_cli_exit_code_numerical_failure(tmp_path):
         "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"),
     ])
     assert rc == 3
+
+
+def test_cli_no_free_magnitude_exits_3_with_one_line(tmp_path, capsys):
+    # every non-slack magnitude is voltage-controlled, so the continuation
+    # cannot pin one to pass the fold
+    fp, sp = _write_inputs(
+        tmp_path, pv_two_bus_doc(), _small_scenario(mean_kw=500.0, std_kw=10.0, pf=1.0)
+    )
+    rc = cli_main([
+        "run", "--feeder", str(fp), "--scenario", str(sp),
+        "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
 
 
 def _wind_without_mean_speed():

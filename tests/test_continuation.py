@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,12 +12,17 @@ from adcap.continuation import (
     predict_tangent,
     trace_adc,
 )
-from adcap.errors import InfeasibleBaseCaseError, ZeroDirectionError
+from adcap.errors import (
+    ConvergenceError,
+    InfeasibleBaseCaseError,
+    SingularJacobianError,
+    ZeroDirectionError,
+)
 from adcap.feeder import load_feeder
 from adcap.powerflow import NetworkCase, solve
 from adcap.stochastic import VariationVector, assemble_variation, build_registry
 
-from conftest import two_bus_doc
+from conftest import pv_two_bus_doc, two_bus_doc
 
 
 # -- predictor/corrector primitives ---------------------------------------------
@@ -30,15 +36,12 @@ def test_corrector_exact_on_linear_system():
     b = rng.uniform(-1, 1, m)
     z_true = np.linalg.lstsq(a, b, rcond=None)[0]
 
-    def residual(z):
-        return a @ z - b
-
-    def jac_aug(z):
-        return a
+    def linearize(z, pin):
+        return a @ z - b, lambda: np.delete(a, pin, axis=1)
 
     z0 = z_true + rng.uniform(-0.5, 0.5, m + 1)
     z0[2] = z_true[2] + 0.0  # pinned coordinate must already be consistent
-    z, iters = correct(residual, jac_aug, z0, param_index=2)
+    z, iters, _ = correct(linearize, z0, pin=2)
     assert iters <= 2
     assert np.allclose(a @ z, b, atol=1e-10)
     assert z[2] == pytest.approx(z0[2])  # pinned coordinate untouched
@@ -153,6 +156,19 @@ def test_lambda_cap_flags_result():
     assert res.lambdas["collapse"] == pytest.approx(LAMBDA_CAP)
 
 
+def test_no_free_magnitude_to_pin_raises_convergence_error():
+    # the receiving end is voltage-controlled without reactive limits, so
+    # natural steps stall at the angle limit and local parameterization has
+    # no magnitude to pin
+    model = load_feeder(pv_two_bus_doc())
+    reg = build_registry(model, {"loads_stochastic": [
+        {"bus": "r", "phase": "a", "mean_kw": 500, "std_kw": 10, "power_factor": 1.0},
+    ]})
+    var = assemble_variation(reg.mean_inputs(), reg)
+    with pytest.raises(ConvergenceError, match="no free voltage magnitude"):
+        trace_adc(NetworkCase(model), var)
+
+
 def test_check_limits_ignores_slack():
     doc = two_bus_doc(p_kw=0.0)
     doc["limits"] = {"v_min_pu": 0.2, "v_max_pu": 0.95}  # slack sits above vmax
@@ -199,6 +215,42 @@ def test_bundled_nose_agrees_with_bisection_oracle(case, registry, model):
         else:
             hi = mid
     assert res.lambdas["collapse"] == pytest.approx(lo, rel=0.015)
+
+
+def test_trace_switching_reactive_limit_agrees_with_bisection_oracle(feeder_doc, scenario_doc):
+    # bus 675 held at 1 pu by a +-300 kvar pv generator: within its limits
+    # at the base case, at its upper limit near the nose
+    doc = json.loads(json.dumps(feeder_doc))
+    next(b for b in doc["buses"] if b["id"] == "675").update(type="pv", v0_pu=1.0)
+    doc["generators"].append({
+        "id": "pv-675", "bus": "675", "phases": "abc", "type": "pv",
+        "v0_pu": 1.0, "q_min_kvar": -300.0, "q_max_kvar": 300.0,
+    })
+    model = load_feeder(doc)
+    case = NetworkCase(model)
+    registry = build_registry(model, scenario_doc)
+    var = assemble_variation(registry.mean_inputs(), registry)
+    d = case.direction_arrays(var)
+    assert not solve(case).q_switched
+    res = trace_adc(case, var)
+
+    def solvable(lam):
+        try:
+            solve(case, lam, d)
+            return True
+        except (ConvergenceError, SingularJacobianError):
+            return False
+
+    lo, hi = 0.0, res.lambdas["collapse"] * 1.6
+    assert not solvable(hi)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if solvable(mid):
+            lo = mid
+        else:
+            hi = mid
+    assert res.lambdas["collapse"] == pytest.approx(lo, rel=0.015)
+    assert solve(case, lo, d).q_switched
 
 
 def test_runaway_guard_regression(case, registry):
