@@ -143,17 +143,22 @@ def solve_base_case(case: pf.NetworkCase):
     """Solve the base case (lambda = 0) and check every operating limit there.
 
     Returns ``(state, status)``; raises InfeasibleBaseCaseError naming each
-    violated limit.
+    violated limit.  The base case does not depend on the variation
+    direction, so the first feasible result is kept on the case
+    (``NetworkCase.base_case``) and returned by every later call: a run
+    solves it once, for its gate, and pool workers inherit it with the case.
     """
-    state = pf.solve(case)
-    status = check_limits(case, state)
-    bad = status.violated()
-    if bad:
-        desc = "; ".join(f"{k} at {el}" for k, el, _ in bad)
-        raise InfeasibleBaseCaseError(
-            f"base case violates operating limits: {desc}", violations=bad
-        )
-    return state, status
+    if case.base_case is None:
+        state = pf.solve(case)
+        status = check_limits(case, state)
+        bad = status.violated()
+        if bad:
+            desc = "; ".join(f"{k} at {el}" for k, el, _ in bad)
+            raise InfeasibleBaseCaseError(
+                f"base case violates operating limits: {desc}", violations=bad
+            )
+        case.base_case = state, status
+    return case.base_case
 
 
 # -- predictors over augmented vectors z = [theta_p, vm_q, lambda] -------------
@@ -207,19 +212,26 @@ class _Tracer:
         self.binding = {"voltage": None, "thermal": None, "collapse": None}
 
     # corrector entry points ---------------------------------------------------
+    # ``abort_on_rise`` (see ``powerflow.correct``) is set for the steps of
+    # the march, which retry a failure shorter; crossing refinement and nose
+    # sharpening read a failure as "no solution there" and keep the budget.
 
-    def _solve_natural(self, lam, warm) -> pf.PowerFlowState:
-        state = pf.solve(self.case, lam, self.direction, initial=warm)
+    def _solve_natural(self, lam, warm, abort_on_rise=False) -> pf.PowerFlowState:
+        state = pf.solve(
+            self.case, lam, self.direction, initial=warm, abort_on_rise=abort_on_rise
+        )
         self.n_solves += 1
         self.n_newton += state.newton_total - warm.newton_total
         return state
 
-    def _solve_local(self, curve: pf.Curve, z, pin_node):
+    def _solve_local(self, curve: pf.Curve, z, pin_node, abort_on_rise=False):
         """Local-parameterization correction from ``z`` with the magnitude at
         ``pin_node`` pinned, switching reactive limits by the power-flow
         rule; returns ``(state, lambda)``."""
         while True:  # each round switches one more PV phase, so this ends
-            z, iters, norm = correct(curve.linearize, z, curve.vm_coord(pin_node))
+            z, iters, norm = correct(
+                curve.linearize, z, curve.vm_coord(pin_node), abort_on_rise
+            )
             self.n_solves += 1
             self.n_newton += iters
             state, next_curve = curve.settle(z, iters, norm)
@@ -386,7 +398,8 @@ class _Tracer:
                 lam_new = prev.lam + h
                 try:
                     new_state = self._solve_natural(
-                        lam_new, self._natural_warm(prev, h, z_prev, z_curr)
+                        lam_new, self._natural_warm(prev, h, z_prev, z_curr),
+                        abort_on_rise=True,
                     )
                 except (ConvergenceError, SingularJacobianError):
                     new_state = None
@@ -454,7 +467,9 @@ class _Tracer:
                     zp[pin_coord] += eta_h
 
                 try:
-                    new_state, lam_new = self._solve_local(curve_ctx, zp, pin_node)
+                    new_state, lam_new = self._solve_local(
+                        curve_ctx, zp, pin_node, abort_on_rise=True
+                    )
                 except (ConvergenceError, SingularJacobianError):
                     new_state = None
                 if new_state is None or not self._sane(lam_new, new_state, prev.state):

@@ -7,14 +7,16 @@ complex-voltage derivative identities
     dS/d|V|   = diag(V/|V|) conj(diag(I)) + diag(V) conj(Y diag(V/|V|))
 
 with I = Y V.  Mismatch is g(x) = S_spec(lambda) - S(x).  One residual
-(:func:`mismatch_at`) and one Jacobian builder (:func:`jacobian_at`), both
-over (vm, theta, idx_p, idx_q), serve every caller.  The builder returns
-d(mismatch)/dx = -dS/dx restricted to the unknown rows/columns, so a Newton
-step solves J dx = -g.
+(:func:`mismatch_at`) and one Jacobian builder (:func:`jacobian_at`) serve
+every caller, both from one evaluation of (V, I, S) per Newton iteration.
+The builder gathers d(mismatch)/dx = -dS/dx on the unknown rows/columns by
+index into a preallocated matrix, so a Newton step solves J dx = -g; a
+continuation step fills its spare last column with the growth direction.
 
 Row/column ordering: active-power rows over all non-slack nodes (node order),
 then reactive rows over PQ nodes (including PV phases switched to a reactive
-limit); columns are the matching angles then magnitudes.
+limit); columns are the matching angles then magnitudes.  These node index
+arrays are computed once per switch set (:meth:`NetworkCase.partition`).
 
 Every power-flow solve, whether a plain solve or a continuation step, runs
 one Newton loop (:func:`correct`) on one augmented system (:class:`Curve`):
@@ -22,7 +24,15 @@ the m mismatch rows of a switch set over the m + 1 coordinates
 z = [theta_p, vm_q, lambda], with one coordinate pinned.  :func:`solve` pins
 lambda; a local continuation step pins one voltage magnitude.  After every
 update the loop projects the magnitudes of its iterate onto VM_FLOOR, so each
-residual is evaluated at the iterate itself.
+residual is evaluated at the iterate itself.  The loop gives up after
+MAX_ITER iterations.  A caller that retries a failure with a shorter step
+(the natural and local steps of a continuation) passes ``abort_on_rise``,
+and the loop then gives up already at the first iteration whose mismatch
+max-norm is not below the previous one: most such starts lie past the fold
+or too far along the curve, and a shorter retry is cheaper than the rest of
+the budget.  The max-norm can also rise once on the way to a solution, so a
+caller that reads a failure as "no solution here" (the base case, crossing
+refinement, nose sharpening) keeps the whole budget.
 
 Reactive limits follow one rule in every solve: after each converged round,
 the PV phase whose reactive output exceeds its limit by the smallest margin
@@ -101,7 +111,9 @@ class _BranchView:
 class NetworkCase:
     """Immutable solver-ready view of a feeder: admittance, base injections,
     node classification and branch-current machinery.  Shared read-only by
-    every worker; solves never mutate it."""
+    every worker; solves never mutate it beyond filling its memos: the node
+    partitions (:meth:`partition`) and the feasible base case
+    (``continuation.solve_base_case``)."""
 
     def __init__(self, model: FeederModel):
         self.model = model
@@ -111,6 +123,8 @@ class NetworkCase:
         self.y = self.admittance.matrix
         n = len(self.nodes)
         self.n = n
+        self._partitions = {}  # frozenset of switched nodes -> (idx_p, idx_q)
+        self.base_case = None  # (state, status) once solved and found feasible
 
         self.slack_mask = np.zeros(n, dtype=bool)
         self.pv_mask = np.zeros(n, dtype=bool)
@@ -174,15 +188,23 @@ class NetworkCase:
     # -- node partitions -----------------------------------------------------
 
     def partition(self, q_switched: dict):
-        """(P-row node indices, Q-row node indices) for a given switch set."""
-        sw = {self.index[k] for k in q_switched}
-        idx_p = [i for i in range(self.n) if not self.slack_mask[i]]
-        idx_q = [
-            i
-            for i in range(self.n)
-            if not self.slack_mask[i] and (not self.pv_mask[i] or i in sw)
-        ]
-        return np.array(idx_p, dtype=int), np.array(idx_q, dtype=int)
+        """(P-row node indices, Q-row node indices) for a given switch set,
+        computed once per set of switched nodes; the arrays are read-only."""
+        key = frozenset(q_switched)
+        parts = self._partitions.get(key)
+        if parts is None:
+            sw = {self.index[k] for k in key}
+            idx_p = [i for i in range(self.n) if not self.slack_mask[i]]
+            idx_q = [
+                i
+                for i in range(self.n)
+                if not self.slack_mask[i] and (not self.pv_mask[i] or i in sw)
+            ]
+            parts = np.array(idx_p, dtype=int), np.array(idx_q, dtype=int)
+            for arr in parts:
+                arr.flags.writeable = False
+            self._partitions[key] = parts
+        return parts
 
     def flat_state(self) -> PowerFlowState:
         return PowerFlowState(self.v_set.copy(), self.theta_ref.copy())
@@ -219,40 +241,48 @@ def _complex_power(case: NetworkCase, vm, theta):
     return v, i_bus, v * np.conj(i_bus)
 
 
-def mismatch_at(case: NetworkCase, vm, theta, idx_p, idx_q, p_spec, q_spec) -> np.ndarray:
-    """Power mismatch g = S_spec - S(x): P rows over ``idx_p``, then Q rows
-    over ``idx_q``."""
-    _, _, s = _complex_power(case, vm, theta)
+def mismatch_at(s, idx_p, idx_q, p_spec, q_spec) -> np.ndarray:
+    """Power mismatch g = S_spec - S at the nodal complex power ``s``: P rows
+    over ``idx_p``, then Q rows over ``idx_q``."""
     return np.concatenate([p_spec[idx_p] - s.real[idx_p], q_spec[idx_q] - s.imag[idx_q]])
 
 
-def jacobian_at(case: NetworkCase, vm, theta, idx_p, idx_q) -> np.ndarray:
-    """d(mismatch)/dx, rows [P over idx_p; Q over idx_q], columns [theta over
-    idx_p; vm over idx_q]."""
-    v, i_bus, _ = _complex_power(case, vm, theta)
-    diag = np.diag_indices_from(case.y)
+def jacobian_at(case: NetworkCase, vm, v, i_bus, rows, cols, out) -> np.ndarray:
+    """d(mismatch)/dx at magnitudes ``vm``, complex voltages ``v`` and bus
+    currents ``i_bus`` = Y v: rows [P over rows[0]; Q over rows[1]], columns
+    [theta over cols[0]; vm over cols[1]], written into the leading columns
+    of ``out``, which is returned."""
+    n = case.n
     a = -(case.y * v[None, :])
-    a[diag] += i_bus
+    a.reshape(-1)[:: n + 1] += i_bus
     ds_dth = 1j * v[:, None] * np.conj(a)
     vnorm = v / vm
     ds_dvm = v[:, None] * np.conj(case.y * vnorm[None, :])
-    ds_dvm[diag] += vnorm * np.conj(i_bus)
-    top = np.hstack([ds_dth.real[np.ix_(idx_p, idx_p)], ds_dvm.real[np.ix_(idx_p, idx_q)]])
-    bot = np.hstack([ds_dth.imag[np.ix_(idx_q, idx_p)], ds_dvm.imag[np.ix_(idx_q, idx_q)]])
-    return -np.vstack([top, bot])
+    ds_dvm.reshape(-1)[:: n + 1] += vnorm * np.conj(i_bus)
+    (rp, rq), (cp, cq) = rows, cols
+    n_p, k_p = len(rp), len(cp)
+    k = k_p + len(cq)
+    rp, rq = rp[:, None], rq[:, None]
+    out[:n_p, :k_p] = ds_dth.real[rp, cp]
+    out[:n_p, k_p:k] = ds_dvm.real[rp, cq]
+    out[n_p:, :k_p] = ds_dth.imag[rq, cp]
+    out[n_p:, k_p:k] = ds_dvm.imag[rq, cq]
+    np.negative(out[:, :k], out=out[:, :k])
+    return out
 
 
 def mismatch(case: NetworkCase, state: PowerFlowState, lam=0.0, direction=None) -> np.ndarray:
     """Power mismatch g = S_spec(lambda) - S(x) over the unknown rows."""
     p_spec, q_spec = case.spec_injections(lam, direction, state.q_switched)
     idx_p, idx_q = case.partition(state.q_switched)
-    return mismatch_at(case, state.vm, state.theta, idx_p, idx_q, p_spec, q_spec)
+    _, _, s = _complex_power(case, state.vm, state.theta)
+    return mismatch_at(s, idx_p, idx_q, p_spec, q_spec)
 
 
 def jacobian(case: NetworkCase, state: PowerFlowState) -> np.ndarray:
     """d(mismatch)/dx, rows [P; Q], columns [theta; vm] per module docstring."""
-    idx_p, idx_q = case.partition(state.q_switched)
-    return jacobian_at(case, state.vm, state.theta, idx_p, idx_q)
+    curve = Curve(case, None, state.q_switched)
+    return curve.jacobian(state.vm, state.theta, curve.lam_coord)
 
 
 class Curve:
@@ -299,18 +329,31 @@ class Curve:
         Jacobian when lambda is pinned, else the augmented
         [d(mismatch)/dx | direction] with column ``pin`` removed (kept whole
         for ``pin=None``)."""
-        jac = jacobian_at(self.case, vm, theta, self.idx_p, self.idx_q)
-        if pin == self.lam_coord:
-            return jac
-        dp, dq = self.direction
-        d_lam = np.concatenate([dp[self.idx_p], dq[self.idx_q]])
-        jac = np.hstack([jac, d_lam[:, None]])
-        return jac if pin is None else np.delete(jac, pin, axis=1)
+        v, i_bus, _ = _complex_power(self.case, vm, theta)
+        return self._jacobian(vm, v, i_bus, pin)
+
+    def _jacobian(self, vm, v, i_bus, pin):
+        """:meth:`jacobian` from the complex voltages v and currents Y v."""
+        cols_p, cols_q = self.idx_p, self.idx_q
+        if pin is not None and pin < self.n_p:
+            cols_p = np.delete(cols_p, pin)
+        elif pin is not None and pin < self.lam_coord:
+            cols_q = np.delete(cols_q, pin - self.n_p)
+        lam_col = pin != self.lam_coord
+        jac = np.empty((self.lam_coord, len(cols_p) + len(cols_q) + lam_col))
+        jacobian_at(
+            self.case, vm, v, i_bus, (self.idx_p, self.idx_q), (cols_p, cols_q), jac
+        )
+        if lam_col:
+            dp, dq = self.direction
+            jac[: self.n_p, -1] = dp[self.idx_p]
+            jac[self.n_p:, -1] = dq[self.idx_q]
+        return jac
 
     def linearize(self, z, pin):
         """Project the magnitudes of z onto VM_FLOOR in place, then return
         the mismatch at z and a function giving its Jacobian without
-        column ``pin``."""
+        column ``pin``; both read one complex-power evaluation."""
         vm_q = z[self.n_p:-1]
         np.maximum(vm_q, VM_FLOOR, out=vm_q)
         vm, theta = self.unpack(z)
@@ -319,8 +362,9 @@ class Curve:
             # evaluated once per solve while lambda is pinned
             self._spec_at = lam, self.case.spec_injections(lam, self.direction, self.q_switched)
         p_spec, q_spec = self._spec_at[1]
-        g = mismatch_at(self.case, vm, theta, self.idx_p, self.idx_q, p_spec, q_spec)
-        return g, lambda: self.jacobian(vm, theta, pin)
+        v, i_bus, s = _complex_power(self.case, vm, theta)
+        g = mismatch_at(s, self.idx_p, self.idx_q, p_spec, q_spec)
+        return g, lambda: self._jacobian(vm, v, i_bus, pin)
 
     def settle(self, z, iterations, norm):
         """The state at a converged z and the curve of the next switching
@@ -353,7 +397,7 @@ class Curve:
         return state, Curve(case, self.direction, {**self.q_switched, case.nodes[i]: side})
 
 
-def correct(linearize, z0: np.ndarray, pin: int):
+def correct(linearize, z0: np.ndarray, pin: int, abort_on_rise: bool = False):
     """Newton's method on m equations in the m + 1 coordinates of z, with
     coordinate ``pin`` held at its value in ``z0``.
 
@@ -361,21 +405,28 @@ def correct(linearize, z0: np.ndarray, pin: int):
     its Jacobian over the other m coordinates; it may first project z in
     place (:meth:`Curve.linearize` floors the magnitudes).  Returns
     ``(z, iterations, max-norm of the residual)`` once that norm is below
-    TOL; raises ConvergenceError after MAX_ITER iterations and
-    SingularJacobianError on a singular or non-finite step.
+    TOL.  Raises ConvergenceError, carrying the iterations made and the last
+    norm, after MAX_ITER iterations and, with ``abort_on_rise``, already at
+    the first iteration whose norm is not below the previous iteration's
+    (module docstring); raises SingularJacobianError on a singular or
+    non-finite step.
     """
     z = z0.copy()
+    last = math.inf
     for it in range(MAX_ITER + 1):
         g, jac = linearize(z, pin)
         norm = float(np.max(np.abs(g))) if g.size else 0.0
         if norm < TOL:
             return z, it, norm
-        if it == MAX_ITER:
+        rising = abort_on_rise and norm >= last
+        if rising or it == MAX_ITER:
+            how = "diverging" if rising else "stalled"
             raise ConvergenceError(
-                f"newton stalled at mismatch {norm:.3e} after {it} iterations",
+                f"newton {how} at mismatch {norm:.3e} after {it} iterations",
                 max_mismatch=norm,
                 iterations=it,
             )
+        last = norm
         try:
             dz = np.linalg.solve(jac(), -g)
         except np.linalg.LinAlgError:
@@ -395,20 +446,27 @@ def solve(
     direction=None,
     *,
     initial: PowerFlowState | None = None,
+    abort_on_rise: bool = False,
 ) -> PowerFlowState:
     """Newton solve at fixed lambda with reactive-limit switching; each
     switching round is one :func:`correct` with lambda pinned.
 
     ``initial`` (default: the flat start) provides both the starting point
     and the inherited switch set; solving again from a returned state
-    performs zero extra switches.
+    performs zero extra switches.  ``abort_on_rise`` is passed to
+    :func:`correct`.  A ConvergenceError counts the iterations of every
+    round.
     """
     start = initial if initial is not None else case.flat_state()
     curve = Curve(case, direction, start.q_switched)
     z = curve.pack(start, lam)
     total = 0
     while True:  # each round switches one more PV phase, so this ends
-        z, iters, norm = correct(curve.linearize, z, curve.lam_coord)
+        try:
+            z, iters, norm = correct(curve.linearize, z, curve.lam_coord, abort_on_rise)
+        except ConvergenceError as exc:
+            exc.iterations += total
+            raise
         total += iters
         state, next_curve = curve.settle(z, iters, norm)
         if next_curve is None:

@@ -64,6 +64,22 @@ def test_config_rejects_bad_values():
     assert AssessmentConfig(method="spce").methods() == ["spce"]
 
 
+def test_base_case_solved_once_per_run(model, scenario_doc, monkeypatch):
+    from adcap import powerflow
+
+    lambdas = []
+    solve = powerflow.solve
+
+    def counting(case, lam=0.0, *args, **kwargs):
+        lambdas.append(lam)
+        return solve(case, lam, *args, **kwargs)
+
+    monkeypatch.setattr(powerflow, "solve", counting)
+    run_assessment(model, scenario_doc, AssessmentConfig(method="mcs", mcs_samples=8))
+    assert lambdas.count(0.0) == 1
+    assert len(lambdas) > 8  # the traces themselves still solve
+
+
 def test_mcs_eval_count_and_reproducibility():
     cfg = AssessmentConfig(method="mcs", mcs_samples=25, seed=3)
     ctx, _ = _small_ctx()

@@ -10,6 +10,7 @@ from adcap.continuation import (
     correct,
     predict_secant,
     predict_tangent,
+    solve_base_case,
     trace_adc,
 )
 from adcap.errors import (
@@ -19,7 +20,7 @@ from adcap.errors import (
     ZeroDirectionError,
 )
 from adcap.feeder import load_feeder
-from adcap.powerflow import NetworkCase, solve
+from adcap.powerflow import MAX_ITER, NetworkCase, solve
 from adcap.stochastic import VariationVector, assemble_variation, build_registry
 
 from conftest import pv_two_bus_doc, two_bus_doc
@@ -264,6 +265,42 @@ def test_runaway_guard_regression(case, registry):
         res = trace_adc(case, var)
         assert res.lambdas["collapse"] < 2.0
         assert not res.capped
+
+
+def test_failed_march_steps_give_up_early(case, registry, monkeypatch):
+    # the mean-input trace fails natural steps at the nose before it goes
+    # local; the march retries them shorter, so each gives up at the first
+    # rising mismatch instead of spending the whole Newton budget
+    from adcap import powerflow
+
+    failed = []
+    solve_ = powerflow.solve
+
+    def counting(*args, **kwargs):
+        try:
+            return solve_(*args, **kwargs)
+        except ConvergenceError as exc:
+            failed.append((kwargs.get("abort_on_rise", False), exc.iterations))
+            raise
+
+    monkeypatch.setattr(powerflow, "solve", counting)
+    trace_adc(case, assemble_variation(registry.mean_inputs(), registry))
+    assert failed and all(abort for abort, _ in failed)
+    assert all(iters < MAX_ITER for _, iters in failed)
+
+
+def test_base_case_converging_through_a_rising_mismatch():
+    # 1.4 pu of load with 2.7 pu of reactive injection behind x = 0.3 pu:
+    # from the flat start the mismatch max-norm rises in the first Newton
+    # iteration (2.70 -> 2.71) and then falls to the upper-branch solution,
+    # where V^4 - 2.62 V^2 + 0.8325 = 0 gives |V| = 1.5.  A march step would
+    # give up there; the base case keeps the whole budget and solves it.
+    case = NetworkCase(load_feeder(two_bus_doc(p_kw=1400.0, q_kvar=-2700.0)))
+    with pytest.raises(ConvergenceError, match="diverging"):
+        solve(case, abort_on_rise=True)
+    state, _ = solve_base_case(case)
+    assert state.vm[case.index[("r", "a")]] == pytest.approx(1.5, abs=1e-9)
+    assert solve_base_case(case)[0] is state  # kept on the case
 
 
 def test_curve_collection(case, registry, model):

@@ -1,13 +1,19 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from adcap.errors import ConvergenceError
 from adcap.feeder import load_feeder
 from adcap.powerflow import (
+    MAX_ITER,
     NetworkCase,
     TOL,
+    Curve,
     PowerFlowState,
     branch_flows,
+    correct,
     jacobian,
     mismatch,
     power_balance,
@@ -55,6 +61,70 @@ def test_jacobian_matches_finite_differences(case):
     assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
 
+def test_switched_and_augmented_jacobians_match_finite_differences(feeder_doc, registry):
+    """A pv bus with one phase switched to its reactive limit, so the Q rows
+    and magnitude columns differ from the P rows and angle columns: the
+    power-flow Jacobian, the augmented one and the augmented one with a
+    magnitude pinned all match central differences of Curve.linearize."""
+    doc = json.loads(json.dumps(feeder_doc))
+    next(b for b in doc["buses"] if b["id"] == "675").update(type="pv", v0_pu=1.0)
+    doc["generators"].append({
+        "id": "pv-675", "bus": "675", "phases": "abc", "type": "pv",
+        "v0_pu": 1.0, "q_min_kvar": -300.0, "q_max_kvar": 300.0,
+    })
+    case = NetworkCase(load_feeder(doc))
+    direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    curve = Curve(case, direction, {("675", "b"): "max"})
+    assert len(curve.idx_q) == len(curve.idx_p) - 2
+    assert case.index[("675", "b")] in curve.idx_q
+    assert case.index[("675", "a")] not in curve.idx_q
+
+    rng = np.random.default_rng(7)
+    z = curve.pack(_perturbed_state(case, 0.05, rng), 0.8)
+    vm, theta = curve.unpack(z)
+
+    def g_of(zz):
+        return curve.linearize(zz.copy(), curve.lam_coord)[0]
+
+    h = 1e-7
+    cols = []
+    for j in range(len(z)):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        cols.append((g_of(zp) - g_of(zm)) / (2 * h))
+    fd = np.column_stack(cols)
+
+    pin = curve.vm_coord(case.index[("675", "b")])
+    for p in (None, curve.lam_coord, pin):
+        jac = curve.jacobian(vm, theta, p)
+        want = fd if p is None else np.delete(fd, p, axis=1)
+        assert jac.shape == want.shape
+        assert np.max(np.abs(jac - want)) / np.abs(jac).max() < 1e-6
+        # the Newton loop's Jacobian reads the residual's complex power
+        _, jac_thunk = curve.linearize(z.copy(), p)
+        if p is not None:
+            assert np.array_equal(jac_thunk(), jac)
+    state = PowerFlowState(vm, theta, dict(curve.q_switched))
+    assert np.array_equal(jacobian(case, state), curve.jacobian(vm, theta, curve.lam_coord))
+
+
+def test_correct_gives_up_when_the_mismatch_rises():
+    # Newton on atan(x) = 0 from x = 1.5 overshoots to |x| > 1.5, where
+    # |atan| is larger: with abort_on_rise the loop stops there instead of
+    # iterating on
+    def linearize(z, pin):
+        return np.array([math.atan(z[0])]), lambda: np.array([[1.0 / (1.0 + z[0] ** 2)]])
+
+    with pytest.raises(ConvergenceError, match="diverging") as exc:
+        correct(linearize, np.array([1.5, 0.0]), pin=1, abort_on_rise=True)
+    assert 1 <= exc.value.iterations <= 2
+    assert exc.value.max_mismatch > math.atan(1.5)
+    # from x = 1 Newton converges, so the same loop solves it
+    z, iters, norm = correct(linearize, np.array([1.0, 0.0]), pin=1, abort_on_rise=True)
+    assert abs(z[0]) < 1e-8 and norm < TOL and iters < MAX_ITER
+
+
 def test_power_balance_on_converged_state(case):
     state = solve(case)
     s_nodal, s_elem = power_balance(case, state)
@@ -100,6 +170,11 @@ def test_unsolvable_raises():
     case = NetworkCase(load_feeder(doc))
     with pytest.raises(ConvergenceError):
         solve(case)
+    # a caller that retries shorter gives up once the mismatch rises, not
+    # after the whole budget
+    with pytest.raises(ConvergenceError, match="diverging") as exc:
+        solve(case, abort_on_rise=True)
+    assert exc.value.iterations < MAX_ITER
 
 
 def _pv_doc(q_max_kvar):
