@@ -332,9 +332,10 @@ def calibrate():
     lam_t = 0.7231
     st = solve(case, lam_t, case.direction_arrays(var))
     print(f"currents at lambda={lam_t}:")
-    for f in branch_flows(case, st):
-        amps = max(f.i_from_a.max(), f.i_to_a.max())
-        print(f"  {f.branch_id}: {amps:7.1f} A  (rated {AMPACITY[f.branch_id]:.0f}, loading {f.loading:.3f})")
+    flows = branch_flows(case, st)
+    for k, bid in enumerate(case.branch_ids):
+        amps = max(a for a, (b, _, _) in zip(flows.amps, case.branch_rows) if b == bid)
+        print(f"  {bid}: {amps:7.1f} A  (rated {AMPACITY[bid]:.0f}, loading {flows.loading[k]:.3f})")
 
 
 def main():

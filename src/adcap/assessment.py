@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -98,7 +99,7 @@ class MethodResult:
     binding_freq: dict  # class name -> {element: count}
     overall_rule: str
     failures: int = 0
-    failure_reasons: list = field(default_factory=list)
+    failure_reasons: list = field(default_factory=list)  # "<exception type>: <message>"
     unreliable: bool = False
     diagnostics: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0  # report.md only, never serialized to json
@@ -113,6 +114,9 @@ class MethodResult:
             },
             "overall_rule": self.overall_rule,
             "failures": self.failures,
+            "failure_counts": dict(sorted(Counter(
+                reason.split(":", 1)[0] for reason in self.failure_reasons
+            ).items())),
             "failure_reasons": self.failure_reasons[:20],
             "unreliable": self.unreliable,
             "diagnostics": self.diagnostics,

@@ -122,20 +122,18 @@ def check_limits(case: pf.NetworkCase, state: pf.PowerFlowState) -> LimitStatus:
     boundary condition, not a delivered quantity).
     """
     limits = case.model.limits
-    mon = ~case.slack_mask
-    vm = state.vm[mon]
-    nodes = [case.nodes[i] for i in np.flatnonzero(mon)]
+    vm = state.vm[case.monitored]
     i_lo = int(np.argmin(vm - limits.v_min_pu))
     i_hi = int(np.argmin(limits.v_max_pu - vm))
-    flows = pf.branch_flows(case, state)
-    i_th = int(np.argmax([f.loading for f in flows]))
+    loading = pf.branch_flows(case, state).loading
+    i_th = int(np.argmax(loading))
     return LimitStatus(
         float(vm[i_lo] - limits.v_min_pu),
         float(limits.v_max_pu - vm[i_hi]),
-        float(1.0 - flows[i_th].loading),
-        nodes[i_lo],
-        nodes[i_hi],
-        flows[i_th].branch_id,
+        float(1.0 - loading[i_th]),
+        case.monitored_nodes[i_lo],
+        case.monitored_nodes[i_hi],
+        case.branch_ids[i_th],
     )
 
 
@@ -304,7 +302,7 @@ class _Tracer:
             self.curve.append(
                 CurvePoint(
                     lam,
-                    float(np.min(state.vm[~self.case.slack_mask])),
+                    float(np.min(state.vm[self.case.monitored])),
                     float(1.0 - new.status.thermal_margin),
                 )
             )

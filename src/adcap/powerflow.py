@@ -9,14 +9,23 @@ complex-voltage derivative identities
 with I = Y V.  Mismatch is g(x) = S_spec(lambda) - S(x).  One residual
 (:func:`mismatch_at`) and one Jacobian builder (:func:`jacobian_at`) serve
 every caller, both from one evaluation of (V, I, S) per Newton iteration.
-The builder gathers d(mismatch)/dx = -dS/dx on the unknown rows/columns by
-index into a preallocated matrix, so a Newton step solves J dx = -g; a
-continuation step fills its spare last column with the growth direction.
+Off the diagonal both identities vanish wherever Y does, so
+:func:`jacobian_at` evaluates them only at Y's nonzeros (219 of the bundled
+feeder's 1,225 entries) and scatters d(mismatch)/dx = -dS/dx on the unknown
+rows/columns by precomputed index maps into a zeroed matrix, so a Newton
+step solves J dx = -g; a continuation step fills its spare last column with
+the growth direction.
 
 Row/column ordering: active-power rows over all non-slack nodes (node order),
 then reactive rows over PQ nodes (including PV phases switched to a reactive
 limit); columns are the matching angles then magnitudes.  These node index
-arrays are computed once per switch set (:meth:`NetworkCase.partition`).
+arrays are computed once per switch set (:meth:`NetworkCase.partition`), and
+the Jacobian's index maps once per switch set and pinned coordinate
+(:meth:`NetworkCase.jacobian_scatter`).
+
+Branch currents (:func:`branch_flows`) come from one product of a stacked
+branch-current matrix, one row per (branch, phase, end), with V; each
+branch's loading is the largest current over its rated ends.
 
 Every power-flow solve, whether a plain solve or a continuation step, runs
 one Newton loop (:func:`correct`) on one augmented system (:class:`Curve`):
@@ -93,27 +102,17 @@ class PowerFlowState:
         )
 
 
-@dataclass
-class _BranchView:
-    branch_id: str
-    fi: np.ndarray
-    ti: np.ndarray
-    yff: np.ndarray
-    yft: np.ndarray
-    ytf: np.ndarray
-    ytt: np.ndarray
-    i_base_from: float
-    i_base_to: float
-    ampacity_a: float
-    rate_to_side: bool  # transformers are rated on the from side only
-
-
 class NetworkCase:
-    """Immutable solver-ready view of a feeder: admittance, base injections,
-    node classification and branch-current machinery.  Shared read-only by
-    every worker; solves never mutate it beyond filling its memos: the node
-    partitions (:meth:`partition`) and the feasible base case
-    (``continuation.solve_base_case``)."""
+    """Immutable solver-ready view of a feeder: admittance (dense, and its
+    nonzeros for the Jacobian), base injections, node classification, the
+    monitored nodes and the stacked branch-current matrix.  Shared
+    read-only by every worker; solves never mutate it beyond filling its
+    memos:
+
+    - the node partitions, per set of switched nodes (:meth:`partition`);
+    - the Jacobian's index maps, per set of switched nodes and pinned
+      coordinate (:meth:`jacobian_scatter`);
+    - the feasible base case (``continuation.solve_base_case``)."""
 
     def __init__(self, model: FeederModel):
         self.model = model
@@ -124,6 +123,7 @@ class NetworkCase:
         n = len(self.nodes)
         self.n = n
         self._partitions = {}  # frozenset of switched nodes -> (idx_p, idx_q)
+        self._scatters = {}  # (frozenset of switched nodes, pin) -> Jacobian maps
         self.base_case = None  # (state, status) once solved and found feasible
 
         self.slack_mask = np.zeros(n, dtype=bool)
@@ -167,23 +167,47 @@ class NetworkCase:
 
         self.pv_nodes = [i for i in range(n) if self.pv_mask[i]]
 
-        self.branch_views = []
+        # Y's nonzeros and its whole diagonal, row-major, for the Jacobian
+        nonzero = self.y != 0
+        np.fill_diagonal(nonzero, True)
+        self.y_rows, self.y_cols = np.nonzero(nonzero)
+        self.y_nonzero = self.y[self.y_rows, self.y_cols]
+        self.y_diag = np.flatnonzero(self.y_rows == self.y_cols)  # in node order
+
+        # voltage-band scan: every node but the slack phases
+        self.monitored = np.flatnonzero(~self.slack_mask)
+        self.monitored_nodes = [self.nodes[i] for i in self.monitored]
+
+        # one stacked branch-current matrix: a row per (branch, phase, end),
+        # I_row = branch_current[row] @ V in pu.  The rated rows come first,
+        # grouped by branch (the from end, then the to end of a line;
+        # transformers are rated on the from side only), then the to ends
+        # of transformers.
+        rated, unrated = [], []  # (matrix row, base current, label)
+        rated_starts = []
         for br in model.branches:
             fb, tb = model.bus(br.from_bus), model.bus(br.to_bus)
             yff, yft, ytf, ytt = branch_admittance_blocks(
                 br, z_base_ohm(fb), z_base_ohm(tb)
             )
-            self.branch_views.append(
-                _BranchView(
-                    br.id,
-                    np.array([self.index[(br.from_bus, ph)] for ph in br.phases]),
-                    np.array([self.index[(br.to_bus, ph)] for ph in br.phases]),
-                    yff, yft, ytf, ytt,
-                    i_base_a(fb), i_base_a(tb),
-                    br.ampacity_a,
-                    rate_to_side=(br.kind != "transformer"),
-                )
-            )
+            fi = [self.index[(br.from_bus, ph)] for ph in br.phases]
+            ti = [self.index[(br.to_bus, ph)] for ph in br.phases]
+            rated_starts.append(len(rated))
+            for end, y_f, y_t, bus in (("from", yff, yft, fb), ("to", ytf, ytt, tb)):
+                block = unrated if end == "to" and br.kind == "transformer" else rated
+                for p, ph in enumerate(br.phases):
+                    row = np.zeros(n, dtype=complex)
+                    row[fi] += y_f[p]
+                    row[ti] += y_t[p]
+                    block.append((row, i_base_a(bus), (br.id, ph, end)))
+        rows = rated + unrated
+        self.branch_current = np.array([r for r, _, _ in rows]).reshape(len(rows), n)
+        self.branch_i_base = np.array([b for _, b, _ in rows])
+        self.branch_rows = [label for _, _, label in rows]  # (branch id, phase, end)
+        self.n_rated_rows = len(rated)
+        self.rated_starts = np.array(rated_starts, dtype=int)
+        self.branch_ids = [br.id for br in model.branches]
+        self.ampacity = np.array([br.ampacity_a for br in model.branches])
 
     # -- node partitions -----------------------------------------------------
 
@@ -205,6 +229,42 @@ class NetworkCase:
                 arr.flags.writeable = False
             self._partitions[key] = parts
         return parts
+
+    def jacobian_scatter(self, q_switched: dict, pin):
+        """Where :func:`jacobian_at` places its entries for a switch set, with
+        the z coordinate ``pin`` (module docstring; None for none) left out:
+        ``(src, dst, shape)``.  Entry ``src[j]`` of [dS/dtheta; dS/d|V|] at
+        Y's nonzeros, read as interleaved reals, lands at flat index
+        ``dst[j]`` of the (m, m + 1 - pinned) Jacobian.  Computed once per
+        (set of switched nodes, pin)."""
+        key = frozenset(q_switched), pin
+        maps = self._scatters.get(key)
+        if maps is None:
+            idx_p, idx_q = self.partition(q_switched)
+            n_p, m = len(idx_p), len(idx_p) + len(idx_q)
+            row_p = np.full(self.n, -1)
+            row_p[idx_p] = np.arange(n_p)
+            row_q = np.full(self.n, -1)
+            row_q[idx_q] = n_p + np.arange(len(idx_q))
+            # each node's angle and magnitude column: its z coordinate,
+            # shifted past the pinned one
+            col_th, col_vm = row_p.copy(), row_q.copy()
+            if pin is not None:
+                for col in (col_th, col_vm):
+                    col[col == pin] = -1
+                    col[col > pin] -= 1
+            width = m + (pin is None)
+            nnz = len(self.y_rows)
+            src, dst = [], []
+            for part, rows in enumerate((row_p, row_q)):  # real, imaginary
+                for block, cols in enumerate((col_th, col_vm)):
+                    r, c = rows[self.y_rows], cols[self.y_cols]
+                    k = np.flatnonzero((r >= 0) & (c >= 0))
+                    src.append(2 * (block * nnz + k) + part)
+                    dst.append(r[k] * width + c[k])
+            maps = np.concatenate(src), np.concatenate(dst), (m, width)
+            self._scatters[key] = maps
+        return maps
 
     def flat_state(self) -> PowerFlowState:
         return PowerFlowState(self.v_set.copy(), self.theta_ref.copy())
@@ -247,28 +307,23 @@ def mismatch_at(s, idx_p, idx_q, p_spec, q_spec) -> np.ndarray:
     return np.concatenate([p_spec[idx_p] - s.real[idx_p], q_spec[idx_q] - s.imag[idx_q]])
 
 
-def jacobian_at(case: NetworkCase, vm, v, i_bus, rows, cols, out) -> np.ndarray:
+def jacobian_at(case: NetworkCase, vm, v, i_bus, scatter) -> np.ndarray:
     """d(mismatch)/dx at magnitudes ``vm``, complex voltages ``v`` and bus
-    currents ``i_bus`` = Y v: rows [P over rows[0]; Q over rows[1]], columns
-    [theta over cols[0]; vm over cols[1]], written into the leading columns
-    of ``out``, which is returned."""
-    n = case.n
-    a = -(case.y * v[None, :])
-    a.reshape(-1)[:: n + 1] += i_bus
-    ds_dth = 1j * v[:, None] * np.conj(a)
+    currents ``i_bus`` = Y v, placed by the maps ``scatter`` of
+    :meth:`NetworkCase.jacobian_scatter`; its direction column, if any, is
+    left zero.  The identities are evaluated at Y's nonzeros only."""
+    rows, cols, y, diag = case.y_rows, case.y_cols, case.y_nonzero, case.y_diag
+    ds = np.empty((2, len(y)), dtype=complex)  # [dS/dtheta; dS/d|V|]
+    a = -(y * v[cols])
+    a[diag] += i_bus
+    np.multiply(1j * v[rows], np.conj(a), out=ds[0])
     vnorm = v / vm
-    ds_dvm = v[:, None] * np.conj(case.y * vnorm[None, :])
-    ds_dvm.reshape(-1)[:: n + 1] += vnorm * np.conj(i_bus)
-    (rp, rq), (cp, cq) = rows, cols
-    n_p, k_p = len(rp), len(cp)
-    k = k_p + len(cq)
-    rp, rq = rp[:, None], rq[:, None]
-    out[:n_p, :k_p] = ds_dth.real[rp, cp]
-    out[:n_p, k_p:k] = ds_dvm.real[rp, cq]
-    out[n_p:, :k_p] = ds_dth.imag[rq, cp]
-    out[n_p:, k_p:k] = ds_dvm.imag[rq, cq]
-    np.negative(out[:, :k], out=out[:, :k])
-    return out
+    np.multiply(v[rows], np.conj(y * vnorm[cols]), out=ds[1])
+    ds[1, diag] += vnorm * np.conj(i_bus)
+    src, dst, shape = scatter
+    jac = np.zeros(shape)
+    jac.reshape(-1)[dst] = -ds.reshape(-1).view(np.float64)[src]
+    return jac
 
 
 def mismatch(case: NetworkCase, state: PowerFlowState, lam=0.0, direction=None) -> np.ndarray:
@@ -334,17 +389,10 @@ class Curve:
 
     def _jacobian(self, vm, v, i_bus, pin):
         """:meth:`jacobian` from the complex voltages v and currents Y v."""
-        cols_p, cols_q = self.idx_p, self.idx_q
-        if pin is not None and pin < self.n_p:
-            cols_p = np.delete(cols_p, pin)
-        elif pin is not None and pin < self.lam_coord:
-            cols_q = np.delete(cols_q, pin - self.n_p)
-        lam_col = pin != self.lam_coord
-        jac = np.empty((self.lam_coord, len(cols_p) + len(cols_q) + lam_col))
-        jacobian_at(
-            self.case, vm, v, i_bus, (self.idx_p, self.idx_q), (cols_p, cols_q), jac
+        jac = jacobian_at(
+            self.case, vm, v, i_bus, self.case.jacobian_scatter(self.q_switched, pin)
         )
-        if lam_col:
+        if pin != self.lam_coord:
             dp, dq = self.direction
             jac[: self.n_p, -1] = dp[self.idx_p]
             jac[self.n_p:, -1] = dq[self.idx_q]
@@ -479,52 +527,16 @@ def solve(
 # -- branch flows -------------------------------------------------------------
 
 @dataclass
-class BranchFlow:
-    branch_id: str
-    i_from_a: np.ndarray  # amps per phase, from side
-    i_to_a: np.ndarray
-    loading: float  # max amps over rated ends / ampacity
-    s_from_pu: complex
-    s_to_pu: complex
+class BranchFlows:
+    """Branch currents of one state, from one stacked product."""
+
+    amps: np.ndarray  # |I| in amps per row of ``NetworkCase.branch_rows``
+    loading: np.ndarray  # max amps over rated ends / ampacity, per ``branch_ids``
 
 
-def branch_flows(case: NetworkCase, state: PowerFlowState) -> list[BranchFlow]:
-    v = state.voltage()
-    flows = []
-    for bv in case.branch_views:
-        vf, vt = v[bv.fi], v[bv.ti]
-        i_f = bv.yff @ vf + bv.yft @ vt
-        i_t = bv.ytf @ vf + bv.ytt @ vt
-        i_from = np.abs(i_f) * bv.i_base_from
-        i_to = np.abs(i_t) * bv.i_base_to
-        worst = max(i_from.max(), i_to.max()) if bv.rate_to_side else i_from.max()
-        flows.append(
-            BranchFlow(
-                bv.branch_id,
-                i_from,
-                i_to,
-                worst / bv.ampacity_a,
-                complex(vf @ np.conj(i_f)),
-                complex(vt @ np.conj(i_t)),
-            )
-        )
-    return flows
-
-
-def power_balance(case: NetworkCase, state: PowerFlowState):
-    """(total nodal injection, element-wise branch + shunt absorption), pu.
-
-    The two complex totals agree for a converged state; the comparison checks
-    nodal injections against independently assembled per-element flows.
-    """
-    v = state.voltage()
-    s_nodal = complex(np.sum(v * np.conj(case.y @ v)))
-    s_elem = 0j
-    for flow in branch_flows(case, state):
-        s_elem += flow.s_from_pu + flow.s_to_pu
-    for bus in case.model.buses:
-        for ph, kvar in bus.shunt_kvar.items():
-            i = case.index[(bus.id, ph)]
-            y_sh = 1j * (kvar / 1000.0)
-            s_elem += (state.vm[i] ** 2) * np.conj(y_sh)
-    return s_nodal, s_elem
+def branch_flows(case: NetworkCase, state: PowerFlowState) -> BranchFlows:
+    """Current in amps at every (branch, phase, end) and each branch's
+    loading, from one product of the stacked branch-current matrix."""
+    amps = np.abs(case.branch_current @ state.voltage()) * case.branch_i_base
+    worst = np.maximum.reduceat(amps[: case.n_rated_rows], case.rated_starts)
+    return BranchFlows(amps, worst / case.ampacity)

@@ -190,14 +190,13 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
 
     # base-case feasibility gate (shared by every method) and mean-input trace
     base_state, _ = continuation.solve_base_case(case)
-    mon = ~case.slack_mask
-    flows = powerflow.branch_flows(case, base_state)
+    vm = base_state.vm[case.monitored]
     base_summary = {
-        "v_min_pu": float(np.min(base_state.vm[mon])),
-        "v_max_pu": float(np.max(base_state.vm[mon])),
+        "v_min_pu": float(np.min(vm)),
+        "v_max_pu": float(np.max(vm)),
         "limit_low": model.limits.v_min_pu,
         "limit_high": model.limits.v_max_pu,
-        "max_loading": float(max(f.loading for f in flows)),
+        "max_loading": float(np.max(powerflow.branch_flows(case, base_state).loading)),
         "total_load_kw": model.total_load()[0],
         "total_load_kvar": model.total_load()[1],
     }

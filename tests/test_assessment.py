@@ -212,6 +212,21 @@ def test_compare_identical_samples_gives_zero_deltas():
     assert compare({}) == {}
 
 
+def test_failures_counted_by_type_beyond_the_listed_reasons():
+    rows = [(1.0, 2.0, 3.0, "voltage", "r.a:lower", "ln", False)] * 5
+    res = _synthetic_result("mcs", 30, rows)
+    res.failure_reasons = [
+        "ConvergenceError: continuation stalled before locating the fold"
+    ] * 17 + ["SingularJacobianError: jacobian factorization failed at iteration 3"] * 8
+    res.failures = len(res.failure_reasons)
+    out = res.to_dict()
+    assert out["failures"] == 25
+    assert out["failure_counts"] == {"ConvergenceError": 17, "SingularJacobianError": 8}
+    assert list(out["failure_counts"]) == sorted(out["failure_counts"])
+    assert len(out["failure_reasons"]) == 20
+    assert _synthetic_result("mcs", 5, rows).to_dict()["failure_counts"] == {}
+
+
 def test_ks_distance_matches_scipy():
     # scipy is the oracle; rounding to one decimal makes ties within and
     # across the two samples

@@ -16,12 +16,12 @@ from adcap.powerflow import (
     correct,
     jacobian,
     mismatch,
-    power_balance,
     solve,
 )
 from adcap.stochastic import assemble_variation, build_registry
 
 from conftest import two_bus_doc
+from oracles import branch_flows_loop, dense_jacobian, power_balance
 
 
 def _perturbed_state(case, scale, rng):
@@ -61,18 +61,23 @@ def test_jacobian_matches_finite_differences(case):
     assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
 
-def test_switched_and_augmented_jacobians_match_finite_differences(feeder_doc, registry):
-    """A pv bus with one phase switched to its reactive limit, so the Q rows
-    and magnitude columns differ from the P rows and angle columns: the
-    power-flow Jacobian, the augmented one and the augmented one with a
-    magnitude pinned all match central differences of Curve.linearize."""
+def _pv675_case(feeder_doc):
+    """The bundled feeder with a three-phase pv generator at 675."""
     doc = json.loads(json.dumps(feeder_doc))
     next(b for b in doc["buses"] if b["id"] == "675").update(type="pv", v0_pu=1.0)
     doc["generators"].append({
         "id": "pv-675", "bus": "675", "phases": "abc", "type": "pv",
         "v0_pu": 1.0, "q_min_kvar": -300.0, "q_max_kvar": 300.0,
     })
-    case = NetworkCase(load_feeder(doc))
+    return NetworkCase(load_feeder(doc))
+
+
+def test_switched_and_augmented_jacobians_match_finite_differences(feeder_doc, registry):
+    """A pv bus with one phase switched to its reactive limit, so the Q rows
+    and magnitude columns differ from the P rows and angle columns: the
+    power-flow Jacobian, the augmented one and the augmented one with a
+    magnitude pinned all match central differences of Curve.linearize."""
+    case = _pv675_case(feeder_doc)
     direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
     curve = Curve(case, direction, {("675", "b"): "max"})
     assert len(curve.idx_q) == len(curve.idx_p) - 2
@@ -223,14 +228,95 @@ def test_pv_switching_idempotent():
     assert np.allclose(again.vm, state.vm, atol=1e-9)
 
 
+def _end_rows(case, branch_id, end):
+    return [k for k, (b, _, e) in enumerate(case.branch_rows) if (b, e) == (branch_id, end)]
+
+
 def test_branch_flow_transformer_rated_from_side_only(case):
     state = solve(case)
-    flows = {f.branch_id: f for f in branch_flows(case, state)}
-    xf = flows["xf-633-634"]
+    flows = branch_flows(case, state)
+    i_from = flows.amps[_end_rows(case, "xf-633-634", "from")]
+    i_to = flows.amps[_end_rows(case, "xf-633-634", "to")]
     # through impedance is referred to the from side, so per-unit current is
     # continuous but physical amps differ by the base ratio
-    assert xf.i_to_a.max() > 5 * xf.i_from_a.max()
-    assert xf.loading == pytest.approx(xf.i_from_a.max() / 80.0, rel=1e-9)
+    assert i_to.max() > 5 * i_from.max()
+    loading = flows.loading[case.branch_ids.index("xf-633-634")]
+    assert loading == pytest.approx(i_from.max() / 80.0, rel=1e-9)
+
+
+def test_branch_flows_match_the_per_branch_loop(case, registry):
+    """The stacked branch-current product against one branch at a time from
+    its two-port blocks, at lambda = 0 and two lambda > 0.  The bundled
+    feeder has branches of 1, 2 and 3 phases and a transformer rated on its
+    from side only.
+
+    The product sums each current in another order than the loop, so the
+    two may differ by a few ulps of the terms it is summed from; the bound
+    is 1e-12 relative to the sum of those terms' magnitudes.  Some currents
+    are nearly all cancellation (ln-671-680 carries 3.6e-3 A at lambda = 0,
+    summed from terms of 3e4 A), so a bound relative to the current itself
+    would hold in no summation order."""
+    assert {len(br.phases) for br in case.model.branches} == {1, 2, 3}
+    assert any(br.kind == "transformer" for br in case.model.branches)
+    direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    state = solve(case)
+    for lam in (0.0, 0.4, 0.8):
+        state = solve(case, lam, direction, initial=state)
+        flows = branch_flows(case, state)
+        ref = branch_flows_loop(case, state)
+        assert case.branch_ids == [bid for bid, *_ in ref]
+        terms = (np.abs(case.branch_current) @ np.abs(state.voltage())) * case.branch_i_base
+        for k, (bid, i_from, i_to, loading, _, _) in enumerate(ref):
+            rows = [r for r, (b, _, _) in enumerate(case.branch_rows) if b == bid]
+            bound = 1e-12 * terms[rows].max() / case.ampacity[k]
+            assert abs(flows.loading[k] - loading) <= bound, (bid, lam)
+            for end, amps in (("from", i_from), ("to", i_to)):
+                rows = _end_rows(case, bid, end)
+                assert len(rows) == len(amps)
+                assert np.all(np.abs(flows.amps[rows] - amps) <= 1e-12 * terms[rows]), (bid, end, lam)
+
+
+def _dense_reference(curve, vm, theta, pin):
+    """oracles.dense_jacobian over the columns left once ``pin`` is removed."""
+    cols_p, cols_q = curve.idx_p, curve.idx_q
+    if pin is not None and pin < curve.n_p:
+        cols_p = np.delete(cols_p, pin)
+    elif pin is not None and pin < curve.lam_coord:
+        cols_q = np.delete(cols_q, pin - curve.n_p)
+    return dense_jacobian(curve.case, vm, theta, (curve.idx_p, curve.idx_q), (cols_p, cols_q))
+
+
+def test_jacobian_equals_the_dense_identities(case, feeder_doc, registry):
+    """The Jacobian built from Y's nonzeros equals the docstring's identities
+    evaluated over the dense Y, value for value: with lambda pinned, with a
+    magnitude pinned, and on switched pv sets (675 phase b of the bundled
+    feeder with a pv generator there, and the pv bus of the two-bus pv
+    feeder), at perturbed points."""
+    rng = np.random.default_rng(3)
+    variants = [
+        (case, {}, None),
+        (_pv675_case(feeder_doc), {("675", "b"): "max"}, ("675", "b")),
+        (NetworkCase(load_feeder(_pv_doc(q_max_kvar=50.0))), {("g", "a"): "max"}, ("g", "a")),
+    ]
+    for cs, switched, pin_node in variants:
+        if cs is case:
+            direction = case.direction_arrays(
+                assemble_variation(registry.mean_inputs(), registry)
+            )
+        else:
+            direction = (rng.uniform(-1, 1, cs.n), rng.uniform(-1, 1, cs.n))
+        curve = Curve(cs, direction, switched)
+        vm, theta = curve.unpack(curve.pack(_perturbed_state(cs, 0.05, rng), 0.5))
+        free = curve.idx_q[0] if pin_node is None else cs.index[pin_node]
+        for pin in (curve.lam_coord, curve.vm_coord(free), None):
+            jac = curve.jacobian(vm, theta, pin)
+            want = _dense_reference(curve, vm, theta, pin)
+            assert np.array_equal(jac[:, : want.shape[1]], want)
+            if pin != curve.lam_coord:
+                assert jac.shape[1] == want.shape[1] + 1
+                assert np.array_equal(
+                    jac[:, -1], np.concatenate([direction[0][curve.idx_p], direction[1][curve.idx_q]])
+                )
 
 
 def test_direction_arrays_sign_convention(case, registry):
