@@ -17,7 +17,10 @@ with builtin ``map`` in this process (one worker) or ``pool.map`` over a
 process pool whose workers receive the trace context once, when the pool
 starts.  A run opens at most one pool and shares it between its methods.
 ``pool.map`` keeps input order, so the results do not depend on the worker
-count.
+count.  PCE and SPCE trace through the context's run-scoped trace memo
+(``continuation.trace_adc``), so a design point traced earlier in the run
+is not traced again; in a pool each worker memoises into its own copy.
+Monte Carlo draws never repeat, so MCS traces bypass the memo.
 
 Everything that lands in report.json is a pure function of (feeder, scenario,
 config); wall-clock timings go to report.md only.
@@ -124,7 +127,8 @@ class MethodResult:
 
 
 # -- trace execution -------------------------------------------------------------
-# A trace context ``ctx`` is (case, registry).
+# A trace context ``ctx`` is (case, registry, memo): ``memo`` is the run's
+# trace memo (a dict, see ``continuation.trace_adc``) or None.
 
 _WORKER_CTX = None  # the trace context of a pool worker process
 
@@ -144,17 +148,18 @@ def trace_pool(ctx, workers: int):
     )
 
 
-def _guarded_trace(ctx, u):
-    """Trace one input realization.
+def _guarded_trace(ctx, memoise, u):
+    """Trace one input realization, through the context's memo when
+    ``memoise`` is set.
 
     Returns ``(True, row, "")``, or ``(False, None, reason)`` when a
     numerical failure stops the trace.  ``ctx`` is None in a pool worker,
     which uses the context the pool gave it.
     """
-    case, registry = _WORKER_CTX if ctx is None else ctx
+    case, registry, memo = _WORKER_CTX if ctx is None else ctx
     variation = stochastic.assemble_variation(u, registry)
     try:
-        res = continuation.trace_adc(case, variation)
+        res = continuation.trace_adc(case, variation, memo=memo if memoise else None)
     except (ConvergenceError, SingularJacobianError) as exc:
         return False, None, f"{type(exc).__name__}: {exc}"
     row = (
@@ -169,13 +174,13 @@ def _guarded_trace(ctx, u):
     return True, row, ""
 
 
-def _trace_inputs(ctx, inputs, pool, workers):
+def _trace_inputs(ctx, inputs, pool, workers, memoise):
     """Guarded traces of ``inputs``, in input order: in this process when
     ``pool`` is None, otherwise over its ``workers`` processes."""
     if pool is None:
-        return list(map(partial(_guarded_trace, ctx), inputs))
+        return list(map(partial(_guarded_trace, ctx, memoise), inputs))
     chunk = max(1, len(inputs) // (workers * 8))
-    return list(pool.map(partial(_guarded_trace, None), inputs, chunksize=chunk))
+    return list(pool.map(partial(_guarded_trace, None, memoise), inputs, chunksize=chunk))
 
 
 # -- aggregation helpers ---------------------------------------------------------
@@ -205,14 +210,14 @@ def _aggregate_samples(rows):
 def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
     """Monte Carlo assessment: one continuation trace per input realization,
     over ``pool`` (see :func:`trace_pool`) when given."""
-    _, registry = ctx
+    registry = ctx[1]
     t0 = time.perf_counter()
     inputs = stochastic.sample_inputs(
         registry.distributions(),
         config.mcs_samples,
         [config.seed, _STREAM_MCS],
     )
-    raw = _trace_inputs(ctx, inputs, pool, config.workers)
+    raw = _trace_inputs(ctx, inputs, pool, config.workers, memoise=False)
 
     ok = [payload for okflag, payload, _ in raw if okflag]
     reasons = [err for okflag, _, err in raw if not okflag]
@@ -238,7 +243,7 @@ def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
 def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodResult:
     """Collocation + chaos-expansion assessment (full or sparse), tracing the
     design over ``pool`` (see :func:`trace_pool`) when given."""
-    _, registry = ctx
+    registry = ctx[1]
     t0 = time.perf_counter()
     n = registry.dimension
     pcfg = chaos.PceConfig(n, PCE_ORDER)
@@ -259,7 +264,7 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
     dists = registry.distributions()
     inputs = [chaos.quantile_transform(xi, dists) for xi in design.points]
 
-    raw = _trace_inputs(ctx, inputs, pool, config.workers)
+    raw = _trace_inputs(ctx, inputs, pool, config.workers, memoise=True)
     bad = [(i, err) for i, (okflag, _, err) in enumerate(raw) if not okflag]
     if bad:
         i0, err0 = bad[0]
@@ -288,8 +293,9 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
     xi = rng.standard_normal((config.surrogate_samples, n))
     classes = {}
     class_samples = {}
-    for cls, model in models.items():
-        st = chaos.surrogate_stats_at(model, xi, clip_at_zero=True)
+    bases = chaos.active_bases(models.values(), xi)
+    for (cls, model), basis in zip(models.items(), bases):
+        st = chaos.surrogate_stats_at(model, basis, clip_at_zero=True)
         class_samples[cls] = st.stats.samples
         classes[cls] = ClassStats(
             st.stats, st.clip_fraction, st.analytic_mean, st.analytic_variance

@@ -242,20 +242,6 @@ class PceModel:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "PceModel":
-        doc = json.loads(text)
-        config = PceConfig(doc["dimension"], doc["order"])
-        indices = multi_indices(config.dimension, config.order)
-        coeffs = np.zeros(len(indices))
-        active = np.zeros(len(indices), dtype=bool)
-        pos = {ix: i for i, ix in enumerate(indices)}
-        for key, c in doc["terms"].items():
-            ix = tuple(int(t) for t in key.split(","))
-            coeffs[pos[ix]] = c
-            active[pos[ix]] = True
-        return cls(config, indices, coeffs, active, doc.get("diagnostics", {}))
-
 
 def fit_full(design: CollocationDesign, y) -> PceModel:
     """Least squares over the whole basis (the normal-equations solution,
@@ -436,6 +422,24 @@ def evaluate(model: PceModel, xi) -> np.ndarray:
     return a @ model.coeffs[act]
 
 
+def active_bases(models, xi):
+    """Yield each model's active basis functions at the points ``xi`` (what
+    ``surrogate_stats_at`` takes), all read from one ``basis_matrix``
+    evaluation over the union of the models' active sets.
+
+    A model's columns come as a C-contiguous copy, bitwise equal to
+    ``basis_matrix`` over its own indices (a strided view would change the
+    rounding of the product that follows), or as the shared block itself
+    when the model uses every column of it.
+    """
+    models = list(models)
+    union = np.flatnonzero(np.any([m.active for m in models], axis=0))
+    block = basis_matrix(xi, [models[0].indices[i] for i in union])
+    for m in models:
+        cols = np.searchsorted(union, np.flatnonzero(m.active))
+        yield block if len(cols) == len(union) else block.take(cols, axis=1)
+
+
 # -- sampling statistics -----------------------------------------------------------
 
 @dataclass
@@ -483,28 +487,15 @@ class SurrogateStats:
     clip_fraction: float
 
 
-def surrogate_stats_at(model: PceModel, xi, clip_at_zero: bool = False) -> SurrogateStats:
+def surrogate_stats_at(model: PceModel, basis, clip_at_zero: bool = False) -> SurrogateStats:
     """Surrogate statistics on a caller-supplied block of standard-normal
-    points (lets several response models share one block)."""
-    y = evaluate(model, xi)
+    points, given as ``basis``: the values of the model's active basis
+    functions there (``basis_matrix`` over its active indices), so several
+    response models can share one block and one basis evaluation."""
+    y = basis @ model.coeffs[model.active]
     clip_fraction = 0.0
     if clip_at_zero:
         neg = y < 0.0
         clip_fraction = float(np.mean(neg))
         y = np.maximum(y, 0.0)
     return SurrogateStats(sample_moments(y), model.mean, model.variance, clip_fraction)
-
-
-def surrogate_statistics(
-    model: PceModel, m_s: int, seed, clip_at_zero: bool = False
-) -> SurrogateStats:
-    """Sample the surrogate at M_S standard-normal points.
-
-    Analytic mean (c_0) and variance (sum of c^2 times basis norms) are
-    reported alongside as cross-checks on the sampled values.
-    """
-    if m_s < 1:
-        raise ConfigurationError("M_S must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xi = rng.standard_normal((m_s, model.config.dimension))
-    return surrogate_stats_at(model, xi, clip_at_zero)

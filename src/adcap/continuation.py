@@ -539,7 +539,26 @@ class _Tracer:
         )
 
 
-def trace_adc(case: pf.NetworkCase, variation, collect_curve: bool = False) -> AdcResult:
+def trace_adc(
+    case: pf.NetworkCase, variation, collect_curve: bool = False, memo: dict | None = None
+) -> AdcResult:
     """Trace the solution branch for one variation direction and return the
-    delivery margins per violation class."""
-    return _Tracer(case, variation, collect_curve).run()
+    delivery margins per violation class.
+
+    ``memo`` is a dict owned by one run on one ``case``: the result of each
+    direction traced with it is stored under the direction (``dp_kw``,
+    ``dq_kvar``, ``load_increase_kw``), and a later call with the same
+    direction returns the stored result instead of tracing again.  A call
+    that wants a curve the stored result lacks traces again.
+    """
+    if memo is None:
+        return _Tracer(case, variation, collect_curve).run()
+    key = (
+        tuple(sorted(variation.dp_kw.items())),
+        tuple(sorted(variation.dq_kvar.items())),
+        variation.load_increase_kw,
+    )
+    res = memo.get(key)
+    if res is None or (collect_curve and not res.curve):
+        res = memo[key] = _Tracer(case, variation, collect_curve).run()
+    return res

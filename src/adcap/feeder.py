@@ -291,6 +291,8 @@ def load_feeder(document) -> FeederModel:
     n_slack = sum(1 for b in buses if b.bus_type == "slack")
     if n_slack != 1:
         raise TopologyError(f"expected exactly one slack bus, found {n_slack}")
+    if len(buses) == 1:  # every margin is read at the non-slack nodes
+        raise TopologyError("no bus besides the slack bus")
     bus_by_id = {b.id: b for b in buses}
 
     branches = []

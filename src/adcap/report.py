@@ -119,13 +119,6 @@ class AdcReport:
         return "\n".join(lines) + "\n"
 
 
-def _cdf_rows(samples: np.ndarray):
-    s = np.sort(samples)
-    m = len(s)
-    p = (np.arange(1, m + 1)) / m
-    return zip(s, p)
-
-
 def write_outputs(report: AdcReport, out_dir) -> list:
     """Write report.json / report.md / cdf_<class>_<method>.csv (+ pv_curve.csv
     when a curve was collected); returns the written paths."""
@@ -145,11 +138,13 @@ def write_outputs(report: AdcReport, out_dir) -> list:
         for cls in _CLASS_ORDER:
             if cls not in res.classes:
                 continue
+            # sorted samples against their cumulative probability i/M
+            s = np.sort(res.classes[cls].stats.samples)
+            q = np.arange(1, len(s) + 1) / len(s)
             p = out / f"cdf_{cls}_{name}.csv"
             with p.open("w", newline="") as fh:
                 fh.write("adc_mw,cumulative_probability\n")
-                for x, q in _cdf_rows(res.classes[cls].stats.samples):
-                    fh.write(f"{x:.10g},{q:.6g}\n")
+                fh.write("".join(map("{:.10g},{:.6g}\n".format, s.tolist(), q.tolist())))
             written.append(p)
 
     if report.comparison.get("pairs"):
@@ -186,7 +181,10 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     """Assemble the full report for a parsed feeder model and scenario dict."""
     case = powerflow.NetworkCase(model)
     registry = stochastic.build_registry(model, scenario)
-    ctx = (case, registry)
+    # the run's trace memo: the design centre of PCE and SPCE is the mean
+    # input traced here, and every SPCE design point is a PCE design point
+    memo = {}
+    ctx = (case, registry, memo)
 
     # base-case feasibility gate (shared by every method) and mean-input trace
     base_state, _ = continuation.solve_base_case(case)
@@ -202,7 +200,7 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     }
 
     mean_var = stochastic.assemble_variation(registry.mean_inputs(), registry)
-    det = continuation.trace_adc(case, mean_var, collect_curve=config.dump_trace)
+    det = continuation.trace_adc(case, mean_var, collect_curve=config.dump_trace, memo=memo)
     deterministic = {
         "lambdas": {k: det.lambdas[k] for k in ("voltage", "thermal", "collapse")},
         "adc_mw": {k: det.adc_mw[k] for k in ("voltage", "thermal", "collapse")},

@@ -1,12 +1,17 @@
-"""Reference computations the tests compare the solver against.
+"""Reference computations the tests compare the program against, and
+helpers only the tests use.
 
-Each one is written the plain way, element by element or densely, from the
-feeder model and the formulas in ``adcap.powerflow``'s docstring, so that
-it shares no kernel with the code under test.
+Each reference is written the plain way, element by element or densely,
+from the feeder model and the formulas in ``adcap.powerflow``'s docstring,
+or row by row, so that it shares no kernel with the code under test.
 """
+
+import json
 
 import numpy as np
 
+from adcap import chaos
+from adcap.errors import ConfigurationError
 from adcap.feeder import branch_admittance_blocks, i_base_a, z_base_ohm
 
 
@@ -74,3 +79,41 @@ def dense_jacobian(case, vm, theta, rows, cols):
         [ds_dth.real[np.ix_(rp, cp)], ds_dvm.real[np.ix_(rp, cq)]],
         [ds_dth.imag[np.ix_(rq, cp)], ds_dvm.imag[np.ix_(rq, cq)]],
     ])
+
+
+def pce_model_from_json(text: str) -> chaos.PceModel:
+    """Inverse of ``PceModel.to_json``."""
+    doc = json.loads(text)
+    config = chaos.PceConfig(doc["dimension"], doc["order"])
+    indices = chaos.multi_indices(config.dimension, config.order)
+    coeffs = np.zeros(len(indices))
+    active = np.zeros(len(indices), dtype=bool)
+    pos = {ix: i for i, ix in enumerate(indices)}
+    for key, c in doc["terms"].items():
+        ix = tuple(int(t) for t in key.split(","))
+        coeffs[pos[ix]] = c
+        active[pos[ix]] = True
+    return chaos.PceModel(config, indices, coeffs, active, doc.get("diagnostics", {}))
+
+
+def surrogate_statistics(model, m_s: int, seed, clip_at_zero: bool = False):
+    """Sample the surrogate at M_S standard-normal points drawn from
+    ``seed``, with the analytic mean (c_0) and variance (sum of c^2 times
+    basis norms) alongside as cross-checks on the sampled values."""
+    if m_s < 1:
+        raise ConfigurationError("M_S must be >= 1")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    xi = rng.standard_normal((m_s, model.config.dimension))
+    active = [ix for ix, act in zip(model.indices, model.active) if act]
+    return chaos.surrogate_stats_at(model, chaos.basis_matrix(xi, active), clip_at_zero)
+
+
+def write_cdf_rows(path, samples):
+    """A CDF file written one row at a time: the sorted samples against
+    their cumulative probability i/M."""
+    s = np.sort(samples)
+    m = len(s)
+    with open(path, "w", newline="") as fh:
+        fh.write("adc_mw,cumulative_probability\n")
+        for i, x in enumerate(s):
+            fh.write(f"{x:.10g},{(i + 1) / m:.6g}\n")

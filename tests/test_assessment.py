@@ -27,6 +27,7 @@ from adcap.report import run_assessment, write_outputs
 from adcap.stochastic import build_registry
 
 from conftest import pv_two_bus_doc, two_bus_doc
+from oracles import write_cdf_rows
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -48,7 +49,7 @@ def _small_ctx(scenario=None, ampacity=600.0, v_min=0.90):
     doc["branches"][0]["ampacity_a"] = ampacity
     model = load_feeder(doc)
     registry = build_registry(model, scenario or _small_scenario())
-    return (NetworkCase(model), registry), model
+    return (NetworkCase(model), registry, {}), model
 
 
 def test_config_rejects_bad_values():
@@ -78,6 +79,40 @@ def test_base_case_solved_once_per_run(model, scenario_doc, monkeypatch):
     run_assessment(model, scenario_doc, AssessmentConfig(method="mcs", mcs_samples=8))
     assert lambdas.count(0.0) == 1
     assert len(lambdas) > 8  # the traces themselves still solve
+
+
+def test_trace_memo_traces_each_direction_once_per_run(model, scenario_doc, monkeypatch):
+    # every SPCE design point is a PCE design point and the design centre is
+    # the mean input, so a run traces 1 + 8 + 90 directions in 1 + 8 + 91 + 31
+    # calls; MCS draws bypass the memo, and a new run starts from an empty one
+    from adcap import continuation
+
+    calls, computed = [], []
+    trace_adc, tracer_run = continuation.trace_adc, continuation._Tracer.run
+
+    def counting_trace(*args, **kwargs):
+        calls.append(kwargs.get("memo") is not None)
+        return trace_adc(*args, **kwargs)
+
+    def counting_run(self):
+        computed.append(1)
+        return tracer_run(self)
+
+    monkeypatch.setattr(continuation, "trace_adc", counting_trace)
+    monkeypatch.setattr(continuation._Tracer, "run", counting_run)
+    cfg = AssessmentConfig(method="all", sparse_terms=31, mcs_samples=8, surrogate_samples=64)
+    reports = []
+    for _ in range(2):
+        calls.clear()
+        computed.clear()
+        reports.append(run_assessment(model, scenario_doc, cfg).to_json())
+        assert len(calls) == 1 + 8 + 91 + 31
+        assert sum(calls) == 1 + 91 + 31  # the MCS draws pass no memo
+        assert len(computed) == 1 + 8 + 90
+    assert reports[0] == reports[1]
+    blob = json.loads(reports[0])
+    assert blob["methods"]["pce"]["eval_count"] == 91
+    assert blob["methods"]["spce"]["eval_count"] == 31
 
 
 def test_mcs_eval_count_and_reproducibility():
@@ -313,6 +348,32 @@ def test_report_files_and_determinism(tmp_path):
     assert len(curve) > 3
 
 
+def test_cdf_files_match_the_row_by_row_writer(tmp_path):
+    rep = run_assessment(
+        load_feeder(two_bus_doc(v_min=0.90)), _small_scenario(),
+        AssessmentConfig(method="mcs", mcs_samples=1, seed=0),
+    )
+    rng = np.random.default_rng(8)
+    samples = {
+        "voltage": np.repeat(rng.random(40) * 3.0, 3),  # every value tied
+        "thermal": np.concatenate([rng.lognormal(0.0, 4.0, 997), [0.0, 0.0, 1e-300]]),
+        "collapse": np.array([2.5]),
+    }
+    samples["overall"] = np.minimum(samples["voltage"][:1], samples["collapse"])
+    rep.results["pce"] = MethodResult(
+        "pce", 3, {k: assessment.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()},
+        {}, "",
+    )
+    write_outputs(rep, tmp_path / "out")
+    for name in ("mcs", "pce"):
+        for cls, stats in rep.results[name].classes.items():
+            ref = tmp_path / f"ref_{cls}_{name}.csv"
+            write_cdf_rows(ref, stats.stats.samples)
+            got = (tmp_path / "out" / f"cdf_{cls}_{name}.csv").read_bytes()
+            assert got == ref.read_bytes(), (cls, name)
+    assert len((tmp_path / "out" / "cdf_collapse_mcs.csv").read_text().splitlines()) == 2
+
+
 def test_no_trace_dump_no_curve_file(tmp_path):
     ctx_doc = two_bus_doc(v_min=0.90)
     model = load_feeder(ctx_doc)
@@ -431,6 +492,13 @@ def _transformer_with_tap(tap):
     return doc
 
 
+def _slack_only():
+    doc = two_bus_doc(v_min=0.90)
+    doc["buses"] = doc["buses"][:1]
+    doc["branches"] = doc["loads"] = []
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, scenario, message",
     [
@@ -445,11 +513,13 @@ def _transformer_with_tap(tap):
         (two_bus_doc(v_min=0.90), _small_scenario(pf=1.5), "bad power factor"),
         ([two_bus_doc(v_min=0.90)], _small_scenario(), "document must be a JSON object"),
         (two_bus_doc(v_min=0.90), [_small_scenario()], "scenario must be a JSON object"),
+        (_slack_only(), {}, "no bus besides the slack bus"),
     ],
     ids=[
         "singular-impedance", "wind-without-mean-speed", "nan-std", "string-mean-kw",
         "null-mean-kw", "solar-phase-letter", "string-generator-p-kw", "string-tap",
         "load-power-factor-above-1", "feeder-not-object", "scenario-not-object",
+        "slack-bus-only",
     ],
 )
 def test_cli_bad_input_exits_1_with_one_line(tmp_path, capsys, doc, scenario, message):

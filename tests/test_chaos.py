@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adcap.chaos import (
     PceConfig,
+    active_bases,
     basis_matrix,
     basis_norm_sq,
     basis_size,
@@ -20,10 +21,12 @@ from adcap.chaos import (
     multi_indices,
     quantile_transform,
     sample_moments,
-    surrogate_statistics,
+    surrogate_stats_at,
 )
 from adcap.errors import ConfigurationError
-from adcap.stochastic import ForecastDistribution
+from adcap.stochastic import ForecastDistribution, assemble_variation
+
+from oracles import pce_model_from_json, surrogate_statistics
 
 
 # -- hermite basis ------------------------------------------------------------------
@@ -313,9 +316,7 @@ def test_model_json_round_trip():
     design = _design(rows=40)
     y = design.matrix @ (0.1 * np.arange(91.0))
     model = fit_sparse(design, y, target_terms=9)
-    from adcap.chaos import PceModel
-
-    again = PceModel.from_json(model.to_json())
+    again = pce_model_from_json(model.to_json())
     assert np.array_equal(again.active, model.active)
     assert np.allclose(again.coeffs, model.coeffs)
     xi = np.random.default_rng(3).standard_normal((7, 12))
@@ -330,6 +331,43 @@ def test_evaluate_matches_direct_expansion():
     xi = rng.standard_normal((5, 12))
     phi = basis_matrix(xi, design.indices)
     assert np.allclose(evaluate(model, xi), phi @ model.coeffs)
+
+
+def test_active_bases_give_each_model_its_own_evaluation():
+    # the per-class samples of one shared basis block are bitwise those of
+    # evaluating each class alone, for a full model and sparse models with
+    # different active sets (their union, and one model using all of it)
+    design = _design(rows=91)
+    rng = np.random.default_rng(5)
+    full = fit_full(design, rng.normal(size=91))
+    sparse = [
+        fit_sparse(design, design.matrix @ rng.normal(size=91) * (rng.random(91) < 0.2), t)
+        for t in (4, 9, 17)
+    ]
+    assert len({tuple(np.flatnonzero(m.active)) for m in sparse}) == 3
+    xi = rng.standard_normal((2000, 12))
+    for models in ([full, full, full], sparse, sparse[::-1], [sparse[0], full]):
+        bases = list(active_bases(models, xi))
+        assert len(bases) == len(models)
+        for model, basis in zip(models, bases):
+            assert basis.flags.c_contiguous
+            got = surrogate_stats_at(model, basis).stats.samples
+            assert np.array_equal(got, evaluate(model, xi))
+
+
+def test_design_centre_is_the_mean_input(registry):
+    # the first design point traces the same direction as the mean input,
+    # which the run's trace memo relies on to trace it once
+    design = collocation_design(PceConfig(registry.dimension, 2), n_rows=31)
+    assert not design.points[0].any()
+    centre = quantile_transform(design.points[0], registry.distributions())
+    mean = registry.mean_inputs()
+    for got, want in zip(
+        (centre.wind_speeds, centre.radiations, centre.load_p_kw),
+        (mean.wind_speeds, mean.radiations, mean.load_p_kw),
+    ):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert assemble_variation(centre, registry) == assemble_variation(mean, registry)
 
 
 # -- surrogate statistics ------------------------------------------------------------

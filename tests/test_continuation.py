@@ -311,3 +311,23 @@ def test_curve_collection(case, registry, model):
     assert lams[0] == 0.0
     assert max(lams) >= res.lambdas["collapse"] * 0.8
     assert all(0 < p.min_vm <= 1.2 for p in res.curve)
+
+
+def test_trace_memo_returns_the_stored_result_for_a_repeated_direction():
+    case = NetworkCase(load_feeder(two_bus_doc(v_min=0.90)))
+    var = VariationVector(dp_kw={("r", "a"): -100.0}, dq_kvar={("r", "a"): -40.0},
+                          load_increase_kw=100.0)
+    same = VariationVector(dict(var.dp_kw), dict(var.dq_kvar), 100.0)
+    memo = {}
+    first = trace_adc(case, var, memo=memo)
+    assert len(memo) == 1
+    assert trace_adc(case, same, memo=memo) is first
+    # a curve the stored result lacks is traced, and then kept
+    curved = trace_adc(case, same, collect_curve=True, memo=memo)
+    assert curved is not first and curved.curve
+    assert curved.lambdas == first.lambdas
+    assert trace_adc(case, var, memo=memo) is curved
+    # another direction is another entry; no memo traces every time
+    trace_adc(case, VariationVector(var.dp_kw, var.dq_kvar, 200.0), memo=memo)
+    assert len(memo) == 2
+    assert trace_adc(case, var) is not trace_adc(case, var)
