@@ -76,6 +76,17 @@ class AssessmentConfig:
     def methods(self) -> list:
         return list(_METHODS) if self.method == "all" else [self.method]
 
+    def check_sparse_terms(self, dimension: int):
+        """Reject a sparse term count M_C outside 1 .. the basis size for
+        ``dimension`` inputs; a run calls this before it traces anything."""
+        k_full = chaos.basis_size(dimension, PCE_ORDER)
+        terms = self.sparse_terms
+        if terms != "auto" and not (isinstance(terms, int) and 1 <= terms <= k_full):
+            raise ConfigurationError(
+                f"--sparse-terms must be 'auto' or between 1 and the basis "
+                f"size {k_full}, got {terms}"
+            )
+
 
 @dataclass
 class ClassStats:

@@ -22,6 +22,7 @@ from .errors import ConfigurationError, DesignRankError
 from .stochastic import RandomInputVector
 
 _GS_TOL = 1e-9
+BASIS_BLOCK_ROWS = 1024  # points per block of basis_matrix
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,28 @@ def basis_norm_sq(index: tuple) -> float:
 
 
 def basis_matrix(xi, indices) -> np.ndarray:
-    """Rows = points, columns = basis functions; per-dimension He values are
-    tabulated once and multiplied per multi-index."""
+    """Rows = points, columns = basis functions, filled BASIS_BLOCK_ROWS
+    points at a time: per block, the He values are tabulated with the
+    dimension leading and each basis function is the product of its
+    factors, left to right over the dimensions, on contiguous rows."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     m, n = xi.shape
     p = max((sum(ix) for ix in indices), default=0)
-    table = np.ones((p + 1, m, n))
-    if p >= 1:
-        table[1] = xi
-    for k in range(2, p + 1):
-        table[k] = xi * table[k - 1] - (k - 1) * table[k - 2]
-    a = np.ones((m, len(indices)))
-    for col, ix in enumerate(indices):
-        for dim, k in enumerate(ix):
-            if k:
-                a[:, col] *= table[k, :, dim]
-    return a
+    factors = [[(k, dim) for dim, k in enumerate(ix) if k] for ix in indices]
+    out = np.empty((m, len(indices)))
+    for r0 in range(0, m, BASIS_BLOCK_ROWS):
+        x = xi[r0:r0 + BASIS_BLOCK_ROWS].T  # (dimension, points)
+        table = np.ones((p + 1,) + x.shape)
+        if p >= 1:
+            table[1] = x
+        for k in range(2, p + 1):
+            table[k] = x * table[k - 1] - (k - 1) * table[k - 2]
+        block = np.ones((len(indices), x.shape[1]))  # (basis function, points)
+        for col, fs in enumerate(factors):
+            for f in fs:
+                block[col] *= table[f]
+        out[r0:r0 + x.shape[1]] = block.T
+    return out
 
 
 def quantile_transform(xi, distributions) -> RandomInputVector:

@@ -14,15 +14,22 @@ of step share the power flow's magnitude floor and its reactive-limit rule
 (nearest violation first, one switch per round).  Step length doubles after
 three easy corrections and halves on rejection, with a hard floor.
 
-Limit crossings (voltage band, branch ampacity) are bracketed between
-accepted points and refined by an Illinois-type false-position iteration on
-the margin; the collapse point is the fold itself, located from a quadratic
-fit of lambda against the pinned magnitude near the sign change of
-delta-lambda.  Violations that first appear past the fold are ignored: every
-margin is evaluated on the upper branch only.
+A limit crossing (voltage band, branch ampacity) is bracketed between two
+accepted points and solved directly by the same corrector, from the chord
+at the margin's linear zero: the element binding at the violated end is
+held at its limit and lambda floats.  A voltage crossing pins that node's
+magnitude at the band edge; a thermal crossing pins nothing and adds the
+equation "loading of the branch's most loaded rated row = 1" (``Curve``'s
+``loading_row``).  If another element of the class lies further out at the
+solution, it is held instead (at most MAX_REPINS times).  A crossing not
+solved inside its bracket fails the trace.  The collapse point is the fold
+itself, located from a quadratic fit of lambda against the pinned magnitude
+near the sign change of delta-lambda, after NOSE_EXTRA_ROUNDS local solves
+started from chord midpoints.  Violations that first appear past the fold
+are ignored: every margin is evaluated on the upper branch only.
 
 Every setting is a module constant, not an option: the step control,
-lambda cap, point budget, crossing refinement and nose sharpening below
+lambda cap, point budget, re-pin cap and nose sharpening below
 (STEP0 ... MAX_VM_STEP), and the Newton tolerance, iteration budget and
 magnitude floor of the shared loop (``powerflow.TOL``, ``MAX_ITER``,
 ``VM_FLOOR``).
@@ -55,8 +62,7 @@ GROW_AFTER = 3
 EASY_ITERS = 3
 LAMBDA_CAP = 20.0  # a trace passing this lambda stops there, flagged capped
 MAX_POINTS = 600  # step attempts per trace, rejected ones included
-REFINE_MARGIN_TOL = 1e-7  # pu / loading fraction
-REFINE_MAX_ITER = 40
+MAX_REPINS = 3  # times one crossing is solved again with another element held
 NOSE_EXTRA_ROUNDS = 2  # step-halving passes around the fold
 # largest voltage-magnitude change accepted in one step; a converged
 # corrector that moved further has almost certainly slid onto the lower
@@ -211,25 +217,24 @@ class _Tracer:
 
     # corrector entry points ---------------------------------------------------
     # ``abort_on_rise`` (see ``powerflow.correct``) is set for the steps of
-    # the march, which retry a failure shorter; crossing refinement and nose
-    # sharpening read a failure as "no solution there" and keep the budget.
+    # the march, which retry a failure shorter (every natural solve is one);
+    # limit crossings and nose sharpening read a failure as "no solution
+    # there" and keep the budget.
 
-    def _solve_natural(self, lam, warm, abort_on_rise=False) -> pf.PowerFlowState:
-        state = pf.solve(
-            self.case, lam, self.direction, initial=warm, abort_on_rise=abort_on_rise
-        )
+    def _solve_natural(self, lam, warm) -> pf.PowerFlowState:
+        state = pf.solve(self.case, lam, self.direction, initial=warm, abort_on_rise=True)
         self.n_solves += 1
         self.n_newton += state.newton_total - warm.newton_total
         return state
 
     def _solve_local(self, curve: pf.Curve, z, pin_node, abort_on_rise=False):
         """Local-parameterization correction from ``z`` with the magnitude at
-        ``pin_node`` pinned, switching reactive limits by the power-flow
-        rule; returns ``(state, lambda)``."""
+        ``pin_node`` pinned (nothing pinned for None, on a curve with a
+        loading row), switching reactive limits by the power-flow rule;
+        returns ``(state, lambda)``."""
         while True:  # each round switches one more PV phase, so this ends
-            z, iters, norm = correct(
-                curve.linearize, z, curve.vm_coord(pin_node), abort_on_rise
-            )
+            pin = None if pin_node is None else curve.vm_coord(pin_node)
+            z, iters, norm = correct(curve.linearize, z, pin, abort_on_rise)
             self.n_solves += 1
             self.n_newton += iters
             state, next_curve = curve.settle(z, iters, norm)
@@ -285,7 +290,7 @@ class _Tracer:
 
     def _accept(self, lam, state, status=None):
         """Append a solved point with its limit status (computed unless
-        given), first refining each limit crossed since the previous point,
+        given), first solving each limit crossed since the previous point,
         and record it on the curve when collecting one."""
         new = _TracePoint(lam, state, status or check_limits(self.case, state))
         if self.points:
@@ -294,9 +299,7 @@ class _Tracer:
                 if self.lam_cross[cls] is None and (
                     self._margins(prev.status)[cls] >= 0 > self._margins(new.status)[cls]
                 ):
-                    lam_star, status_star = self._refine_crossing(cls, prev, new)
-                    self.lam_cross[cls] = lam_star
-                    self.binding[cls] = self._binding(status_star, cls)
+                    self.lam_cross[cls], self.binding[cls] = self._cross(cls, prev, new)
         self.points.append(new)
         if self.collect_curve:
             self.curve.append(
@@ -307,51 +310,57 @@ class _Tracer:
                 )
             )
 
-    # crossing refinement --------------------------------------------------------
+    # limit crossings ------------------------------------------------------------
 
-    def _refine_crossing(self, cls, a: _TracePoint, b: _TracePoint):
-        """Illinois false position on the class margin over [a.lam, b.lam].
-
-        The margin curve is usually concave in lambda, so plain false position
-        stagnates with every iterate on the feasible side and the violated end
-        pinned; the Illinois halving of the stuck end's value forces both ends
-        in.  The returned point is the sample with the smallest |margin| seen,
-        whichever side it fell on.
-        """
-        fa = self._margins(a.status)[cls]
-        fb = self._margins(b.status)[cls]
-        la, lb = a.lam, b.lam
-        state_a = a.state
-        best = (lb, abs(fb), b.status)
-        side = 0
-        for _ in range(REFINE_MAX_ITER):
-            if best[1] < REFINE_MARGIN_TOL or abs(lb - la) < 1e-12:
+    def _cross(self, cls, a: _TracePoint, b: _TracePoint):
+        """The point between accepted points ``a`` (class margin >= 0) and
+        ``b`` (< 0) where the margin of class ``cls`` is zero (module
+        docstring): returns ``(lambda, binding element)``.  Raises
+        ConvergenceError when the held element keeps changing, or when the
+        solution lies outside [a.lam, b.lam] or further than MAX_VM_STEP
+        from ``a``."""
+        fa, fb = self._margins(a.status)[cls], self._margins(b.status)[cls]
+        t = fa / (fa - fb)
+        curve = pf.Curve(self.case, self.direction, b.state.q_switched)
+        z = (1.0 - t) * curve.pack(a.state, a.lam) + t * curve.pack(b.state, b.lam)
+        state, status = b.state, b.status
+        for _ in range(MAX_REPINS + 1):
+            element = self._binding(status, cls)
+            state, lam = self._solve_at_limit(curve, z, element, state)
+            status = check_limits(self.case, state)
+            # the held element sits on its limit to the Newton tolerance
+            if self._margins(status)[cls] >= -pf.TOL:
                 break
-            lm = (la * fb - lb * fa) / (fb - fa) if fb != fa else 0.5 * (la + lb)
-            if not (min(la, lb) < lm < max(la, lb)):
-                lm = 0.5 * (la + lb)
-            try:
-                sm = self._solve_natural(lm, state_a.copy())
-            except (ConvergenceError, SingularJacobianError):
-                # no solution there: behave like the violated side
-                lb, fb = lm, -abs(fa)
-                side = 0
-                continue
-            stm = check_limits(self.case, sm)
-            fm = self._margins(stm)[cls]
-            if abs(fm) < best[1]:
-                best = (lm, abs(fm), stm)
-            if fm >= 0:
-                la, fa, state_a = lm, fm, sm
-                if side > 0:
-                    fb *= 0.5
-                side = 1
-            else:
-                lb, fb = lm, fm
-                if side < 0:
-                    fa *= 0.5
-                side = -1
-        return best[0], best[2]
+            curve = pf.Curve(self.case, self.direction, state.q_switched)
+            z = curve.pack(state, lam)
+        else:
+            raise ConvergenceError(f"{cls} crossing moved on after {MAX_REPINS} re-pins")
+        if not (min(a.lam, b.lam) <= lam <= max(a.lam, b.lam) and self._sane(lam, state, a.state)):
+            raise ConvergenceError(
+                f"{cls} crossing solved at lambda {lam:.6g}, off its bracket "
+                f"[{a.lam:.6g}, {b.lam:.6g}] or its branch"
+            )
+        return lam, element
+
+    def _solve_at_limit(self, curve: pf.Curve, z, element, state):
+        """Solve from ``z`` with ``element`` held at its limit: a voltage
+        element ``(side, node)`` by pinning the magnitude at its band edge, a
+        branch id by the loading equation of the branch's rated row carrying
+        the most current in ``state``."""
+        case = self.case
+        if isinstance(element, str):
+            k = case.branch_ids.index(element)
+            bounds = np.append(case.rated_starts, case.n_rated_rows)
+            start, stop = bounds[k], bounds[k + 1]
+            row = start + int(np.argmax(pf.branch_flows(case, state).amps[start:stop]))
+            bordered = pf.Curve(case, self.direction, curve.q_switched, loading_row=row)
+            return self._solve_local(bordered, z, None)
+        side, node = element
+        limits = case.model.limits
+        i = case.index[node]
+        z = z.copy()
+        z[curve.vm_coord(i)] = limits.v_min_pu if side == "lower" else limits.v_max_pu
+        return self._solve_local(curve, z, i)
 
     # nose refinement --------------------------------------------------------------
 
@@ -396,8 +405,7 @@ class _Tracer:
                 lam_new = prev.lam + h
                 try:
                     new_state = self._solve_natural(
-                        lam_new, self._natural_warm(prev, h, z_prev, z_curr),
-                        abort_on_rise=True,
+                        lam_new, self._natural_warm(prev, h, z_prev, z_curr)
                     )
                 except (ConvergenceError, SingularJacobianError):
                     new_state = None
@@ -494,11 +502,12 @@ class _Tracer:
                 # past the fold (local steps only: natural ones raise lambda):
                 # sharpen with halved steps, then fit
                 for _ in range(NOSE_EXTRA_ROUNDS):
-                    e2, l2, s2 = local_pts[-2]  # highest-lambda point so far
-                    eh = 0.5 * (local_pts[-1][0] - e2)
+                    # from the chord midpoint of the last two points, with
+                    # the pinned magnitude halfway between theirs
+                    (e2, l2, s2), (e3, l3, s3) = local_pts[-2:]
                     cu = pf.Curve(self.case, self.direction, s2.q_switched)
-                    zm = cu.pack(s2, l2)
-                    zm[cu.vm_coord(pin_node)] += eh
+                    zm = 0.5 * (cu.pack(s2, l2) + cu.pack(s3, l3))
+                    zm[cu.vm_coord(pin_node)] = e2 + 0.5 * (e3 - e2)
                     try:
                         st_r, lam_r = self._solve_local(cu, zm, pin_node)
                     except (ConvergenceError, SingularJacobianError):

@@ -128,65 +128,6 @@ class FeederModel:
             sum(l.q_kvar for l in self.loads),
         )
 
-    def to_document(self) -> dict:
-        """Canonical schema dict; load_feeder(json.dumps(doc)) round-trips."""
-        return {
-            "name": self.name,
-            "buses": [
-                {
-                    "id": b.id,
-                    "type": b.bus_type,
-                    "phases": "".join(b.phases),
-                    "base_kv_ll": b.base_kv_ll,
-                    **({"v0_pu": b.v0_pu} if b.v0_pu is not None else {}),
-                    **({"shunt_kvar": dict(sorted(b.shunt_kvar.items()))}
-                       if b.shunt_kvar else {}),
-                }
-                for b in self.buses
-            ],
-            "branches": [
-                {
-                    "id": br.id,
-                    "from": br.from_bus,
-                    "to": br.to_bus,
-                    "phases": "".join(br.phases),
-                    "kind": br.kind,
-                    "r_ohm": br.z_ohm.real.tolist(),
-                    "x_ohm": br.z_ohm.imag.tolist(),
-                    "b_shunt_s": br.y_shunt_s.imag.tolist(),
-                    "ampacity_a": br.ampacity_a,
-                    **({"tap": dict(sorted(br.tap.items()))} if br.tap else {}),
-                    **({"connection": br.connection}
-                       if br.kind == "transformer" else {}),
-                }
-                for br in self.branches
-            ],
-            "loads": [
-                {"bus": l.bus, "phase": l.phase, "p_kw": l.p_kw, "q_kvar": l.q_kvar}
-                for l in self.loads
-            ],
-            "generators": [
-                {
-                    "id": g.id,
-                    "bus": g.bus,
-                    "phases": "".join(g.phases),
-                    "type": g.gen_type,
-                    "p_kw": g.p_kw,
-                    "q_kvar": g.q_kvar,
-                    **({"v0_pu": g.v0_pu} if g.v0_pu is not None else {}),
-                    "q_min_kvar": g.q_min_kvar,
-                    "q_max_kvar": g.q_max_kvar,
-                    "delta_p_kw": g.delta_p_kw,
-                    "delta_q_kvar": g.delta_q_kvar,
-                }
-                for g in self.generators
-            ],
-            "limits": {
-                "v_min_pu": self.limits.v_min_pu,
-                "v_max_pu": self.limits.v_max_pu,
-            },
-        }
-
 
 def _require(cond, message):
     if not cond:

@@ -31,7 +31,9 @@ Every power-flow solve, whether a plain solve or a continuation step, runs
 one Newton loop (:func:`correct`) on one augmented system (:class:`Curve`):
 the m mismatch rows of a switch set over the m + 1 coordinates
 z = [theta_p, vm_q, lambda], with one coordinate pinned.  :func:`solve` pins
-lambda; a local continuation step pins one voltage magnitude.  After every
+lambda; a local continuation step pins one voltage magnitude; a thermal
+limit crossing pins nothing and adds the equation
+(|I_row| i_base / ampacity)^2 = 1 for one rated branch-current row.  After every
 update the loop projects the magnitudes of its iterate onto VM_FLOOR, so each
 residual is evaluated at the iterate itself.  The loop gives up after
 MAX_ITER iterations.  A caller that retries a failure with a shorter step
@@ -40,8 +42,8 @@ and the loop then gives up already at the first iteration whose mismatch
 max-norm is not below the previous one: most such starts lie past the fold
 or too far along the curve, and a shorter retry is cheaper than the rest of
 the budget.  The max-norm can also rise once on the way to a solution, so a
-caller that reads a failure as "no solution here" (the base case, crossing
-refinement, nose sharpening) keeps the whole budget.
+caller that reads a failure as "no solution here" (the base case, limit
+crossings, nose sharpening) keeps the whole budget.
 
 Reactive limits follow one rule in every solve: after each converged round,
 the PV phase whose reactive output exceeds its limit by the smallest margin
@@ -326,27 +328,15 @@ def jacobian_at(case: NetworkCase, vm, v, i_bus, scatter) -> np.ndarray:
     return jac
 
 
-def mismatch(case: NetworkCase, state: PowerFlowState, lam=0.0, direction=None) -> np.ndarray:
-    """Power mismatch g = S_spec(lambda) - S(x) over the unknown rows."""
-    p_spec, q_spec = case.spec_injections(lam, direction, state.q_switched)
-    idx_p, idx_q = case.partition(state.q_switched)
-    _, _, s = _complex_power(case, state.vm, state.theta)
-    return mismatch_at(s, idx_p, idx_q, p_spec, q_spec)
-
-
-def jacobian(case: NetworkCase, state: PowerFlowState) -> np.ndarray:
-    """d(mismatch)/dx, rows [P; Q], columns [theta; vm] per module docstring."""
-    curve = Curve(case, None, state.q_switched)
-    return curve.jacobian(state.vm, state.theta, curve.lam_coord)
-
-
 class Curve:
     """The power-flow equations of one switch set over the augmented
     coordinates z = [theta_p, vm_q, lambda]: m mismatch rows in m + 1
     unknowns, made square by pinning lambda (``lam_coord``) or one magnitude
-    (:meth:`vm_coord`)."""
+    (:meth:`vm_coord`), or, given ``loading_row``, by the extra equation
+    "the loading of that rated row of ``NetworkCase.branch_current`` is 1"
+    with nothing pinned."""
 
-    def __init__(self, case, direction, q_switched):
+    def __init__(self, case, direction, q_switched, loading_row=None):
         self.case = case
         self.direction = direction
         self.q_switched = dict(q_switched)
@@ -354,6 +344,13 @@ class Curve:
         self.n_p = len(self.idx_p)
         self.lam_coord = self.n_p + len(self.idx_q)
         self._spec_at = None  # (lambda, specified injections) last evaluated
+        self.loading_row = loading_row
+        if loading_row is not None:
+            # the row's current in units of its branch's ampacity
+            k = np.searchsorted(case.rated_starts, loading_row, "right") - 1
+            self._w = case.branch_current[loading_row] * (
+                case.branch_i_base[loading_row] / case.ampacity[k]
+            )
 
     def pack(self, state, lam):
         return np.concatenate(
@@ -412,7 +409,18 @@ class Curve:
         p_spec, q_spec = self._spec_at[1]
         v, i_bus, s = _complex_power(self.case, vm, theta)
         g = mismatch_at(s, self.idx_p, self.idx_q, p_spec, q_spec)
-        return g, lambda: self._jacobian(vm, v, i_bus, pin)
+        if self.loading_row is None:
+            return g, lambda: self._jacobian(vm, v, i_bus, pin)
+        i_row = self._w @ v
+        g = np.append(g, i_row.real ** 2 + i_row.imag ** 2 - 1.0)
+        return g, lambda: self._loading_jacobian(vm, v, i_bus, i_row)
+
+    def _loading_jacobian(self, vm, v, i_bus, i_row):
+        """The augmented Jacobian with the loading equation's row below it:
+        d|I|^2/dx_j = 2 Re(conj(I) w_j dV_j/dx_j) for I = w V."""
+        dv = 2.0 * np.conj(i_row) * self._w * v
+        row = np.concatenate([(1j * dv).real[self.idx_p], (dv / vm).real[self.idx_q], [0.0]])
+        return np.vstack([self._jacobian(vm, v, i_bus, None), row])
 
     def settle(self, z, iterations, norm):
         """The state at a converged z and the curve of the next switching
@@ -442,15 +450,17 @@ class Curve:
         if not violations:
             return state, None
         _, i, side = min(violations)
-        return state, Curve(case, self.direction, {**self.q_switched, case.nodes[i]: side})
+        switched = {**self.q_switched, case.nodes[i]: side}
+        return state, Curve(case, self.direction, switched, self.loading_row)
 
 
-def correct(linearize, z0: np.ndarray, pin: int, abort_on_rise: bool = False):
+def correct(linearize, z0: np.ndarray, pin: int | None, abort_on_rise: bool = False):
     """Newton's method on m equations in the m + 1 coordinates of z, with
-    coordinate ``pin`` held at its value in ``z0``.
+    coordinate ``pin`` held at its value in ``z0``, or on m + 1 equations
+    with nothing held when ``pin`` is None.
 
     ``linearize(z, pin)`` returns the residual at z and a function giving
-    its Jacobian over the other m coordinates; it may first project z in
+    its Jacobian over the other coordinates; it may first project z in
     place (:meth:`Curve.linearize` floors the magnitudes).  Returns
     ``(z, iterations, max-norm of the residual)`` once that norm is below
     TOL.  Raises ConvergenceError, carrying the iterations made and the last
@@ -483,8 +493,11 @@ def correct(linearize, z0: np.ndarray, pin: int, abort_on_rise: bool = False):
             ) from None
         if not np.all(np.isfinite(dz)):
             raise SingularJacobianError(f"non-finite newton step at iteration {it}")
-        z[:pin] += dz[:pin]
-        z[pin + 1:] += dz[pin:]
+        if pin is None:
+            z += dz
+        else:
+            z[:pin] += dz[:pin]
+            z[pin + 1:] += dz[pin:]
     raise AssertionError("unreachable")
 
 

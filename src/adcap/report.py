@@ -134,17 +134,24 @@ def write_outputs(report: AdcReport, out_dir) -> list:
     p.write_text(report.to_markdown())
     written.append(p)
 
+    probabilities = {}  # sample count -> formatted cumulative probabilities
     for name, res in sorted(report.results.items()):
         for cls in _CLASS_ORDER:
             if cls not in res.classes:
                 continue
-            # sorted samples against their cumulative probability i/M
+            # sorted samples against their cumulative probability i/M, the
+            # latter formatted once per sample count
             s = np.sort(res.classes[cls].stats.samples)
-            q = np.arange(1, len(s) + 1) / len(s)
+            n = len(s)
+            if n not in probabilities:
+                probabilities[n] = ["%.6g" % q for q in (np.arange(1, n + 1) / n).tolist()]
+            rows = [None] * (2 * n)
+            rows[::2] = s.tolist()
+            rows[1::2] = probabilities[n]
             p = out / f"cdf_{cls}_{name}.csv"
             with p.open("w", newline="") as fh:
                 fh.write("adc_mw,cumulative_probability\n")
-                fh.write("".join(map("{:.10g},{:.6g}\n".format, s.tolist(), q.tolist())))
+                fh.write(("%.10g,%s\n" * n) % tuple(rows))
             written.append(p)
 
     if report.comparison.get("pairs"):
@@ -181,6 +188,7 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     """Assemble the full report for a parsed feeder model and scenario dict."""
     case = powerflow.NetworkCase(model)
     registry = stochastic.build_registry(model, scenario)
+    config.check_sparse_terms(registry.dimension)
     # the run's trace memo: the design centre of PCE and SPCE is the mean
     # input traced here, and every SPCE design point is a PCE design point
     memo = {}

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from adcap import chaos
+from adcap import chaos, powerflow
 from adcap.errors import ConfigurationError
 from adcap.feeder import branch_admittance_blocks, i_base_a, z_base_ohm
 
@@ -58,6 +58,22 @@ def power_balance(case, state):
     return s_nodal, s_elem
 
 
+def mismatch(case, state, lam=0.0, direction=None):
+    """Power mismatch g = S_spec(lambda) - S(x) of a state over the unknown
+    rows, from the program's own residual."""
+    p_spec, q_spec = case.spec_injections(lam, direction, state.q_switched)
+    idx_p, idx_q = case.partition(state.q_switched)
+    v = state.voltage()
+    return powerflow.mismatch_at(v * np.conj(case.y @ v), idx_p, idx_q, p_spec, q_spec)
+
+
+def jacobian(case, state):
+    """d(mismatch)/dx of a state, rows [P; Q], columns [theta; vm], from the
+    program's own Jacobian with lambda pinned."""
+    curve = powerflow.Curve(case, None, state.q_switched)
+    return curve.jacobian(state.vm, state.theta, curve.lam_coord)
+
+
 def dense_jacobian(case, vm, theta, rows, cols):
     """d(mismatch)/dx from the docstring's identities over the whole dense Y,
 
@@ -79,6 +95,87 @@ def dense_jacobian(case, vm, theta, rows, cols):
         [ds_dth.real[np.ix_(rp, cp)], ds_dvm.real[np.ix_(rp, cq)]],
         [ds_dth.imag[np.ix_(rq, cp)], ds_dvm.imag[np.ix_(rq, cq)]],
     ])
+
+
+def basis_matrix_columns(xi, indices):
+    """The chaos basis at the rows of ``xi``, one column at a time over the
+    whole array: He values tabulated per (degree, point, dimension), each
+    column the running product of its factors over the dimensions."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    m, n = xi.shape
+    p = max((sum(ix) for ix in indices), default=0)
+    table = np.ones((p + 1, m, n))
+    if p >= 1:
+        table[1] = xi
+    for k in range(2, p + 1):
+        table[k] = xi * table[k - 1] - (k - 1) * table[k - 2]
+    a = np.ones((m, len(indices)))
+    for col, ix in enumerate(indices):
+        for dim, k in enumerate(ix):
+            if k:
+                a[:, col] *= table[k, :, dim]
+    return a
+
+
+def to_document(model) -> dict:
+    """Canonical schema dict of a ``FeederModel``; load_feeder(json.dumps(doc))
+    round-trips."""
+    return {
+        "name": model.name,
+        "buses": [
+            {
+                "id": b.id,
+                "type": b.bus_type,
+                "phases": "".join(b.phases),
+                "base_kv_ll": b.base_kv_ll,
+                **({"v0_pu": b.v0_pu} if b.v0_pu is not None else {}),
+                **({"shunt_kvar": dict(sorted(b.shunt_kvar.items()))}
+                   if b.shunt_kvar else {}),
+            }
+            for b in model.buses
+        ],
+        "branches": [
+            {
+                "id": br.id,
+                "from": br.from_bus,
+                "to": br.to_bus,
+                "phases": "".join(br.phases),
+                "kind": br.kind,
+                "r_ohm": br.z_ohm.real.tolist(),
+                "x_ohm": br.z_ohm.imag.tolist(),
+                "b_shunt_s": br.y_shunt_s.imag.tolist(),
+                "ampacity_a": br.ampacity_a,
+                **({"tap": dict(sorted(br.tap.items()))} if br.tap else {}),
+                **({"connection": br.connection}
+                   if br.kind == "transformer" else {}),
+            }
+            for br in model.branches
+        ],
+        "loads": [
+            {"bus": l.bus, "phase": l.phase, "p_kw": l.p_kw, "q_kvar": l.q_kvar}
+            for l in model.loads
+        ],
+        "generators": [
+            {
+                "id": g.id,
+                "bus": g.bus,
+                "phases": "".join(g.phases),
+                "type": g.gen_type,
+                "p_kw": g.p_kw,
+                "q_kvar": g.q_kvar,
+                **({"v0_pu": g.v0_pu} if g.v0_pu is not None else {}),
+                "q_min_kvar": g.q_min_kvar,
+                "q_max_kvar": g.q_max_kvar,
+                "delta_p_kw": g.delta_p_kw,
+                "delta_q_kvar": g.delta_q_kvar,
+            }
+            for g in model.generators
+        ],
+        "limits": {
+            "v_min_pu": model.limits.v_min_pu,
+            "v_max_pu": model.limits.v_max_pu,
+        },
+    }
 
 
 def pce_model_from_json(text: str) -> chaos.PceModel:

@@ -19,8 +19,6 @@ from adcap.powerflow import (
     NetworkCase,
     TOL,
     PowerFlowState,
-    jacobian,
-    mismatch,
     solve,
 )
 from adcap.report import run_assessment
@@ -34,7 +32,7 @@ from adcap.stochastic import (
 )
 
 from conftest import two_bus_doc
-from oracles import power_balance
+from oracles import jacobian, mismatch, power_balance
 
 # paper-reported margins for the modified feeder (MW); the reconstruction is
 # documented as approximate, so criterion 2 uses +/-15% windows around these

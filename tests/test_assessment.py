@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adcap import assessment, chaos
+from adcap import assessment, chaos, continuation
 from adcap.assessment import (
+    PCE_ORDER,
     AssessmentConfig,
     MethodResult,
     compare,
@@ -500,38 +501,61 @@ def _slack_only():
 
 
 @pytest.mark.parametrize(
-    "doc, scenario, message",
+    "doc, scenario, message, flags",
     [
-        (two_bus_doc(x_ohm=0.0, v_min=0.90), _small_scenario(), "singular series impedance"),
-        (two_bus_doc(v_min=0.90), _wind_without_mean_speed(), "missing field 'mean_speed'"),
-        (two_bus_doc(v_min=0.90), _small_scenario(std_kw=math.nan), "must be finite"),
-        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw="abc"), "field 'mean_kw' has wrong type"),
-        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw=None), "field 'mean_kw' has wrong type"),
-        (two_bus_doc(v_min=0.90), _solar_on_phases("x"), "unknown phase 'x'"),
-        (_with_generator(p_kw="abc"), _small_scenario(), "field 'p_kw' has wrong type"),
-        (_transformer_with_tap("x"), _small_scenario(), "tap: field 'a' has wrong type"),
-        (two_bus_doc(v_min=0.90), _small_scenario(pf=1.5), "bad power factor"),
-        ([two_bus_doc(v_min=0.90)], _small_scenario(), "document must be a JSON object"),
-        (two_bus_doc(v_min=0.90), [_small_scenario()], "scenario must be a JSON object"),
-        (_slack_only(), {}, "no bus besides the slack bus"),
+        (two_bus_doc(x_ohm=0.0, v_min=0.90), _small_scenario(), "singular series impedance", ()),
+        (two_bus_doc(v_min=0.90), _wind_without_mean_speed(), "missing field 'mean_speed'", ()),
+        (two_bus_doc(v_min=0.90), _small_scenario(std_kw=math.nan), "must be finite", ()),
+        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw="abc"), "field 'mean_kw' has wrong type", ()),
+        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw=None), "field 'mean_kw' has wrong type", ()),
+        (two_bus_doc(v_min=0.90), _solar_on_phases("x"), "unknown phase 'x'", ()),
+        (_with_generator(p_kw="abc"), _small_scenario(), "field 'p_kw' has wrong type", ()),
+        (_transformer_with_tap("x"), _small_scenario(), "tap: field 'a' has wrong type", ()),
+        (two_bus_doc(v_min=0.90), _small_scenario(pf=1.5), "bad power factor", ()),
+        ([two_bus_doc(v_min=0.90)], _small_scenario(), "document must be a JSON object", ()),
+        (two_bus_doc(v_min=0.90), [_small_scenario()], "scenario must be a JSON object", ()),
+        (_slack_only(), {}, "no bus besides the slack bus", ()),
+        (two_bus_doc(v_min=0.90), _small_scenario(), "--sparse-terms must be",
+         ("--sparse-terms", "92")),
+        (two_bus_doc(v_min=0.90), _small_scenario(), "--sparse-terms must be",
+         ("--sparse-terms", "0")),
+        (two_bus_doc(v_min=0.90), _small_scenario(), "--sparse-terms must be",
+         ("--sparse-terms", "-3")),
     ],
     ids=[
         "singular-impedance", "wind-without-mean-speed", "nan-std", "string-mean-kw",
         "null-mean-kw", "solar-phase-letter", "string-generator-p-kw", "string-tap",
         "load-power-factor-above-1", "feeder-not-object", "scenario-not-object",
-        "slack-bus-only",
+        "slack-bus-only", "sparse-terms-above-basis", "sparse-terms-zero",
+        "sparse-terms-negative",
     ],
 )
-def test_cli_bad_input_exits_1_with_one_line(tmp_path, capsys, doc, scenario, message):
+def test_cli_bad_input_exits_1_with_one_line(
+    tmp_path, capsys, monkeypatch, doc, scenario, message, flags
+):
+    # bad input is rejected before the base case is solved or any trace runs
+    ran = []
+    for name in ("solve_base_case", "trace_adc"):
+        monkeypatch.setattr(continuation, name, lambda *a, _n=name, **k: ran.append(_n))
     fp, sp = _write_inputs(tmp_path, doc, scenario)
     rc = cli_main([
         "run", "--feeder", str(fp), "--scenario", str(sp),
-        "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"),
+        "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"), *flags,
     ])
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+    assert not ran
+
+
+def test_sparse_terms_checked_against_the_basis_size():
+    k_full = chaos.basis_size(12, PCE_ORDER)
+    for terms in ("auto", 1, k_full):
+        AssessmentConfig(sparse_terms=terms).check_sparse_terms(12)
+    for terms in (0, -3, k_full + 1, "all"):
+        with pytest.raises(ConfigurationError, match=f"basis size {k_full}, got {terms}"):
+            AssessmentConfig(sparse_terms=terms).check_sparse_terms(12)
 
 
 def test_cli_and_report_import_without_scipy():

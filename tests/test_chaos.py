@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adcap.chaos import (
+    BASIS_BLOCK_ROWS,
     PceConfig,
     active_bases,
     basis_matrix,
@@ -26,7 +27,7 @@ from adcap.chaos import (
 from adcap.errors import ConfigurationError
 from adcap.stochastic import ForecastDistribution, assemble_variation
 
-from oracles import pce_model_from_json, surrogate_statistics
+from oracles import basis_matrix_columns, pce_model_from_json, surrogate_statistics
 
 
 # -- hermite basis ------------------------------------------------------------------
@@ -95,6 +96,18 @@ def test_basis_matrix_columns():
     assert phi[0, j] == pytest.approx(0.5 * -1.0)
     k = idx.index((2, 0))
     assert phi[1, k] == pytest.approx(2.0 * 2.0 - 1.0)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_basis_matrix_blocks_match_the_whole_array_evaluation(order):
+    # two full blocks and a partial one, and a single point
+    rng = np.random.default_rng(5)
+    idx = multi_indices(4, order)
+    for m in (2 * BASIS_BLOCK_ROWS + 37, 1):
+        xi = rng.standard_normal((m, 4)) * 2.0
+        phi = basis_matrix(xi, idx)
+        assert phi.flags.c_contiguous
+        assert np.array_equal(phi, basis_matrix_columns(xi, idx))
 
 
 # -- quantile transform ------------------------------------------------------------

@@ -24,6 +24,7 @@ from adcap.powerflow import MAX_ITER, NetworkCase, solve
 from adcap.stochastic import VariationVector, assemble_variation, build_registry
 
 from conftest import pv_two_bus_doc, two_bus_doc
+from oracles import to_document
 
 
 # -- predictor/corrector primitives ---------------------------------------------
@@ -121,7 +122,7 @@ def test_two_bus_thermal_crossing_refined_to_margin():
     i_r = case.index[("r", "a")]
     v = st.vm[i_r] * np.exp(1j * st.theta[i_r])
     i_pu = abs((st.vm[0] * np.exp(1j * st.theta[0]) - v) / (1j * x))
-    doc = model.to_document()
+    doc = to_document(model)
     doc["branches"][0]["ampacity_a"] = i_pu * 1000.0
     model2 = load_feeder(doc)
     case2 = NetworkCase(model2)

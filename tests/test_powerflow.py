@@ -14,14 +14,12 @@ from adcap.powerflow import (
     PowerFlowState,
     branch_flows,
     correct,
-    jacobian,
-    mismatch,
     solve,
 )
 from adcap.stochastic import assemble_variation, build_registry
 
 from conftest import two_bus_doc
-from oracles import branch_flows_loop, dense_jacobian, power_balance
+from oracles import branch_flows_loop, dense_jacobian, jacobian, mismatch, power_balance
 
 
 def _perturbed_state(case, scale, rng):
@@ -317,6 +315,45 @@ def test_jacobian_equals_the_dense_identities(case, feeder_doc, registry):
                 assert np.array_equal(
                     jac[:, -1], np.concatenate([direction[0][curve.idx_p], direction[1][curve.idx_q]])
                 )
+
+
+def test_loading_row_equation_and_its_jacobian(case, registry):
+    """A curve with a loading row appends (amps / ampacity)^2 - 1 of that
+    row to the mismatch, and its Jacobian row below the augmented Jacobian
+    agrees with central differences over z (lambda column zero)."""
+    direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    rng = np.random.default_rng(11)
+    starts = list(case.rated_starts) + [case.n_rated_rows]
+    rows = [0, starts[1] - 1, case.n_rated_rows - 1]  # from end, to end, last rated row
+    for row in rows:
+        curve = Curve(case, direction, {}, loading_row=row)
+        z = curve.pack(_perturbed_state(case, 0.05, rng), 0.5)
+        g, jac = curve.linearize(z.copy(), None)
+        k = np.searchsorted(case.rated_starts, row, "right") - 1
+        amps = branch_flows(case, curve.state(z)).amps[row]
+        assert g[-1] == pytest.approx((amps / case.ampacity[k]) ** 2 - 1.0, rel=1e-12, abs=1e-14)
+        j = jac()
+        assert j.shape == (len(z), len(z))
+        vm, theta = curve.unpack(z)
+        assert np.array_equal(j[:-1], curve.jacobian(vm, theta, None))
+        h = 1e-7
+        fd = np.empty(len(z))
+        for c in range(len(z)):
+            zp, zm = z.copy(), z.copy()
+            zp[c] += h
+            zm[c] -= h
+            fd[c] = (curve.linearize(zp, None)[0][-1] - curve.linearize(zm, None)[0][-1]) / (2 * h)
+        assert j[-1, -1] == 0.0
+        assert np.max(np.abs(j[-1] - fd)) <= 1e-6 * np.abs(fd).max()
+
+
+def test_correct_with_nothing_pinned_solves_a_square_system():
+    rng = np.random.default_rng(2)
+    a = rng.uniform(-1, 1, (4, 4)) + 3.0 * np.eye(4)
+    b = rng.uniform(-1, 1, 4)
+    z, iters, _ = correct(lambda z, pin: (a @ z - b, lambda: a), np.zeros(4), None)
+    assert iters == 1
+    assert np.allclose(a @ z, b, atol=1e-12)
 
 
 def test_direction_arrays_sign_convention(case, registry):
