@@ -1,0 +1,129 @@
+"""Per-trace differences of the continuation trace between two source trees.
+
+    python scripts/trace_delta.py OLD_SRC NEW_SRC [--samples N]
+
+OLD_SRC and NEW_SRC are directories that hold an ``adcap`` package (a
+checkout's ``src``).  Each tree is imported in its own subprocess, which
+traces, on the bundled feeder and scenario, N Monte Carlo inputs (the first
+N draws of the seed-0 MCS stream, as ``adc run --seed 0`` draws them) and
+then every point of the full PCE collocation design (91 on the bundled
+scenario), one ``trace_adc`` call each.
+
+Printed: per class, the max, median and 99th percentile of |delta lambda|
+over the traces that succeed in both trees; the traces whose binding class,
+binding elements or ``capped`` flag differ; the failed traces of each tree;
+and each tree's mean ``n_solves`` and ``n_newton`` per successful trace.
+Exits 1 when the two trees drew different inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+CLASSES = ("voltage", "thermal", "collapse")
+
+
+def trace_all(samples: int) -> list:
+    """Trace the inputs with the ``adcap`` on ``sys.path``; one dict per trace."""
+    import adcap
+    from adcap import assessment, chaos, continuation, stochastic
+    from adcap.errors import ConvergenceError, SingularJacobianError
+    from adcap.feeder import load_feeder
+    from adcap.powerflow import NetworkCase
+
+    data = Path(adcap.__file__).parent / "data"
+    model = load_feeder(json.loads((data / "ieee13_mod.json").read_text()))
+    registry = stochastic.build_registry(
+        model, json.loads((data / "scenario_ieee13.json").read_text())
+    )
+    case = NetworkCase(model)
+    dists = registry.distributions()
+    n = registry.dimension
+    design = chaos.collocation_design(
+        chaos.PceConfig(n, assessment.PCE_ORDER),
+        n_rows=chaos.basis_size(n, assessment.PCE_ORDER),
+    )
+    inputs = stochastic.sample_inputs(dists, samples, [0, assessment._STREAM_MCS])
+    inputs += [chaos.quantile_transform(xi, dists) for xi in design.points]
+
+    rows = []
+    for u in inputs:
+        row = {"input": u.as_array().tolist()}
+        try:
+            res = continuation.trace_adc(case, stochastic.assemble_variation(u, registry))
+        except (ConvergenceError, SingularJacobianError) as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            row.update(
+                lambdas=[res.lambdas[c] for c in CLASSES],
+                binding=[res.binding_class]
+                + [continuation.binding_label(res.binding_element[c]) for c in CLASSES],
+                capped=res.capped,
+                n_solves=res.n_solves,
+                n_newton=res.n_newton,
+            )
+        rows.append(row)
+    return rows
+
+
+def run_tree(src: str, samples: int) -> list:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", "--samples", str(samples)],
+        env=env, check=True, stdout=subprocess.PIPE, text=True,
+    )
+    return json.loads(out.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old_src", nargs="?")
+    ap.add_argument("new_src", nargs="?")
+    ap.add_argument("--samples", type=int, default=1000, help="MCS inputs (default 1000)")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        json.dump(trace_all(args.samples), sys.stdout)
+        return 0
+    if args.new_src is None:
+        ap.error("OLD_SRC and NEW_SRC are required")
+
+    old, new = run_tree(args.old_src, args.samples), run_tree(args.new_src, args.samples)
+    if [r["input"] for r in old] != [r["input"] for r in new]:
+        print("the two trees drew different inputs")
+        return 1
+    print(f"traces: {len(old)} ({args.samples} MCS + {len(old) - args.samples} design)")
+
+    both = [(a, b) for a, b in zip(old, new) if "error" not in a and "error" not in b]
+    if both:
+        delta = np.abs(np.array([a["lambdas"] for a, _ in both])
+                       - np.array([b["lambdas"] for _, b in both]))
+        print(f"{'|dlambda|':10} {'max':>10} {'p50':>10} {'p99':>10}")
+        for j, cls in enumerate(CLASSES):
+            d = delta[:, j]
+            print(f"{cls:10} {d.max():10.3g} {np.percentile(d, 50):10.3g} "
+                  f"{np.percentile(d, 99):10.3g}")
+    print(f"binding mismatches: {sum(a['binding'] != b['binding'] for a, b in both)}, "
+          f"capped mismatches: {sum(a['capped'] != b['capped'] for a, b in both)}")
+    for name, rows in (("old", old), ("new", new)):
+        ok = [r for r in rows if "error" not in r]
+        line = f"{name}: {len(rows) - len(ok)} failed"
+        if ok:
+            line += (f", {np.mean([r['n_solves'] for r in ok]):.2f} solves and "
+                     f"{np.mean([r['n_newton'] for r in ok]):.2f} newton iterations per trace")
+        print(line)
+        for r in rows:
+            if "error" in r:
+                print(f"  {r['error']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

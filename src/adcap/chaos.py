@@ -262,8 +262,7 @@ def fit_full(design: CollocationDesign, y) -> PceModel:
         raise DesignRankError(
             f"design matrix rank {rank} < {k}; repair the design first"
         )
-    resid = y - design.matrix @ coeffs
-    model = PceModel(
+    return PceModel(
         design.config,
         list(design.indices),
         coeffs,
@@ -271,11 +270,9 @@ def fit_full(design: CollocationDesign, y) -> PceModel:
         {
             "fit": "full",
             "rows": design.rows,
-            "residual_norm": float(np.linalg.norm(resid)),
             "condition": float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf"),
         },
     )
-    return model
 
 
 def lars_select(x: np.ndarray, y: np.ndarray, max_steps: int) -> list[int]:

@@ -1,18 +1,22 @@
 """Continuation of the lambda-parameterized power-flow curve and extraction
 of delivery margins.
 
-The driver marches the solution branch in the load-growth parameter lambda
-using a tangent first step and secant predictors afterwards, correcting with
-the power flow's one Newton loop (``powerflow.correct``) on its augmented
-system (``powerflow.Curve``).  Away from the nose the curve is parameterized
-naturally: each step is a power-flow solve (``powerflow.solve``) with lambda
-pinned.  When the secant direction shows voltage magnitudes moving faster
-than lambda, or natural steps stop converging, the trace pins the free
-magnitude that moved most instead and lets lambda float (local
-parameterization), which carries the corrector through the fold.  Both kinds
-of step share the power flow's magnitude floor and its reactive-limit rule
-(nearest violation first, one switch per round).  Step length doubles after
-three easy corrections and halves on rejection, with a hard floor.
+The driver is one march along the solution branch.  Every step pins one
+coordinate of the power flow's augmented system (``powerflow.Curve``) and
+corrects with its one Newton loop (``powerflow.correct``): away from the
+nose the load-growth parameter lambda (natural parameterization, a
+power-flow solve, ``powerflow.solve``), past the switch the free voltage
+magnitude that moved most, with lambda floating (local parameterization),
+which carries the corrector through the fold.  Both kinds of step start
+from one predictor, the secant through the last two points of the current
+parameterization, or the tangent while it has only one point, and share
+the power flow's magnitude floor and its reactive-limit rule (nearest
+violation first, one switch per round).  The march goes local at the first
+of two signs of the nose: a secant along which some magnitude moves further
+than lambda, or a natural step that fails down to the step floor STEP_MIN.
+A rejected step is retried at half the length; a natural step grows again
+after three easy corrections, and a local step that halves below 1e-6 ends
+the march at the fold fitted so far.
 
 A limit crossing (voltage band, branch ampacity) is bracketed between two
 accepted points and solved directly by the same corrector, from the chord
@@ -23,9 +27,10 @@ equation "loading of the branch's most loaded rated row = 1" (``Curve``'s
 ``loading_row``).  If another element of the class lies further out at the
 solution, it is held instead (at most MAX_REPINS times).  A crossing not
 solved inside its bracket fails the trace.  The collapse point is the fold
-itself, located from a quadratic fit of lambda against the pinned magnitude
-near the sign change of delta-lambda, after NOSE_EXTRA_ROUNDS local solves
-started from chord midpoints.  Violations that first appear past the fold
+itself: once a local step turns lambda back, NOSE_EXTRA_ROUNDS local solves
+start from chord midpoints of the last two points, and a quadratic of lambda
+against the pinned magnitude through the three highest-lambda points of the
+local segment gives the fold.  Violations that first appear past the fold
 are ignored: every margin is evaluated on the upper branch only.
 
 Every setting is a module constant, not an option: the step control,
@@ -243,29 +248,41 @@ class _Tracer:
             curve = next_curve
             z = curve.pack(state, z[-1])
 
-    def _pin(self, state, dvm) -> int:
-        """The free magnitude of ``state``'s switch set that ``dvm`` moves
-        most; raises ConvergenceError when every magnitude is held."""
-        free = self.case.partition(state.q_switched)[1]
+    def _enter_local(self):
+        """Switch the march to local parameterization at the last point: pin
+        the free magnitude of its switch set that moved most since the point
+        before (the first free one at the base point) and step it down by
+        that move, at least 0.005.  Returns ``(pin_node, h, seg)``, ``seg``
+        the first point of the new parameterization; raises ConvergenceError
+        when every magnitude is held."""
+        points = self.points
+        last = points[-1].state
+        dvm = last.vm - points[-2].state.vm if len(points) > 1 else -np.ones(self.case.n)
+        free = self.case.partition(last.q_switched)[1]
         if not free.size:
             raise ConvergenceError(
                 "local parameterization has no free voltage magnitude to pin"
             )
-        return int(free[np.argmax(np.abs(dvm[free]))])
+        pin_node = int(free[np.argmax(np.abs(dvm[free]))])
+        h = -max(abs(float(dvm[pin_node])), 0.005)  # magnitudes fall into the nose
+        return pin_node, h, max(len(points) - 2, 0)
 
-    def _natural_warm(self, prev, h, z_prev, z_curr) -> pf.PowerFlowState:
-        """Predicted start of the natural step of length h from ``prev``: the
-        tangent from the base point, then the secant through the last two
-        natural points when both carry the current switch set, else ``prev``
-        itself."""
-        if z_prev is None and len(self.points) > 1:
-            return prev.state.copy()
-        curve = pf.Curve(self.case, self.direction, prev.state.q_switched)
-        if len(self.points) == 1:
-            jac = curve.jacobian(prev.state.vm, prev.state.theta)
-            z0 = curve.pack(prev.state, prev.lam)
-            return curve.state(predict_tangent(jac, z0, h, curve.lam_coord))
-        return curve.state(predict_secant(z_prev, z_curr, h, curve.lam_coord))
+    def _predict(self, pin_node, h, seg):
+        """Start of the step that moves the pinned coordinate (lambda when
+        ``pin_node`` is None, else the magnitude there) by h from the last
+        point, in that point's switch set: along the secant through the last
+        two points of ``points[seg:]``, or the tangent when it holds one.
+        Returns ``(curve, z)``."""
+        last = self.points[-1]
+        curve = pf.Curve(self.case, self.direction, last.state.q_switched)
+        # the pin is free in every later point: switch sets only grow
+        coord = curve.lam_coord if pin_node is None else curve.vm_coord(pin_node)
+        z = curve.pack(last.state, last.lam)
+        if len(self.points) - seg >= 2:
+            before = self.points[-2]
+            return curve, predict_secant(curve.pack(before.state, before.lam), z, h, coord)
+        jac = curve.jacobian(last.state.vm, last.state.theta)
+        return curve, predict_tangent(jac, z, h, coord)
 
     @staticmethod
     def _sane(lam, state, ref) -> bool:
@@ -365,19 +382,21 @@ class _Tracer:
     # nose refinement --------------------------------------------------------------
 
     @staticmethod
-    def _fold_fit(pts):
-        """Quadratic lambda(eta) through three points; returns fold lambda."""
-        (e0, l0), (e1, l1), (e2, l2) = pts
-        lmax = max(l0, l1, l2)
-        coef = np.polyfit([e0, e1, e2], [l0, l1, l2], 2)
-        a, b, c = coef
+    def _fold_fit(pts, pin_node):
+        """Fold lambda from a quadratic lambda(eta), eta the magnitude at
+        ``pin_node``, through the three points of ``pts`` with the highest
+        lambda."""
+        top = sorted(pts, key=lambda p: p.lam)[-3:]
+        eta, lam = zip(*sorted((float(p.state.vm[pin_node]), p.lam) for p in top))
+        lmax = max(lam)
+        a, b, c = np.polyfit(eta, lam, 2)
         if a >= 0:  # not a fold-shaped fit; fall back to the best sample
             return lmax
         lam_star = c - b * b / (4.0 * a)
         # the fit interpolates points straddling the fold, so the vertex must
         # lie nearby; a vertex further than one spread above the best sample
         # means near-collinear data, where extrapolation is meaningless
-        lam_star = min(lam_star, lmax + (lmax - min(l0, l1, l2)) + 1e-9)
+        lam_star = min(lam_star, lmax + (lmax - min(lam)) + 1e-9)
         return float(max(lam_star, lmax))
 
     # main driver --------------------------------------------------------------------
@@ -389,55 +408,45 @@ class _Tracer:
         self._accept(0.0, base, status0)
         points = self.points
 
-        h = STEP0
+        h = STEP0  # step of the pinned coordinate
         easy = 0
-        mode = "natural"
-        pin_node = None
-        eta_h = None
+        pin_node = None  # the pinned magnitude's node index; None pins lambda
+        seg = 0  # points[seg:] share the current parameterization
         capped = False
-        local_pts = []  # (eta, lam, state) along the pinned coordinate
-        z_prev = None
-        z_curr = None
 
         for _step in range(MAX_POINTS):
             prev = points[-1]
-            if mode == "natural":
-                lam_new = prev.lam + h
-                try:
-                    new_state = self._solve_natural(
-                        lam_new, self._natural_warm(prev, h, z_prev, z_curr)
-                    )
-                except (ConvergenceError, SingularJacobianError):
-                    new_state = None
-                if new_state is None or not self._sane(lam_new, new_state, prev.state):
-                    h *= 0.5
-                    easy = 0
-                    if h < STEP_MIN:
-                        # the corrector cannot advance in lambda: go local
-                        mode = "local"
-                        h = STEP0
-                    continue
-                self._accept(lam_new, new_state)
-
-                z_new = pf.Curve(self.case, self.direction, new_state.q_switched).pack(
-                    new_state, lam_new
-                )
-                if prev.state.q_switched == new_state.q_switched:
-                    z_prev, z_curr = z_curr, z_new
+            curve, z = self._predict(pin_node, h, seg)
+            try:
+                if pin_node is None:
+                    lam_new = prev.lam + h
+                    new_state = self._solve_natural(lam_new, curve.state(z))
                 else:
-                    z_prev, z_curr = None, z_new
+                    new_state, lam_new = self._solve_local(
+                        curve, z, pin_node, abort_on_rise=True
+                    )
+            except (ConvergenceError, SingularJacobianError):
+                new_state = None
+            if new_state is None or not self._sane(lam_new, new_state, prev.state):
+                h *= 0.5
+                easy = 0
+                if pin_node is None and h < STEP_MIN:
+                    # the corrector cannot advance in lambda: go local
+                    pin_node, h, seg = self._enter_local()
+                elif abs(h) < 1e-6:  # local steps only
+                    if len(points) - seg < 3:
+                        raise ConvergenceError(
+                            "continuation stalled before locating the fold"
+                        )
+                    lam_collapse = self._fold_fit(points[seg:], pin_node)
+                    break
+                continue
+            self._accept(lam_new, new_state)
 
-                # mode decision from the latest secant
-                dvm = new_state.vm - prev.state.vm
-                dlam = lam_new - prev.lam
-                if np.max(np.abs(dvm)) > abs(dlam):
-                    mode = "local"
-                    pin_node = self._pin(new_state, dvm)
-                    eta_h = -abs(float(dvm[pin_node]))  # magnitudes fall into the nose
-                    local_pts = [
-                        (float(prev.state.vm[pin_node]), prev.lam, prev.state),
-                        (float(new_state.vm[pin_node]), lam_new, new_state),
-                    ]
+            if pin_node is None:
+                if np.max(np.abs(new_state.vm - prev.state.vm)) > lam_new - prev.lam:
+                    # magnitudes move faster than lambda: go local
+                    pin_node, h, seg = self._enter_local()
                 elif new_state.iterations <= EASY_ITERS:
                     easy += 1
                     if easy >= GROW_AFTER:
@@ -445,53 +454,6 @@ class _Tracer:
                         easy = 0
                 else:
                     easy = 0
-            else:
-                # ---- local parameterization ----
-                if pin_node is None:
-                    # entered on corrector failure: pin the free magnitude that moved most
-                    ref = prev.state
-                    prev2 = points[-2].state if len(points) >= 2 else None
-                    dvm = ref.vm - prev2.vm if prev2 is not None else -np.ones(self.case.n)
-                    pin_node = self._pin(ref, dvm)
-                    eta_h = -max(abs(float(dvm[pin_node])), 0.005)
-                    local_pts = [(float(ref.vm[pin_node]), prev.lam, ref)]
-
-                # the pin is free in every later point: switch sets only grow
-                curve_ctx = pf.Curve(self.case, self.direction, prev.state.q_switched)
-                pin_coord = curve_ctx.vm_coord(pin_node)
-                z_here = curve_ctx.pack(prev.state, prev.lam)
-                zp = None
-                if len(local_pts) >= 2:
-                    _, lam_prev, st_prev = local_pts[-2]
-                    z_last2 = curve_ctx.pack(st_prev, lam_prev)
-                    try:
-                        zp = predict_secant(z_last2, z_here, eta_h, pin_coord)
-                    except ZeroDivisionError:
-                        pass
-                if zp is None:  # no usable secant: move the pinned magnitude only
-                    zp = z_here.copy()
-                    zp[pin_coord] += eta_h
-
-                try:
-                    new_state, lam_new = self._solve_local(
-                        curve_ctx, zp, pin_node, abort_on_rise=True
-                    )
-                except (ConvergenceError, SingularJacobianError):
-                    new_state = None
-                if new_state is None or not self._sane(lam_new, new_state, prev.state):
-                    eta_h *= 0.5
-                    if abs(eta_h) < 1e-6:
-                        if len(local_pts) >= 3:
-                            lam_collapse = self._fold_fit(
-                                [(e, l) for e, l, _ in local_pts[-3:]]
-                            )
-                            break
-                        raise ConvergenceError(
-                            "continuation stalled before locating the fold"
-                        )
-                    continue
-                self._accept(lam_new, new_state)
-                local_pts.append((float(new_state.vm[pin_node]), lam_new, new_state))
 
             if lam_new > LAMBDA_CAP:
                 capped = True
@@ -504,26 +466,22 @@ class _Tracer:
                 for _ in range(NOSE_EXTRA_ROUNDS):
                     # from the chord midpoint of the last two points, with
                     # the pinned magnitude halfway between theirs
-                    (e2, l2, s2), (e3, l3, s3) = local_pts[-2:]
-                    cu = pf.Curve(self.case, self.direction, s2.q_switched)
-                    zm = 0.5 * (cu.pack(s2, l2) + cu.pack(s3, l3))
-                    zm[cu.vm_coord(pin_node)] = e2 + 0.5 * (e3 - e2)
+                    a, b = points[-2:]
+                    cu = pf.Curve(self.case, self.direction, a.state.q_switched)
+                    zm = 0.5 * (cu.pack(a.state, a.lam) + cu.pack(b.state, b.lam))
+                    ea, eb = float(a.state.vm[pin_node]), float(b.state.vm[pin_node])
+                    zm[cu.vm_coord(pin_node)] = ea + 0.5 * (eb - ea)
                     try:
                         st_r, lam_r = self._solve_local(cu, zm, pin_node)
                     except (ConvergenceError, SingularJacobianError):
                         break
-                    if not self._sane(lam_r, st_r, s2):
+                    if not self._sane(lam_r, st_r, a.state):
                         break
                     self._accept(lam_r, st_r)
-                    local_pts.append((float(st_r.vm[pin_node]), lam_r, st_r))
-                if len(local_pts) >= 3:
-                    trio = sorted(local_pts, key=lambda t: t[1])[-3:]
-                    trio = sorted(trio, key=lambda t: t[0])
-                    lam_collapse = self._fold_fit([(e, l) for e, l, _ in trio])
-                else:
-                    # straddle pair only (every sharpening solve failed); the
-                    # best solved lambda is the defensible estimate
-                    lam_collapse = max(l for _, l, _ in local_pts)
+                # a turn leaves at least three points in the segment: it
+                # starts with two, or at the base point, where the first
+                # local step cannot turn (lambda < 0 is rejected)
+                lam_collapse = self._fold_fit(points[seg:], pin_node)
                 break
         else:
             raise ConvergenceError("continuation exceeded the point budget")

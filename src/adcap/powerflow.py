@@ -88,20 +88,12 @@ class PowerFlowState:
     vm: np.ndarray  # pu, per node
     theta: np.ndarray  # rad, per node
     q_switched: dict = field(default_factory=dict)  # (bus, phase) -> "min"/"max"
-    q_gen_pu: dict = field(default_factory=dict)  # reactive output of PV phases
     iterations: int = 0
     max_mismatch: float = math.inf
     newton_total: int = 0  # cumulative over switching rounds
 
     def voltage(self) -> np.ndarray:
         return self.vm * np.exp(1j * self.theta)
-
-    def copy(self) -> "PowerFlowState":
-        return PowerFlowState(
-            self.vm.copy(), self.theta.copy(), dict(self.q_switched),
-            dict(self.q_gen_pu), self.iterations, self.max_mismatch,
-            self.newton_total,
-        )
 
 
 class NetworkCase:
@@ -368,9 +360,7 @@ class Curve:
 
     def state(self, z, iterations=0, norm=0.0) -> PowerFlowState:
         vm, theta = self.unpack(z)
-        return PowerFlowState(
-            vm, theta, dict(self.q_switched), {}, iterations, norm
-        )
+        return PowerFlowState(vm, theta, dict(self.q_switched), iterations, norm)
 
     def vm_coord(self, node_index):
         """Position in z of the magnitude at a node index, which must be free."""
@@ -426,8 +416,7 @@ class Curve:
         """The state at a converged z and the curve of the next switching
         round, None once no unswitched PV phase violates its reactive limit.
 
-        The state records the reactive output of every unswitched PV phase;
-        the next round switches the nearest violation (module docstring).
+        The next round switches the nearest violation (module docstring).
         """
         case = self.case
         state = self.state(z, iterations, norm)
@@ -438,11 +427,9 @@ class Curve:
         dq = self.direction[1] if self.direction is not None else np.zeros(case.n)
         violations = []
         for i in case.pv_nodes:
-            node = case.nodes[i]
-            if node in self.q_switched:
+            if case.nodes[i] in self.q_switched:
                 continue
             qg = s.imag[i] - (case.q0[i] + lam * dq[i])
-            state.q_gen_pu[node] = qg
             if qg > case.q_max[i]:
                 violations.append((qg - case.q_max[i], i, "max"))
             elif qg < case.q_min[i]:

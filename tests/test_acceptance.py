@@ -91,14 +91,14 @@ def test_criterion_4_solver_correctness(case):
     rng = np.random.default_rng(0)
     vm = np.ones(case.n) + 0.05 * rng.uniform(-1, 1, case.n)
     theta = case.theta_ref + 0.05 * rng.uniform(-1, 1, case.n)
-    state = PowerFlowState(vm=vm, theta=theta, q_switched={}, q_gen_pu={},
+    state = PowerFlowState(vm=vm, theta=theta, q_switched={},
                            iterations=0, max_mismatch=np.inf)
     idx_p, idx_q = case.partition({})
     jac = jacobian(case, state)
     h = 1e-7
 
     def g_of(vm_, th_):
-        st = PowerFlowState(vm=vm_, theta=th_, q_switched={}, q_gen_pu={},
+        st = PowerFlowState(vm=vm_, theta=th_, q_switched={},
                             iterations=0, max_mismatch=np.inf)
         return mismatch(case, st, 0.0, None)
 

@@ -95,6 +95,46 @@ def test_two_bus_nose_matches_closed_form():
     assert res.binding_class in ("collapse", "voltage")
 
 
+@pytest.mark.parametrize("rel", [
+    0.015,  # the bisection oracles' bound
+    pytest.param(1e-3, marks=pytest.mark.xfail(strict=True, reason=(
+        "off by -1.6e-3: nose sharpening bisects only between the last two "
+        "points, beyond the best point, and here the fold lies before it"
+    ))),
+])
+def test_local_entry_after_natural_failure_finds_two_bus_nose(monkeypatch, rel):
+    # with STEP_MIN above STEP0 the first failed natural step goes local,
+    # before any secant turns steep
+    from adcap import continuation, powerflow
+
+    p, q, x = 1.0, 0.2, 0.3
+    case, var, _ = _two_bus_case(1000.0 * p, 1000.0 * q, x_ohm=x)
+    lam_star = (math.sqrt(p * p + q * q) - q) / (2 * x * p * p)
+    log = []
+    solve_, enter_local = powerflow.solve, continuation._Tracer._enter_local
+
+    def logged_solve(*args, **kwargs):
+        try:
+            state = solve_(*args, **kwargs)
+        except (ConvergenceError, SingularJacobianError):
+            log.append("failed")
+            raise
+        log.append("solved")
+        return state
+
+    def logged_enter_local(self):
+        log.append("local")
+        return enter_local(self)
+
+    monkeypatch.setattr(powerflow, "solve", logged_solve)
+    monkeypatch.setattr(continuation._Tracer, "_enter_local", logged_enter_local)
+    monkeypatch.setattr(continuation, "STEP_MIN", 0.2)
+    res = trace_adc(case, var)
+    assert log.count("local") == 1
+    assert log[log.index("local") - 1] == "failed" and log[-1] == "local"
+    assert res.lambdas["collapse"] == pytest.approx(lam_star, rel=rel)
+
+
 def test_two_bus_voltage_crossing_matches_quadratic():
     # with y = v_min^2, the crossing solves
     #   y^2 + y (2 lam q x - 1) + lam^2 x^2 (p^2 + q^2) = 0

@@ -25,7 +25,7 @@ from oracles import branch_flows_loop, dense_jacobian, jacobian, mismatch, power
 def _perturbed_state(case, scale, rng):
     vm = np.ones(case.n) + scale * rng.uniform(-1, 1, case.n)
     theta = case.theta_ref + scale * rng.uniform(-1, 1, case.n)
-    return PowerFlowState(vm=vm, theta=theta, q_switched={}, q_gen_pu={},
+    return PowerFlowState(vm=vm, theta=theta, q_switched={},
                           iterations=0, max_mismatch=np.inf)
 
 
@@ -39,7 +39,7 @@ def test_jacobian_matches_finite_differences(case):
     h = 1e-7
 
     def g_of(vm, theta):
-        st = PowerFlowState(vm=vm, theta=theta, q_switched={}, q_gen_pu={},
+        st = PowerFlowState(vm=vm, theta=theta, q_switched={},
                             iterations=0, max_mismatch=np.inf)
         return mismatch(case, st, 0.0, None)
 
