@@ -10,9 +10,10 @@ then every point of the full PCE collocation design (91 on the bundled
 scenario), one ``trace_adc`` call each.
 
 Printed: per class, the max, median and 99th percentile of |delta lambda|
-over the traces that succeed in both trees; the traces whose binding class,
-binding elements or ``capped`` flag differ; the failed traces of each tree;
-and each tree's mean ``n_solves`` and ``n_newton`` per successful trace.
+and of |delta lambda| / lambda (lambda from OLD_SRC) over the traces that
+succeed in both trees; the traces whose binding class, binding elements or
+``capped`` flag differ; the failed traces of each tree; and each tree's mean
+``n_solves`` and ``n_newton`` per successful trace.
 Exits 1 when the two trees drew different inputs.
 """
 
@@ -103,13 +104,16 @@ def main(argv=None) -> int:
 
     both = [(a, b) for a, b in zip(old, new) if "error" not in a and "error" not in b]
     if both:
-        delta = np.abs(np.array([a["lambdas"] for a, _ in both])
-                       - np.array([b["lambdas"] for _, b in both]))
-        print(f"{'|dlambda|':10} {'max':>10} {'p50':>10} {'p99':>10}")
+        lam_old = np.array([a["lambdas"] for a, _ in both])
+        delta = np.abs(lam_old - np.array([b["lambdas"] for _, b in both]))
+        print(f"{'':10} {'|dlambda|':>32}   {'|dlambda| / lambda':>32}")
+        print((f"{'':10}" + f" {'max':>10} {'p50':>10} {'p99':>10}  " * 2).rstrip())
         for j, cls in enumerate(CLASSES):
-            d = delta[:, j]
-            print(f"{cls:10} {d.max():10.3g} {np.percentile(d, 50):10.3g} "
-                  f"{np.percentile(d, 99):10.3g}")
+            line = f"{cls:10}"
+            for d in (delta[:, j], delta[:, j] / lam_old[:, j]):
+                line += (f" {d.max():10.3g} {np.percentile(d, 50):10.3g} "
+                         f"{np.percentile(d, 99):10.3g}  ")
+            print(line.rstrip())
     print(f"binding mismatches: {sum(a['binding'] != b['binding'] for a, b in both)}, "
           f"capped mismatches: {sum(a['capped'] != b['capped'] for a, b in both)}")
     for name, rows in (("old", old), ("new", new)):

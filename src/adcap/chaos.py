@@ -302,6 +302,8 @@ def lars_select(x: np.ndarray, y: np.ndarray, max_steps: int) -> list[int]:
         g = xa.T @ xa
         try:
             ginv_one = np.linalg.solve(g, np.ones(len(active)))
+            if not np.sum(ginv_one) > 0.0:  # G singular to working precision
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             active.pop()
             del signs[j_new]

@@ -4,8 +4,8 @@
             --samples N --seed S --out DIR
             [--sparse-terms M|auto] [--workers W] [--dump-trace]
 
-Exit codes: 0 success, 1 bad input, 2 infeasible base case, 3 numerical
-failure during solving or fitting.
+Exit codes: 0 success, 1 bad input (a bad or missing flag included), 2
+infeasible base case, 3 numerical failure during solving or fitting.
 """
 
 from __future__ import annotations
@@ -35,8 +35,17 @@ EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as ConfigurationError, which ``main`` reports
+    in one ``error:`` line with EXIT_BAD_INPUT (argparse would print its
+    usage and exit 2, the code of an infeasible base case)."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adc", description="Probabilistic available delivery capability"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,8 +79,8 @@ def _parse_sparse_terms(raw):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         feeder_text = Path(args.feeder).read_text()
         scenario = json.loads(Path(args.scenario).read_text())
         model = load_feeder(feeder_text)

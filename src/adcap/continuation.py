@@ -1,43 +1,43 @@
 """Continuation of the lambda-parameterized power-flow curve and extraction
 of delivery margins.
 
-The driver is one march along the solution branch.  Every step pins one
-coordinate of the power flow's augmented system (``powerflow.Curve``) and
-corrects with its one Newton loop (``powerflow.correct``): away from the
-nose the load-growth parameter lambda (natural parameterization, a
-power-flow solve, ``powerflow.solve``), past the switch the free voltage
-magnitude that moved most, with lambda floating (local parameterization),
-which carries the corrector through the fold.  Both kinds of step start
-from one predictor, the secant through the last two points of the current
-parameterization, or the tangent while it has only one point, and share
-the power flow's magnitude floor and its reactive-limit rule (nearest
-violation first, one switch per round).  The march goes local at the first
-of two signs of the nose: a secant along which some magnitude moves further
-than lambda, or a natural step that fails down to the step floor STEP_MIN.
-A rejected step is retried at half the length; a natural step grows again
-after three easy corrections, and a local step that halves below 1e-6 ends
-the march at the fold fitted so far.
+The driver marches in the load-growth parameter lambda: every step is a
+power-flow solve at a pinned lambda (``powerflow.solve``) that starts from
+the secant through the last two accepted points, or from the tangent while
+the march holds one.  A rejected step is retried at half the length, and a
+step grows again after three easy corrections.  The march stops at the
+first of two signs of the nose: a secant along which some magnitude moves
+further than lambda, or a step that fails down to the step floor STEP_MIN.
+
+The collapse point is then solved directly.  At the fold lambda is
+stationary along the curve, so with eta the free voltage magnitude that
+moved most over the last step, the fold is the root of s(eta) = d lambda /
+d eta, the lambda entry of the tangent with eta's entry 1 (``tangent``).  A
+secant on s starts from the last two points; each iterate is one solve of
+the power flow's augmented system (``powerflow.Curve``) with eta pinned and
+lambda free, by its one Newton loop (``powerflow.correct``), from the chord
+through the two latest points, followed by one tangent solve on the
+augmented Jacobian there.  It stops once the quadratic estimate of the
+lambda still to gain is at most TOL times lambda.  A march of one point
+takes its first iterate where its pending step would have started.
 
 A limit crossing (voltage band, branch ampacity) is bracketed between two
-accepted points and solved directly by the same corrector, from the chord
-at the margin's linear zero: the element binding at the violated end is
-held at its limit and lambda floats.  A voltage crossing pins that node's
-magnitude at the band edge; a thermal crossing pins nothing and adds the
-equation "loading of the branch's most loaded rated row = 1" (``Curve``'s
-``loading_row``).  If another element of the class lies further out at the
-solution, it is held instead (at most MAX_REPINS times).  A crossing not
-solved inside its bracket fails the trace.  The collapse point is the fold
-itself: once a local step turns lambda back, NOSE_EXTRA_ROUNDS local solves
-start from chord midpoints of the last two points, and a quadratic of lambda
-against the pinned magnitude through the three highest-lambda points of the
-local segment gives the fold.  Violations that first appear past the fold
-are ignored: every margin is evaluated on the upper branch only.
+accepted points, the fold included, and solved directly by the same
+corrector, from the chord at the margin's linear zero: the element binding
+at the violated end is held at its limit and lambda floats.  A voltage
+crossing pins that node's magnitude at the band edge; a thermal crossing
+pins nothing and adds the equation "loading of the branch's most loaded
+rated row = 1" (``Curve``'s ``loading_row``).  If another element of the
+class lies further out at the solution, it is held instead (at most
+MAX_REPINS times).  A crossing not solved inside its bracket fails the
+trace.  Violations that first appear past the fold are ignored: every
+margin is evaluated on the upper branch only.
 
 Every setting is a module constant, not an option: the step control,
-lambda cap, point budget, re-pin cap and nose sharpening below
-(STEP0 ... MAX_VM_STEP), and the Newton tolerance, iteration budget and
-magnitude floor of the shared loop (``powerflow.TOL``, ``MAX_ITER``,
-``VM_FLOOR``).
+lambda cap, point budget and re-pin cap below (STEP0 ... MAX_VM_STEP), and
+the Newton tolerance, iteration budget and magnitude floor of the shared
+loop (``powerflow.TOL``, ``MAX_ITER``, ``VM_FLOOR``), which also bound the
+fold secant.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     ZeroDirectionError,
 )
 from . import powerflow as pf
-# local steps call the loop as this module's ``correct``; a wrapper set here sees only them
+# fold and crossing solves call the loop as this module's ``correct``; a wrapper set here sees only them
 from .powerflow import correct
 
 _CLASSES = ("voltage", "thermal", "collapse")
@@ -68,7 +68,6 @@ EASY_ITERS = 3
 LAMBDA_CAP = 20.0  # a trace passing this lambda stops there, flagged capped
 MAX_POINTS = 600  # step attempts per trace, rejected ones included
 MAX_REPINS = 3  # times one crossing is solved again with another element held
-NOSE_EXTRA_ROUNDS = 2  # step-halving passes around the fold
 # largest voltage-magnitude change accepted in one step; a converged
 # corrector that moved further has almost certainly slid onto the lower
 # branch, so the step is rejected like a corrector failure
@@ -180,11 +179,9 @@ def predict_secant(z_prev: np.ndarray, z_curr: np.ndarray, h: float, param_index
     return z_curr + d * (h / d[param_index])
 
 
-def predict_tangent(jac_aug: np.ndarray, z_curr: np.ndarray, h: float, param_index: int) -> np.ndarray:
-    """First-step predictor from the augmented Jacobian [dg/dx | dg/dlam].
-
-    Solves J_aug t = 0 with t[param_index] = 1, then steps z + h t.
-    """
+def tangent(jac_aug: np.ndarray, param_index: int) -> np.ndarray:
+    """The tangent t of the curve from the augmented Jacobian
+    [dg/dx | dg/dlam]: J_aug t = 0 with t[param_index] = 1."""
     m, n1 = jac_aug.shape
     if n1 != m + 1:
         raise ValueError("augmented jacobian must be m x (m+1)")
@@ -192,8 +189,13 @@ def predict_tangent(jac_aug: np.ndarray, z_curr: np.ndarray, h: float, param_ind
     sq[m, param_index] = 1.0
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
-    t = np.linalg.solve(sq, rhs)
-    return z_curr + h * t
+    return np.linalg.solve(sq, rhs)
+
+
+def predict_tangent(jac_aug: np.ndarray, z_curr: np.ndarray, h: float, param_index: int) -> np.ndarray:
+    """First-step predictor: z + h t, t the :func:`tangent` with
+    t[param_index] = 1."""
+    return z_curr + h * tangent(jac_aug, param_index)
 
 
 @dataclass
@@ -222,9 +224,8 @@ class _Tracer:
 
     # corrector entry points ---------------------------------------------------
     # ``abort_on_rise`` (see ``powerflow.correct``) is set for the steps of
-    # the march, which retry a failure shorter (every natural solve is one);
-    # limit crossings and nose sharpening read a failure as "no solution
-    # there" and keep the budget.
+    # the march, which retry a failure shorter; limit crossings and the fold
+    # secant read a failure as "no solution there" and keep the budget.
 
     def _solve_natural(self, lam, warm) -> pf.PowerFlowState:
         state = pf.solve(self.case, lam, self.direction, initial=warm, abort_on_rise=True)
@@ -232,14 +233,14 @@ class _Tracer:
         self.n_newton += state.newton_total - warm.newton_total
         return state
 
-    def _solve_local(self, curve: pf.Curve, z, pin_node, abort_on_rise=False):
-        """Local-parameterization correction from ``z`` with the magnitude at
+    def _solve_local(self, curve: pf.Curve, z, pin_node):
+        """Correction from ``z`` with lambda free and the magnitude at
         ``pin_node`` pinned (nothing pinned for None, on a curve with a
         loading row), switching reactive limits by the power-flow rule;
         returns ``(state, lambda)``."""
         while True:  # each round switches one more PV phase, so this ends
             pin = None if pin_node is None else curve.vm_coord(pin_node)
-            z, iters, norm = correct(curve.linearize, z, pin, abort_on_rise)
+            z, iters, norm = correct(curve.linearize, z, pin)
             self.n_solves += 1
             self.n_newton += iters
             state, next_curve = curve.settle(z, iters, norm)
@@ -248,41 +249,36 @@ class _Tracer:
             curve = next_curve
             z = curve.pack(state, z[-1])
 
-    def _enter_local(self):
-        """Switch the march to local parameterization at the last point: pin
-        the free magnitude of its switch set that moved most since the point
-        before (the first free one at the base point) and step it down by
-        that move, at least 0.005.  Returns ``(pin_node, h, seg)``, ``seg``
-        the first point of the new parameterization; raises ConvergenceError
-        when every magnitude is held."""
+    def _pin(self):
+        """The fold's coordinate eta: the free magnitude of the last point's
+        switch set that moved most since the point before (the first free
+        one at the base point).  Raises ConvergenceError when every
+        magnitude is held."""
         points = self.points
         last = points[-1].state
         dvm = last.vm - points[-2].state.vm if len(points) > 1 else -np.ones(self.case.n)
         free = self.case.partition(last.q_switched)[1]
         if not free.size:
             raise ConvergenceError(
-                "local parameterization has no free voltage magnitude to pin"
+                "the fold has no free voltage magnitude to pin"
             )
-        pin_node = int(free[np.argmax(np.abs(dvm[free]))])
-        h = -max(abs(float(dvm[pin_node])), 0.005)  # magnitudes fall into the nose
-        return pin_node, h, max(len(points) - 2, 0)
+        return int(free[np.argmax(np.abs(dvm[free]))])
 
-    def _predict(self, pin_node, h, seg):
-        """Start of the step that moves the pinned coordinate (lambda when
-        ``pin_node`` is None, else the magnitude there) by h from the last
-        point, in that point's switch set: along the secant through the last
-        two points of ``points[seg:]``, or the tangent when it holds one.
-        Returns ``(curve, z)``."""
+    def _predict(self, h):
+        """Start of the step that raises lambda by h from the last point, in
+        that point's switch set: along the secant through the last two
+        points, or the tangent while the march holds one.  Returns
+        ``(curve, z)``."""
         last = self.points[-1]
         curve = pf.Curve(self.case, self.direction, last.state.q_switched)
-        # the pin is free in every later point: switch sets only grow
-        coord = curve.lam_coord if pin_node is None else curve.vm_coord(pin_node)
         z = curve.pack(last.state, last.lam)
-        if len(self.points) - seg >= 2:
+        if len(self.points) >= 2:
             before = self.points[-2]
-            return curve, predict_secant(curve.pack(before.state, before.lam), z, h, coord)
+            return curve, predict_secant(
+                curve.pack(before.state, before.lam), z, h, curve.lam_coord
+            )
         jac = curve.jacobian(last.state.vm, last.state.theta)
-        return curve, predict_tangent(jac, z, h, coord)
+        return curve, predict_tangent(jac, z, h, curve.lam_coord)
 
     @staticmethod
     def _sane(lam, state, ref) -> bool:
@@ -379,25 +375,44 @@ class _Tracer:
         z[curve.vm_coord(i)] = limits.v_min_pu if side == "lower" else limits.v_max_pu
         return self._solve_local(curve, z, i)
 
-    # nose refinement --------------------------------------------------------------
+    # the fold ---------------------------------------------------------------------
 
-    @staticmethod
-    def _fold_fit(pts, pin_node):
-        """Fold lambda from a quadratic lambda(eta), eta the magnitude at
-        ``pin_node``, through the three points of ``pts`` with the highest
-        lambda."""
-        top = sorted(pts, key=lambda p: p.lam)[-3:]
-        eta, lam = zip(*sorted((float(p.state.vm[pin_node]), p.lam) for p in top))
-        lmax = max(lam)
-        a, b, c = np.polyfit(eta, lam, 2)
-        if a >= 0:  # not a fold-shaped fit; fall back to the best sample
-            return lmax
-        lam_star = c - b * b / (4.0 * a)
-        # the fit interpolates points straddling the fold, so the vertex must
-        # lie nearby; a vertex further than one spread above the best sample
-        # means near-collinear data, where extrapolation is meaningless
-        lam_star = min(lam_star, lmax + (lmax - min(lam)) + 1e-9)
-        return float(max(lam_star, lmax))
+    def _slope(self, curve: pf.Curve, state, pin_node) -> float:
+        """d lambda / d eta at ``state`` on ``curve``'s equations, eta the
+        magnitude at ``pin_node``."""
+        jac = curve.jacobian(state.vm, state.theta)
+        return float(tangent(jac, curve.vm_coord(pin_node))[-1])
+
+    def _fold(self, h):
+        """Solve the fold by a secant on s(eta) = d lambda / d eta (module
+        docstring), accept it and return its lambda; ``h`` is the pending
+        natural step.  Raises ConvergenceError when an iterate leaves the
+        branch or MAX_ITER iterates do not settle."""
+        pin_node = self._pin()
+        curve, z = self._predict(h)
+        pts = [(p.state, p.lam, self._slope(curve, p.state, pin_node)) for p in self.points[-2:]]
+        for _ in range(pf.MAX_ITER):
+            if len(pts) == 2:
+                (state_a, lam_a, s_a), (state_b, lam_b, s_b) = pts
+                pin = curve.vm_coord(pin_node)
+                za, zb = curve.pack(state_a, lam_a), curve.pack(state_b, lam_b)
+                if s_a == s_b:
+                    raise ConvergenceError("fold secant stalled on equal slopes")
+                step = s_b * (zb[pin] - za[pin]) / (s_a - s_b)  # to the root of s
+                if abs(0.5 * s_b * step) <= pf.TOL * lam_b:
+                    break
+                z = predict_secant(za, zb, step, pin)
+            state, lam = self._solve_local(curve, z, pin_node)
+            if not self._sane(lam, state, pts[-1][0]):
+                raise ConvergenceError(f"fold iterate at lambda {lam:.6g} left the branch")
+            curve = pf.Curve(self.case, self.direction, state.q_switched)
+            pts = [pts[-1], (state, lam, self._slope(curve, state, pin_node))]
+        else:
+            raise ConvergenceError(f"fold not located in {pf.MAX_ITER} secant steps")
+        state, lam = pts[-1][:2]
+        if state is not self.points[-1].state:
+            self._accept(lam, state)
+        return lam
 
     # main driver --------------------------------------------------------------------
 
@@ -408,81 +423,42 @@ class _Tracer:
         self._accept(0.0, base, status0)
         points = self.points
 
-        h = STEP0  # step of the pinned coordinate
+        h = STEP0
         easy = 0
-        pin_node = None  # the pinned magnitude's node index; None pins lambda
-        seg = 0  # points[seg:] share the current parameterization
         capped = False
 
         for _step in range(MAX_POINTS):
             prev = points[-1]
-            curve, z = self._predict(pin_node, h, seg)
+            lam_new = prev.lam + h
+            curve, z = self._predict(h)
             try:
-                if pin_node is None:
-                    lam_new = prev.lam + h
-                    new_state = self._solve_natural(lam_new, curve.state(z))
-                else:
-                    new_state, lam_new = self._solve_local(
-                        curve, z, pin_node, abort_on_rise=True
-                    )
+                new_state = self._solve_natural(lam_new, curve.state(z))
             except (ConvergenceError, SingularJacobianError):
                 new_state = None
             if new_state is None or not self._sane(lam_new, new_state, prev.state):
                 h *= 0.5
                 easy = 0
-                if pin_node is None and h < STEP_MIN:
-                    # the corrector cannot advance in lambda: go local
-                    pin_node, h, seg = self._enter_local()
-                elif abs(h) < 1e-6:  # local steps only
-                    if len(points) - seg < 3:
-                        raise ConvergenceError(
-                            "continuation stalled before locating the fold"
-                        )
-                    lam_collapse = self._fold_fit(points[seg:], pin_node)
+                if h < STEP_MIN:  # the corrector cannot advance in lambda
+                    lam_collapse = self._fold(h)
                     break
                 continue
             self._accept(lam_new, new_state)
-
-            if pin_node is None:
-                if np.max(np.abs(new_state.vm - prev.state.vm)) > lam_new - prev.lam:
-                    # magnitudes move faster than lambda: go local
-                    pin_node, h, seg = self._enter_local()
-                elif new_state.iterations <= EASY_ITERS:
-                    easy += 1
-                    if easy >= GROW_AFTER:
-                        h = min(h * 2.0, STEP_MAX)
-                        easy = 0
-                else:
-                    easy = 0
 
             if lam_new > LAMBDA_CAP:
                 capped = True
                 lam_collapse = LAMBDA_CAP
                 break
-
-            if lam_new < prev.lam:
-                # past the fold (local steps only: natural ones raise lambda):
-                # sharpen with halved steps, then fit
-                for _ in range(NOSE_EXTRA_ROUNDS):
-                    # from the chord midpoint of the last two points, with
-                    # the pinned magnitude halfway between theirs
-                    a, b = points[-2:]
-                    cu = pf.Curve(self.case, self.direction, a.state.q_switched)
-                    zm = 0.5 * (cu.pack(a.state, a.lam) + cu.pack(b.state, b.lam))
-                    ea, eb = float(a.state.vm[pin_node]), float(b.state.vm[pin_node])
-                    zm[cu.vm_coord(pin_node)] = ea + 0.5 * (eb - ea)
-                    try:
-                        st_r, lam_r = self._solve_local(cu, zm, pin_node)
-                    except (ConvergenceError, SingularJacobianError):
-                        break
-                    if not self._sane(lam_r, st_r, a.state):
-                        break
-                    self._accept(lam_r, st_r)
-                # a turn leaves at least three points in the segment: it
-                # starts with two, or at the base point, where the first
-                # local step cannot turn (lambda < 0 is rejected)
-                lam_collapse = self._fold_fit(points[seg:], pin_node)
+            if np.max(np.abs(new_state.vm - prev.state.vm)) > lam_new - prev.lam:
+                # magnitudes move faster than lambda
+                lam_collapse = self._fold(h)
                 break
+            if new_state.iterations <= EASY_ITERS:
+                easy += 1
+                if easy >= GROW_AFTER:
+                    h = min(h * 2.0, STEP_MAX)
+                    easy = 0
+            else:
+                easy = 0
         else:
             raise ConvergenceError("continuation exceeded the point budget")
 

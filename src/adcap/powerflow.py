@@ -31,19 +31,19 @@ Every power-flow solve, whether a plain solve or a continuation step, runs
 one Newton loop (:func:`correct`) on one augmented system (:class:`Curve`):
 the m mismatch rows of a switch set over the m + 1 coordinates
 z = [theta_p, vm_q, lambda], with one coordinate pinned.  :func:`solve` pins
-lambda; a local continuation step pins one voltage magnitude; a thermal
-limit crossing pins nothing and adds the equation
+lambda; a voltage limit crossing or an iterate of the fold pins one voltage
+magnitude; a thermal limit crossing pins nothing and adds the equation
 (|I_row| i_base / ampacity)^2 = 1 for one rated branch-current row.  After every
 update the loop projects the magnitudes of its iterate onto VM_FLOOR, so each
 residual is evaluated at the iterate itself.  The loop gives up after
 MAX_ITER iterations.  A caller that retries a failure with a shorter step
-(the natural and local steps of a continuation) passes ``abort_on_rise``,
+(the steps of a continuation march) passes ``abort_on_rise``,
 and the loop then gives up already at the first iteration whose mismatch
 max-norm is not below the previous one: most such starts lie past the fold
 or too far along the curve, and a shorter retry is cheaper than the rest of
 the budget.  The max-norm can also rise once on the way to a solution, so a
 caller that reads a failure as "no solution here" (the base case, limit
-crossings, nose sharpening) keeps the whole budget.
+crossings, the fold) keeps the whole budget.
 
 Reactive limits follow one rule in every solve: after each converged round,
 the PV phase whose reactive output exceeds its limit by the smallest margin

@@ -7,6 +7,7 @@ or row by row, so that it shares no kernel with the code under test.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -95,6 +96,63 @@ def dense_jacobian(case, vm, theta, rows, cols):
         [ds_dth.real[np.ix_(rp, cp)], ds_dvm.real[np.ix_(rp, cq)]],
         [ds_dth.imag[np.ix_(rq, cp)], ds_dvm.imag[np.ix_(rq, cq)]],
     ])
+
+
+def fold_lambda(case, direction, lam_below, eta_tol=1e-7):
+    """The collapse lambda as the largest lambda over one voltage magnitude
+    eta, by golden section.  Each lambda(eta) is a solve with eta pinned and
+    lambda free (``powerflow.correct``), started from the solved point
+    nearest in eta and switching reactive limits by ``Curve.settle``.
+
+    ``lam_below`` must lie below the fold.  A natural march warm-started
+    through lam_below k / 32, k = 1 ... 31, then (1 - 2^-k) lam_below,
+    k = 6 ... 10, follows the switching path and picks eta, the free
+    magnitude that moved most over its last step.  Eta is then moved on from
+    there in doubling steps until lambda falls, which brackets the maximum,
+    and the bracket is narrowed to ``eta_tol``."""
+    state = powerflow.solve(case)
+    for lam in [lam_below * k / 32 for k in range(1, 32)] + [
+        lam_below * (1 - 2.0 ** -k) for k in range(6, 11)
+    ]:
+        prev, state = state, powerflow.solve(case, lam, direction, initial=state)
+    free = case.partition(state.q_switched)[1]
+    node = free[np.argmax(np.abs(state.vm - prev.vm)[free])]
+    solved = [(state, lam)]
+
+    def lam_at(eta):
+        state, lam = min(solved, key=lambda p: abs(p[0].vm[node] - eta))
+        curve = powerflow.Curve(case, direction, state.q_switched)
+        while curve is not None:  # one more PV phase switched per round
+            z = curve.pack(state, lam)
+            pin = curve.vm_coord(node)
+            z[pin] = eta
+            z, iters, norm = powerflow.correct(curve.linearize, z, pin)
+            lam = float(z[-1])
+            state, curve = curve.settle(z, iters, norm)
+        solved.append((state, lam))
+        return lam
+
+    # bracket: eta moves on as over the march's last step while lambda rises
+    step = float(prev.vm[node] - state.vm[node])
+    etas, lams = [float(state.vm[node])], [lam]
+    while len(lams) < 3 or lams[-1] > lams[-2]:
+        etas.append(etas[-1] - step)
+        lams.append(lam_at(etas[-1]))
+        step *= 2.0
+    lo, hi = sorted((etas[-1], etas[-3]))
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = lam_at(a), lam_at(b)
+    while hi - lo > eta_tol:
+        if fa >= fb:  # the maximum lies in [lo, b]
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = lam_at(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = lam_at(b)
+    return max(lam for _, lam in solved)
 
 
 def basis_matrix_columns(xi, indices):

@@ -27,7 +27,7 @@ from adcap.powerflow import NetworkCase
 from adcap.report import run_assessment, write_outputs
 from adcap.stochastic import build_registry
 
-from conftest import pv_two_bus_doc, two_bus_doc
+from conftest import DATA, pv_two_bus_doc, two_bus_doc
 from oracles import write_cdf_rows
 
 REPO = Path(__file__).resolve().parents[1]
@@ -503,31 +503,35 @@ def _slack_only():
 @pytest.mark.parametrize(
     "doc, scenario, message, flags",
     [
-        (two_bus_doc(x_ohm=0.0, v_min=0.90), _small_scenario(), "singular series impedance", ()),
-        (two_bus_doc(v_min=0.90), _wind_without_mean_speed(), "missing field 'mean_speed'", ()),
-        (two_bus_doc(v_min=0.90), _small_scenario(std_kw=math.nan), "must be finite", ()),
-        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw="abc"), "field 'mean_kw' has wrong type", ()),
-        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw=None), "field 'mean_kw' has wrong type", ()),
-        (two_bus_doc(v_min=0.90), _solar_on_phases("x"), "unknown phase 'x'", ()),
-        (_with_generator(p_kw="abc"), _small_scenario(), "field 'p_kw' has wrong type", ()),
-        (_transformer_with_tap("x"), _small_scenario(), "tap: field 'a' has wrong type", ()),
-        (two_bus_doc(v_min=0.90), _small_scenario(pf=1.5), "bad power factor", ()),
-        ([two_bus_doc(v_min=0.90)], _small_scenario(), "document must be a JSON object", ()),
-        (two_bus_doc(v_min=0.90), [_small_scenario()], "scenario must be a JSON object", ()),
-        (_slack_only(), {}, "no bus besides the slack bus", ()),
+        (two_bus_doc(x_ohm=0.0, v_min=0.90), _small_scenario(), "singular series impedance", {}),
+        (two_bus_doc(v_min=0.90), _wind_without_mean_speed(), "missing field 'mean_speed'", {}),
+        (two_bus_doc(v_min=0.90), _small_scenario(std_kw=math.nan), "must be finite", {}),
+        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw="abc"), "field 'mean_kw' has wrong type", {}),
+        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw=None), "field 'mean_kw' has wrong type", {}),
+        (two_bus_doc(v_min=0.90), _solar_on_phases("x"), "unknown phase 'x'", {}),
+        (_with_generator(p_kw="abc"), _small_scenario(), "field 'p_kw' has wrong type", {}),
+        (_transformer_with_tap("x"), _small_scenario(), "tap: field 'a' has wrong type", {}),
+        (two_bus_doc(v_min=0.90), _small_scenario(pf=1.5), "bad power factor", {}),
+        ([two_bus_doc(v_min=0.90)], _small_scenario(), "document must be a JSON object", {}),
+        (two_bus_doc(v_min=0.90), [_small_scenario()], "scenario must be a JSON object", {}),
+        (_slack_only(), {}, "no bus besides the slack bus", {}),
         (two_bus_doc(v_min=0.90), _small_scenario(), "--sparse-terms must be",
-         ("--sparse-terms", "92")),
+         {"--sparse-terms": "92"}),
         (two_bus_doc(v_min=0.90), _small_scenario(), "--sparse-terms must be",
-         ("--sparse-terms", "0")),
+         {"--sparse-terms": "0"}),
         (two_bus_doc(v_min=0.90), _small_scenario(), "--sparse-terms must be",
-         ("--sparse-terms", "-3")),
+         {"--sparse-terms": "-3"}),
+        (two_bus_doc(v_min=0.90), _small_scenario(), "argument --samples: invalid int value",
+         {"--samples": "abc"}),
+        (two_bus_doc(v_min=0.90), _small_scenario(), "arguments are required: --scenario",
+         {"--scenario": None}),
     ],
     ids=[
         "singular-impedance", "wind-without-mean-speed", "nan-std", "string-mean-kw",
         "null-mean-kw", "solar-phase-letter", "string-generator-p-kw", "string-tap",
         "load-power-factor-above-1", "feeder-not-object", "scenario-not-object",
         "slack-bus-only", "sparse-terms-above-basis", "sparse-terms-zero",
-        "sparse-terms-negative",
+        "sparse-terms-negative", "samples-not-int", "scenario-missing",
     ],
 )
 def test_cli_bad_input_exits_1_with_one_line(
@@ -538,15 +542,28 @@ def test_cli_bad_input_exits_1_with_one_line(
     for name in ("solve_base_case", "trace_adc"):
         monkeypatch.setattr(continuation, name, lambda *a, _n=name, **k: ran.append(_n))
     fp, sp = _write_inputs(tmp_path, doc, scenario)
-    rc = cli_main([
-        "run", "--feeder", str(fp), "--scenario", str(sp),
-        "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"), *flags,
-    ])
+    # ``flags`` overrides the arguments below; None leaves a flag out
+    args = {"--feeder": str(fp), "--scenario": str(sp), "--method": "mcs",
+            "--samples": "4", "--out": str(tmp_path / "out"), **flags}
+    rc = cli_main(["run", *(t for k, v in args.items() if v is not None for t in (k, v))])
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
     assert not ran
+
+
+@pytest.mark.parametrize("terms", ["16", "19"])
+def test_cli_sparse_terms_on_a_singular_gram_matrix(tmp_path, capsys, terms):
+    # on these square designs LARS meets a Gram matrix of its active columns
+    # that np.linalg.solve accepts but whose 1' G^-1 1 is not positive
+    rc = cli_main([
+        "run", "--feeder", str(DATA / "ieee13_mod.json"),
+        "--scenario", str(DATA / "scenario_ieee13.json"), "--method", "spce",
+        "--samples", "200", "--sparse-terms", terms, "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert (rc, err) == (0, "") or (rc == 3 and len(err.splitlines()) == 1)
 
 
 def test_sparse_terms_checked_against_the_basis_size():

@@ -24,7 +24,7 @@ from adcap.powerflow import MAX_ITER, NetworkCase, solve
 from adcap.stochastic import VariationVector, assemble_variation, build_registry
 
 from conftest import pv_two_bus_doc, two_bus_doc
-from oracles import to_document
+from oracles import fold_lambda, to_document
 
 
 # -- predictor/corrector primitives ---------------------------------------------
@@ -90,28 +90,25 @@ def test_two_bus_nose_matches_closed_form():
     case, var, model = _two_bus_case(1000.0 * p, 1000.0 * q, x_ohm=x)
     lam_star = (math.sqrt(p * p + q * q) - q) / (2 * x * p * p)
     res = trace_adc(case, var)
-    assert res.lambdas["collapse"] == pytest.approx(lam_star, rel=1e-3)
-    assert res.adc_mw["collapse"] == pytest.approx(lam_star * 1.0, rel=1e-3)
+    assert res.lambdas["collapse"] == pytest.approx(lam_star, rel=1e-6)
+    assert res.adc_mw["collapse"] == pytest.approx(lam_star * 1.0, rel=1e-6)
     assert res.binding_class in ("collapse", "voltage")
 
 
-@pytest.mark.parametrize("rel", [
-    0.015,  # the bisection oracles' bound
-    pytest.param(1e-3, marks=pytest.mark.xfail(strict=True, reason=(
-        "off by -1.6e-3: nose sharpening bisects only between the last two "
-        "points, beyond the best point, and here the fold lies before it"
-    ))),
+@pytest.mark.parametrize("scale, base_only", [
+    (1.0, False),
+    (20.0, True),  # the fold (lambda 0.068) lies below STEP0
 ])
-def test_local_entry_after_natural_failure_finds_two_bus_nose(monkeypatch, rel):
-    # with STEP_MIN above STEP0 the first failed natural step goes local,
-    # before any secant turns steep
+def test_fold_after_natural_failure_matches_two_bus_closed_form(monkeypatch, scale, base_only):
+    # with STEP_MIN above STEP0 the first failed natural step stops the
+    # march, before any secant turns steep, and the fold is solved from there
     from adcap import continuation, powerflow
 
-    p, q, x = 1.0, 0.2, 0.3
+    p, q, x = scale, 0.2 * scale, 0.3
     case, var, _ = _two_bus_case(1000.0 * p, 1000.0 * q, x_ohm=x)
     lam_star = (math.sqrt(p * p + q * q) - q) / (2 * x * p * p)
     log = []
-    solve_, enter_local = powerflow.solve, continuation._Tracer._enter_local
+    solve_ = powerflow.solve
 
     def logged_solve(*args, **kwargs):
         try:
@@ -122,17 +119,12 @@ def test_local_entry_after_natural_failure_finds_two_bus_nose(monkeypatch, rel):
         log.append("solved")
         return state
 
-    def logged_enter_local(self):
-        log.append("local")
-        return enter_local(self)
-
     monkeypatch.setattr(powerflow, "solve", logged_solve)
-    monkeypatch.setattr(continuation._Tracer, "_enter_local", logged_enter_local)
     monkeypatch.setattr(continuation, "STEP_MIN", 0.2)
     res = trace_adc(case, var)
-    assert log.count("local") == 1
-    assert log[log.index("local") - 1] == "failed" and log[-1] == "local"
-    assert res.lambdas["collapse"] == pytest.approx(lam_star, rel=rel)
+    assert log[-1] == "failed"
+    assert (log.count("solved") == 1) == base_only
+    assert res.lambdas["collapse"] == pytest.approx(lam_star, rel=1e-6)
 
 
 def test_two_bus_voltage_crossing_matches_quadratic():
@@ -200,8 +192,8 @@ def test_lambda_cap_flags_result():
 
 def test_no_free_magnitude_to_pin_raises_convergence_error():
     # the receiving end is voltage-controlled without reactive limits, so
-    # natural steps stall at the angle limit and local parameterization has
-    # no magnitude to pin
+    # natural steps stall at the angle limit and the fold has no magnitude
+    # to pin
     model = load_feeder(pv_two_bus_doc())
     reg = build_registry(model, {"loads_stochastic": [
         {"bus": "r", "phase": "a", "mean_kw": 500, "std_kw": 10, "power_factor": 1.0},
@@ -236,32 +228,17 @@ def test_bundled_crossing_sits_on_margin(case, model, registry):
     assert res.binding_element["voltage"] == ("lower", ("611", "c"))
 
 
-def test_bundled_nose_agrees_with_bisection_oracle(case, registry, model):
+def test_bundled_nose_agrees_with_fold_oracle(case, registry):
     var = assemble_variation(registry.mean_inputs(), registry)
-    res = trace_adc(case, var)
-    d = case.direction_arrays(var)
-
-    def solvable(lam):
-        try:
-            solve(case, lam, d)
-            return True
-        except Exception:
-            return False
-
-    lo, hi = 0.0, res.lambdas["collapse"] * 1.6
-    assert solvable(lo) and not solvable(hi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if solvable(mid):
-            lo = mid
-        else:
-            hi = mid
-    assert res.lambdas["collapse"] == pytest.approx(lo, rel=0.015)
+    lam = trace_adc(case, var).lambdas["collapse"]
+    assert lam == pytest.approx(fold_lambda(case, case.direction_arrays(var), lam), rel=1e-7)
 
 
-def test_trace_switching_reactive_limit_agrees_with_bisection_oracle(feeder_doc, scenario_doc):
+def test_trace_switching_reactive_limit_agrees_with_fold_oracle(feeder_doc, scenario_doc):
     # bus 675 held at 1 pu by a +-300 kvar pv generator: within its limits
-    # at the base case, at its upper limit near the nose
+    # at the base case, phases c and a at their upper limit on the way up,
+    # and phase b at its lower limit at the fold, which the fold secant
+    # switches
     doc = json.loads(json.dumps(feeder_doc))
     next(b for b in doc["buses"] if b["id"] == "675").update(type="pv", v0_pu=1.0)
     doc["generators"].append({
@@ -274,25 +251,9 @@ def test_trace_switching_reactive_limit_agrees_with_bisection_oracle(feeder_doc,
     var = assemble_variation(registry.mean_inputs(), registry)
     d = case.direction_arrays(var)
     assert not solve(case).q_switched
-    res = trace_adc(case, var)
-
-    def solvable(lam):
-        try:
-            solve(case, lam, d)
-            return True
-        except (ConvergenceError, SingularJacobianError):
-            return False
-
-    lo, hi = 0.0, res.lambdas["collapse"] * 1.6
-    assert not solvable(hi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if solvable(mid):
-            lo = mid
-        else:
-            hi = mid
-    assert res.lambdas["collapse"] == pytest.approx(lo, rel=0.015)
-    assert solve(case, lo, d).q_switched
+    lam = trace_adc(case, var).lambdas["collapse"]
+    assert solve(case, 0.9 * lam, d).q_switched
+    assert lam == pytest.approx(fold_lambda(case, d, lam), rel=1e-7)
 
 
 def test_runaway_guard_regression(case, registry):
@@ -309,9 +270,9 @@ def test_runaway_guard_regression(case, registry):
 
 
 def test_failed_march_steps_give_up_early(case, registry, monkeypatch):
-    # the mean-input trace fails natural steps at the nose before it goes
-    # local; the march retries them shorter, so each gives up at the first
-    # rising mismatch instead of spending the whole Newton budget
+    # the mean-input trace fails natural steps at the nose before it stops
+    # to solve the fold; the march retries them shorter, so each gives up at
+    # the first rising mismatch instead of spending the whole Newton budget
     from adcap import powerflow
 
     failed = []

@@ -1,7 +1,9 @@
 """Voltage and thermal crossings of whole traces against oracles that use
 only ``solve`` and ``check_limits``: bisection on the class margin from the
-base case, and the margin at the reported lambda.  The inputs are 100 Monte
-Carlo draws at seed 0 and the 91 points of the PCE design."""
+base case, and the margin at the reported lambda.  The collapse point
+against a golden-section maximum of lambda over one pinned magnitude
+(``oracles.fold_lambda``).  The inputs are 100 Monte Carlo draws at seed 0
+and the 91 points of the PCE design."""
 
 import math
 
@@ -16,11 +18,15 @@ from adcap.powerflow import NetworkCase, solve
 from adcap.stochastic import VariationVector, assemble_variation, sample_inputs
 
 from conftest import two_bus_doc
+from oracles import fold_lambda
 
 N_MCS = 100
 BISECT_TOL = 1e-10  # width of the final bisection bracket in lambda
 ORACLE_TOL = 5e-6  # |trace lambda - bisection lambda|
 MARGIN_TOL = 1e-7  # |class margin| of the state solved at the reported lambda
+# |trace collapse lambda / oracle lambda - 1|; near the fold the Newton
+# tolerance holds lambda to about 3e-8
+FOLD_TOL = 1e-7
 
 
 def _class_margin(status, cls):
@@ -91,6 +97,13 @@ def test_crossing_states_sit_on_their_margin(case, traced):
         status = check_limits(case, solve(case, res.lambdas[cls], d))
         assert abs(_class_margin(status, cls)) <= MARGIN_TOL, cls
         assert _binding(status, cls) == res.binding_element[cls]
+
+
+def test_collapse_agrees_with_fold_oracle(case, traced):
+    for d, res in traced:
+        assert not res.capped
+        lam = res.lambdas["collapse"]
+        assert lam == pytest.approx(fold_lambda(case, d, lam), rel=FOLD_TOL)
 
 
 def _two_phase_case():
