@@ -3,11 +3,12 @@
     python scripts/trace_delta.py OLD_SRC NEW_SRC [--samples N]
 
 OLD_SRC and NEW_SRC are directories that hold an ``adcap`` package (a
-checkout's ``src``).  Each tree is imported in its own subprocess, which
-traces, on the bundled feeder and scenario, N Monte Carlo inputs (the first
-N draws of the seed-0 MCS stream, as ``adc run --seed 0`` draws them) and
-then every point of the full PCE collocation design (91 on the bundled
-scenario), one ``trace_adc`` call each.
+checkout's ``src``) whose inputs are rows (``stochastic.physical_inputs``).
+Each tree is imported in its own subprocess, which traces, on the bundled
+feeder and scenario, N Monte Carlo inputs (the first N draws of the seed-0
+MCS stream, as ``adc run --seed 0`` draws them) and then every point of the
+full PCE collocation design (91 on the bundled scenario), one ``trace_adc``
+call each.
 
 Printed: per class, the max, median and 99th percentile of |delta lambda|
 and of |delta lambda| / lambda (lambda from OLD_SRC) over the traces that
@@ -51,12 +52,14 @@ def trace_all(samples: int) -> list:
         chaos.PceConfig(n, assessment.PCE_ORDER),
         n_rows=chaos.basis_size(n, assessment.PCE_ORDER),
     )
-    inputs = stochastic.sample_inputs(dists, samples, [0, assessment._STREAM_MCS])
-    inputs += [chaos.quantile_transform(xi, dists) for xi in design.points]
+    inputs = np.vstack([
+        stochastic.sample_inputs(dists, samples, [0, assessment._STREAM_MCS]),
+        stochastic.physical_inputs(design.points, dists),
+    ])
 
     rows = []
     for u in inputs:
-        row = {"input": u.as_array().tolist()}
+        row = {"input": u.tolist()}
         try:
             res = continuation.trace_adc(case, stochastic.assemble_variation(u, registry))
         except (ConvergenceError, SingularJacobianError) as exc:

@@ -89,27 +89,10 @@ class AssessmentConfig:
 
 
 @dataclass
-class ClassStats:
-    stats: chaos.SampleStats
-    clip_fraction: float = 0.0
-    analytic_mean: float | None = None
-    analytic_variance: float | None = None
-
-    def to_dict(self) -> dict:
-        out = dict(self.stats.moments())
-        out["count"] = self.stats.count
-        out["clip_fraction"] = self.clip_fraction
-        if self.analytic_mean is not None:
-            out["analytic_mean"] = self.analytic_mean
-            out["analytic_variance"] = self.analytic_variance
-        return out
-
-
-@dataclass
 class MethodResult:
     method: str
     eval_count: int  # deterministic continuation traces performed
-    classes: dict  # class name -> ClassStats
+    classes: dict  # class name -> chaos.ClassStats
     binding_freq: dict  # class name -> {element: count}
     overall_rule: str
     failures: int = 0
@@ -235,7 +218,7 @@ def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
     if not ok:
         raise ConvergenceError("every Monte Carlo trace failed")
     samples, freq = _aggregate_samples(ok)
-    classes = {k: ClassStats(chaos.sample_moments(v)) for k, v in samples.items()}
+    classes = {k: chaos.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()}
     failures = len(reasons)
     return MethodResult(
         method="mcs",
@@ -272,8 +255,7 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
         target = None
 
     design = chaos.collocation_design(pcfg, n_rows=n_rows)
-    dists = registry.distributions()
-    inputs = [chaos.quantile_transform(xi, dists) for xi in design.points]
+    inputs = stochastic.physical_inputs(design.points, registry.distributions())
 
     raw = _trace_inputs(ctx, inputs, pool, config.workers, memoise=True)
     bad = [(i, err) for i, (okflag, _, err) in enumerate(raw) if not okflag]
@@ -298,24 +280,17 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
             models[cls] = chaos.fit_full(design, y)
 
     stream = _STREAM_SPCE_SURROGATE if sparse else _STREAM_PCE_SURROGATE
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([config.seed, stream]))
-    )
-    xi = rng.standard_normal((config.surrogate_samples, n))
-    classes = {}
-    class_samples = {}
+    xi = stochastic.standard_normals(config.surrogate_samples, n, [config.seed, stream])
     bases = chaos.active_bases(models.values(), xi)
-    for (cls, model), basis in zip(models.items(), bases):
-        st = chaos.surrogate_stats_at(model, basis, clip_at_zero=True)
-        class_samples[cls] = st.stats.samples
-        classes[cls] = ClassStats(
-            st.stats, st.clip_fraction, st.analytic_mean, st.analytic_variance
-        )
+    classes = {
+        cls: chaos.surrogate_stats_at(model, basis, clip_at_zero=True)
+        for (cls, model), basis in zip(models.items(), bases)
+    }
     overall = np.minimum(
-        np.minimum(class_samples["voltage"], class_samples["thermal"]),
-        class_samples["collapse"],
+        np.minimum(classes["voltage"].stats.samples, classes["thermal"].stats.samples),
+        classes["collapse"].stats.samples,
     )
-    classes["overall"] = ClassStats(chaos.sample_moments(overall))
+    classes["overall"] = chaos.ClassStats(chaos.sample_moments(overall))
 
     # binding evidence from the design traces themselves
     _, freq = _aggregate_samples(rows)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DesignRankError
-from .stochastic import RandomInputVector
 
 _GS_TOL = 1e-9
 BASIS_BLOCK_ROWS = 1024  # points per block of basis_matrix
@@ -55,17 +54,6 @@ def multi_indices(n: int, p: int) -> list[tuple]:
     return out
 
 
-def hermite_1d(k: int, x):
-    """He_k(x) by the three-term recurrence He_{k+1} = x He_k - k He_{k-1}."""
-    x = np.asarray(x, dtype=float)
-    if k == 0:
-        return np.ones_like(x)
-    prev, curr = np.ones_like(x), x.copy()
-    for j in range(1, k):
-        prev, curr = curr, x * curr - j * prev
-    return curr
-
-
 def basis_norm_sq(index: tuple) -> float:
     """E[H_index^2] = product of factorials of the entries."""
     out = 1.0
@@ -97,25 +85,6 @@ def basis_matrix(xi, indices) -> np.ndarray:
                 block[col] *= table[f]
         out[r0:r0 + x.shape[1]] = block.T
     return out
-
-
-def quantile_transform(xi, distributions) -> RandomInputVector:
-    """Map one standard-normal point to physical inputs via each marginal's
-    inverse-CDF composition (exact affine for normal marginals), clamping
-    negative physical values at zero."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (len(distributions),):
-        raise ConfigurationError(
-            f"point has {xi.shape} entries for {len(distributions)} marginals"
-        )
-    vals = np.array(
-        [float(d.from_standard_normal(x)) for d, x in zip(distributions, xi)]
-    )
-    vals = np.maximum(vals, 0.0)
-    kinds = [d.kind for d in distributions]
-    n_w = kinds.count("wind_speed")
-    n_s = kinds.count("solar_radiation")
-    return RandomInputVector(vals[:n_w], vals[n_w:n_w + n_s], vals[n_w + n_s:])
 
 
 # -- collocation design --------------------------------------------------------
@@ -280,22 +249,26 @@ def lars_select(x: np.ndarray, y: np.ndarray, max_steps: int) -> list[int]:
 
     Plain LARS (no lasso modification): at each step the predictor most
     correlated with the residual joins the active set and the fit advances
-    along the equiangular direction until a new predictor ties.
+    along the equiangular direction until a new predictor ties.  A predictor
+    whose Gram matrix with the active set is singular to working precision
+    is dropped from the candidates, and the path goes on without it.
     Returns column indices in entry order.
     """
     n_rows, n_cols = x.shape
     mu = np.zeros(n_rows)
     active: list[int] = []
     signs: dict[int, float] = {}
+    dropped: set[int] = set()
     max_steps = min(max_steps, n_cols, n_rows - 1 if n_rows > 1 else 1)
-    for _ in range(max_steps):
+    while len(active) < max_steps:
         c = x.T @ (y - mu)
-        inactive = [j for j in range(n_cols) if j not in signs]
+        inactive = [j for j in range(n_cols) if j not in signs and j not in dropped]
         if not inactive:
             break
         j_new = max(inactive, key=lambda j: (abs(c[j]), -j))
         if abs(c[j_new]) < 1e-12:
             break
+        inactive.remove(j_new)
         active.append(j_new)
         signs[j_new] = math.copysign(1.0, c[j_new])
         xa = x[:, active] * np.array([signs[j] for j in active])[None, :]
@@ -307,15 +280,14 @@ def lars_select(x: np.ndarray, y: np.ndarray, max_steps: int) -> list[int]:
         except np.linalg.LinAlgError:
             active.pop()
             del signs[j_new]
-            break
+            dropped.add(j_new)
+            continue
         a_norm = 1.0 / math.sqrt(float(np.sum(ginv_one)))
         u = xa @ (a_norm * ginv_one)  # equiangular, unit norm
         corr_max = float(max(abs(c[j]) for j in active))
         a_vec = x.T @ u
         gamma = corr_max / a_norm  # full least-squares step by default
-        for j in range(n_cols):
-            if j in signs:
-                continue
+        for j in inactive:
             for num, den in (
                 (corr_max - c[j], a_norm - a_vec[j]),
                 (corr_max + c[j], a_norm + a_vec[j]),
@@ -421,13 +393,6 @@ def fit_sparse(design: CollocationDesign, y, target_terms) -> PceModel:
     )
 
 
-def evaluate(model: PceModel, xi) -> np.ndarray:
-    """Surrogate responses at standard-normal points (m, n)."""
-    act = np.flatnonzero(model.active)
-    a = basis_matrix(xi, [model.indices[i] for i in act])
-    return a @ model.coeffs[act]
-
-
 def active_bases(models, xi):
     """Yield each model's active basis functions at the points ``xi`` (what
     ``surrogate_stats_at`` takes), all read from one ``basis_matrix``
@@ -486,14 +451,26 @@ def sample_moments(samples) -> SampleStats:
 
 
 @dataclass
-class SurrogateStats:
+class ClassStats:
+    """One response class's sample statistics; for a surrogate also the
+    fraction of samples clipped at zero and the analytic moments."""
+
     stats: SampleStats
-    analytic_mean: float
-    analytic_variance: float
-    clip_fraction: float
+    clip_fraction: float = 0.0
+    analytic_mean: float | None = None
+    analytic_variance: float | None = None
+
+    def to_dict(self) -> dict:
+        out = dict(self.stats.moments())
+        out["count"] = self.stats.count
+        out["clip_fraction"] = self.clip_fraction
+        if self.analytic_mean is not None:
+            out["analytic_mean"] = self.analytic_mean
+            out["analytic_variance"] = self.analytic_variance
+        return out
 
 
-def surrogate_stats_at(model: PceModel, basis, clip_at_zero: bool = False) -> SurrogateStats:
+def surrogate_stats_at(model: PceModel, basis, clip_at_zero: bool = False) -> ClassStats:
     """Surrogate statistics on a caller-supplied block of standard-normal
     points, given as ``basis``: the values of the model's active basis
     functions there (``basis_matrix`` over its active indices), so several
@@ -504,4 +481,4 @@ def surrogate_stats_at(model: PceModel, basis, clip_at_zero: bool = False) -> Su
         neg = y < 0.0
         clip_fraction = float(np.mean(neg))
         y = np.maximum(y, 0.0)
-    return SurrogateStats(sample_moments(y), model.mean, model.variance, clip_fraction)
+    return ClassStats(sample_moments(y), clip_fraction, model.mean, model.variance)

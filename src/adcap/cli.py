@@ -102,6 +102,12 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
 
     try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create the output directory: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+
+    try:
         rep = report.run_assessment(model, scenario, config)
     except InfeasibleBaseCaseError as exc:
         print(f"infeasible base case: {exc}", file=sys.stderr)

@@ -116,22 +116,6 @@ def reactive_from_active(p_kw, power_factor) -> float:
     return p_kw * math.tan(math.acos(power_factor))
 
 
-@dataclass(frozen=True)
-class RandomInputVector:
-    """One realization of the physical random inputs, ordered wind, solar, load."""
-
-    wind_speeds: np.ndarray
-    radiations: np.ndarray
-    load_p_kw: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.wind_speeds) + len(self.radiations) + len(self.load_p_kw)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.wind_speeds, self.radiations, self.load_p_kw])
-
-
 @dataclass
 class VariationVector:
     """Per-(bus, phase) direction (kW, kvar per unit lambda) plus the total
@@ -166,12 +150,9 @@ class StochasticRegistry:
         """Marginals in the canonical input order (wind, solar, load)."""
         return [d for _, d in self.wind_units + self.solar_units + self.load_units]
 
-    def mean_inputs(self) -> RandomInputVector:
-        return RandomInputVector(
-            np.array([d.mean for _, d in self.wind_units]),
-            np.array([d.mean for _, d in self.solar_units]),
-            np.array([d.mean for _, d in self.load_units]),
-        )
+    def mean_inputs(self) -> np.ndarray:
+        """The input row of the forecast means."""
+        return np.array([d.mean for d in self.distributions()])
 
 
 def _scenario_check(check, *args):
@@ -268,45 +249,55 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
     return reg
 
 
-def sample_inputs(distributions, count, seed) -> list[RandomInputVector]:
-    """Draw physical input realizations with a counter-based generator.
-
-    The full (count, n) block is drawn in one pass so results do not depend
-    on how work is later split across processes.
-    """
-    kinds = [d.kind for d in distributions]
-    order = sorted(range(len(kinds)), key=lambda i: _KINDS.index(kinds[i]))
-    if order != list(range(len(kinds))):
-        raise ConfigurationError("distributions must be ordered wind, solar, load")
+def standard_normals(count, dimension, seed) -> np.ndarray:
+    """A (count, dimension) block of standard normals from the counter-based
+    Philox generator keyed by ``seed``, drawn in one pass so results do not
+    depend on how work is later split across processes."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xi = rng.standard_normal((count, len(distributions)))
-    cols = [d.from_standard_normal(xi[:, j]) for j, d in enumerate(distributions)]
-    block = np.maximum(np.column_stack(cols) if cols else np.empty((count, 0)), 0.0)
-    n_w = kinds.count("wind_speed")
-    n_s = kinds.count("solar_radiation")
-    return [
-        RandomInputVector(
-            block[i, :n_w].copy(),
-            block[i, n_w:n_w + n_s].copy(),
-            block[i, n_w + n_s:].copy(),
+    return rng.standard_normal((count, dimension))
+
+
+def physical_inputs(xi, distributions) -> np.ndarray:
+    """Map a (rows, n) block of standard-normal points to input rows through
+    each marginal's ``from_standard_normal``, clamping negative physical
+    values at zero.  The marginals must be ordered wind, solar, load, the
+    order of a registry's inputs."""
+    kinds = [_KINDS.index(d.kind) for d in distributions]
+    if kinds != sorted(kinds):
+        raise ConfigurationError("distributions must be ordered wind, solar, load")
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != len(distributions):
+        raise ConfigurationError(
+            f"points of shape {xi.shape} for {len(distributions)} marginals"
         )
-        for i in range(count)
-    ]
+    out = np.empty(xi.shape)
+    for j, d in enumerate(distributions):
+        out[:, j] = d.from_standard_normal(xi[:, j])
+    return np.maximum(out, 0.0, out=out)
 
 
-def assemble_variation(u: RandomInputVector, registry: StochasticRegistry) -> VariationVector:
-    """Convert one input realization into the per-(bus, phase) direction.
+def sample_inputs(distributions, count, seed) -> np.ndarray:
+    """Draw ``count`` input rows: ``standard_normals`` mapped by
+    ``physical_inputs``."""
+    return physical_inputs(standard_normals(count, len(distributions), seed), distributions)
+
+
+def assemble_variation(u, registry: StochasticRegistry) -> VariationVector:
+    """Convert one input row (wind speeds, radiations, load kW, in registry
+    order) into the per-(bus, phase) direction.
 
     Sign convention: injections are positive, so DG enters with + and load
     growth with -.  The positive load-increase total (stochastic demands plus
     negative constant entries) is recorded for MW conversion of margins.
     """
-    expect = (len(registry.wind_units), len(registry.solar_units), len(registry.load_units))
-    got = (len(u.wind_speeds), len(u.radiations), len(u.load_p_kw))
-    if expect != got:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (registry.dimension,):
         raise ConfigurationError(
-            f"input vector shape {got} does not match registry {expect}"
+            f"input row of shape {u.shape} does not match the registry's "
+            f"{registry.dimension} inputs"
         )
+    n_w = len(registry.wind_units)
+    n_s = len(registry.solar_units)
 
     dp: dict = {}
     dq: dict = {}
@@ -315,21 +306,21 @@ def assemble_variation(u: RandomInputVector, registry: StochasticRegistry) -> Va
         dp[key] = dp.get(key, 0.0) + p
         dq[key] = dq.get(key, 0.0) + q
 
-    for (unit, _), v in zip(registry.wind_units, u.wind_speeds):
+    for (unit, _), v in zip(registry.wind_units, u[:n_w]):
         p = wind_power_kw(float(v), unit)
         q = reactive_from_active(p, unit.power_factor)
         share = 1.0 / len(unit.phases)
         for ph in unit.phases:
             _add((unit.bus, ph), p * share, q * share)  # constant-pf injection
 
-    for (unit, _), r in zip(registry.solar_units, u.radiations):
+    for (unit, _), r in zip(registry.solar_units, u[n_w:n_w + n_s]):
         p = solar_power_kw(float(r), unit)
         share = 1.0 / len(unit.phases)
         for ph in unit.phases:
             _add((unit.bus, ph), p * share, 0.0)
 
     load_increase = 0.0
-    for (unit, _), p in zip(registry.load_units, u.load_p_kw):
+    for (unit, _), p in zip(registry.load_units, u[n_w + n_s:]):
         p = float(p)
         q = reactive_from_active(p, unit.power_factor)
         _add((unit.bus, unit.phase), -p, -q)

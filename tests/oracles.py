@@ -155,6 +155,25 @@ def fold_lambda(case, direction, lam_below, eta_tol=1e-7):
     return max(lam for _, lam in solved)
 
 
+def hermite_1d(k: int, x):
+    """He_k(x) by the three-term recurrence He_{k+1} = x He_k - k He_{k-1}."""
+    x = np.asarray(x, dtype=float)
+    if k == 0:
+        return np.ones_like(x)
+    prev, curr = np.ones_like(x), x.copy()
+    for j in range(1, k):
+        prev, curr = curr, x * curr - j * prev
+    return curr
+
+
+def evaluate(model, xi) -> np.ndarray:
+    """Surrogate responses at standard-normal points (m, n), from
+    ``chaos.basis_matrix`` over the model's active indices."""
+    act = np.flatnonzero(model.active)
+    a = chaos.basis_matrix(xi, [model.indices[i] for i in act])
+    return a @ model.coeffs[act]
+
+
 def basis_matrix_columns(xi, indices):
     """The chaos basis at the rows of ``xi``, one column at a time over the
     whole array: He values tabulated per (degree, point, dimension), each

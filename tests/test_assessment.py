@@ -223,7 +223,7 @@ def test_zero_spread_inputs_give_zero_variance():
 
 def _synthetic_result(method, eval_count, rows):
     samples, freq = assessment._aggregate_samples(rows)
-    classes = {k: assessment.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()}
+    classes = {k: chaos.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()}
     return MethodResult(method, eval_count, classes, freq, "rule")
 
 
@@ -362,7 +362,7 @@ def test_cdf_files_match_the_row_by_row_writer(tmp_path):
     }
     samples["overall"] = np.minimum(samples["voltage"][:1], samples["collapse"])
     rep.results["pce"] = MethodResult(
-        "pce", 3, {k: assessment.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()},
+        "pce", 3, {k: chaos.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()},
         {}, "",
     )
     write_outputs(rep, tmp_path / "out")
@@ -525,13 +525,15 @@ def _slack_only():
          {"--samples": "abc"}),
         (two_bus_doc(v_min=0.90), _small_scenario(), "arguments are required: --scenario",
          {"--scenario": None}),
+        (two_bus_doc(v_min=0.90), _small_scenario(), "cannot create the output directory",
+         {"--out": "feeder.json/out"}),
     ],
     ids=[
         "singular-impedance", "wind-without-mean-speed", "nan-std", "string-mean-kw",
         "null-mean-kw", "solar-phase-letter", "string-generator-p-kw", "string-tap",
         "load-power-factor-above-1", "feeder-not-object", "scenario-not-object",
         "slack-bus-only", "sparse-terms-above-basis", "sparse-terms-zero",
-        "sparse-terms-negative", "samples-not-int", "scenario-missing",
+        "sparse-terms-negative", "samples-not-int", "scenario-missing", "out-under-a-file",
     ],
 )
 def test_cli_bad_input_exits_1_with_one_line(
@@ -542,6 +544,7 @@ def test_cli_bad_input_exits_1_with_one_line(
     for name in ("solve_base_case", "trace_adc"):
         monkeypatch.setattr(continuation, name, lambda *a, _n=name, **k: ran.append(_n))
     fp, sp = _write_inputs(tmp_path, doc, scenario)
+    monkeypatch.chdir(tmp_path)  # relative paths in ``flags`` start at fp's folder
     # ``flags`` overrides the arguments below; None leaves a flag out
     args = {"--feeder": str(fp), "--scenario": str(sp), "--method": "mcs",
             "--samples": "4", "--out": str(tmp_path / "out"), **flags}
@@ -556,14 +559,18 @@ def test_cli_bad_input_exits_1_with_one_line(
 @pytest.mark.parametrize("terms", ["16", "19"])
 def test_cli_sparse_terms_on_a_singular_gram_matrix(tmp_path, capsys, terms):
     # on these square designs LARS meets a Gram matrix of its active columns
-    # that np.linalg.solve accepts but whose 1' G^-1 1 is not positive
+    # that np.linalg.solve accepts but whose 1' G^-1 1 is not positive; the
+    # column is left out and every class still fits its full term budget
     rc = cli_main([
         "run", "--feeder", str(DATA / "ieee13_mod.json"),
         "--scenario", str(DATA / "scenario_ieee13.json"), "--method", "spce",
         "--samples", "200", "--sparse-terms", terms, "--out", str(tmp_path / "out"),
     ])
-    err = capsys.readouterr().err
-    assert (rc, err) == (0, "") or (rc == 3 and len(err.splitlines()) == 1)
+    assert (rc, capsys.readouterr().err) == (0, "")
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["methods"]["spce"]["diagnostics"]["terms"] == {
+        cls: int(terms) for cls in ("voltage", "thermal", "collapse")
+    }
 
 
 def test_sparse_terms_checked_against_the_basis_size():

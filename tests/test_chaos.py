@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adcap.chaos import (
     BASIS_BLOCK_ROWS,
@@ -14,20 +12,23 @@ from adcap.chaos import (
     basis_norm_sq,
     basis_size,
     collocation_design,
-    evaluate,
     fit_full,
     fit_sparse,
-    hermite_1d,
     lars_select,
     multi_indices,
-    quantile_transform,
     sample_moments,
     surrogate_stats_at,
 )
 from adcap.errors import ConfigurationError
-from adcap.stochastic import ForecastDistribution, assemble_variation
+from adcap.stochastic import assemble_variation, physical_inputs
 
-from oracles import basis_matrix_columns, pce_model_from_json, surrogate_statistics
+from oracles import (
+    basis_matrix_columns,
+    evaluate,
+    hermite_1d,
+    pce_model_from_json,
+    surrogate_statistics,
+)
 
 
 # -- hermite basis ------------------------------------------------------------------
@@ -108,35 +109,6 @@ def test_basis_matrix_blocks_match_the_whole_array_evaluation(order):
         phi = basis_matrix(xi, idx)
         assert phi.flags.c_contiguous
         assert np.array_equal(phi, basis_matrix_columns(xi, idx))
-
-
-# -- quantile transform ------------------------------------------------------------
-
-
-def test_quantile_transform_affine_exact():
-    dists = [
-        ForecastDistribution("wind_speed", 10.0, 0.6),
-        ForecastDistribution("load_active_power", 100.0, 5.0),
-    ]
-    u = quantile_transform(np.array([0.0, math.sqrt(3.0)]), dists)
-    assert u.wind_speeds[0] == pytest.approx(10.0, rel=1e-14)
-    assert u.load_p_kw[0] == pytest.approx(100.0 + 5.0 * math.sqrt(3.0), rel=1e-12)
-
-
-def test_quantile_transform_clamps():
-    dists = [ForecastDistribution("solar_radiation", 10.0, 100.0)]
-    u = quantile_transform(np.array([-3.0]), dists)
-    assert u.radiations[0] == 0.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(x1=st.floats(-4, 4), x2=st.floats(-4, 4))
-def test_quantile_transform_monotone(x1, x2):
-    dists = [ForecastDistribution("load_active_power", 50.0, 8.0)]
-    u1 = quantile_transform(np.array([x1]), dists).load_p_kw[0]
-    u2 = quantile_transform(np.array([x2]), dists).load_p_kw[0]
-    if x1 < x2:
-        assert u1 <= u2
 
 
 # -- collocation designs ------------------------------------------------------------
@@ -286,6 +258,26 @@ def test_lars_matches_in_repo_oracle():
         assert lars_select(x, y, max_steps=10) == order
 
 
+@pytest.mark.parametrize("dup_at", [0, 15])
+def test_lars_skips_a_duplicated_column(dup_at):
+    # a copy of an active column makes the active Gram matrix singular; the
+    # copy is dropped and the path goes on as if it were not there
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 15))
+    x -= x.mean(axis=0)
+    x /= np.linalg.norm(x, axis=0)
+    y = x @ rng.normal(0.0, 1.0, 15) + 0.3 * rng.standard_normal(40)
+    y -= y.mean()
+    plain = lars_select(x, y, max_steps=10)
+    copied = plain[0]
+    x_dup = np.insert(x, dup_at, x[:, copied], axis=1)
+    shift = [j + (j >= dup_at) for j in plain]  # plain's columns in x_dup
+    order = lars_select(x_dup, y, max_steps=10)
+    assert len(order) == 10
+    assert order[0] in (dup_at, shift[0])  # either copy may enter first
+    assert order[1:] == shift[1:]
+
+
 def test_sparse_recovers_three_term_truth():
     design = _design(rows=60)
     idx = design.indices
@@ -373,13 +365,9 @@ def test_design_centre_is_the_mean_input(registry):
     # which the run's trace memo relies on to trace it once
     design = collocation_design(PceConfig(registry.dimension, 2), n_rows=31)
     assert not design.points[0].any()
-    centre = quantile_transform(design.points[0], registry.distributions())
+    centre = physical_inputs(design.points[:1], registry.distributions())[0]
     mean = registry.mean_inputs()
-    for got, want in zip(
-        (centre.wind_speeds, centre.radiations, centre.load_p_kw),
-        (mean.wind_speeds, mean.radiations, mean.load_p_kw),
-    ):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert centre.dtype == mean.dtype and centre.tobytes() == mean.tobytes()
     assert assemble_variation(centre, registry) == assemble_variation(mean, registry)
 
 

@@ -15,7 +15,12 @@ from adcap.assessment import PCE_ORDER
 from adcap.continuation import check_limits, trace_adc
 from adcap.feeder import load_feeder
 from adcap.powerflow import NetworkCase, solve
-from adcap.stochastic import VariationVector, assemble_variation, sample_inputs
+from adcap.stochastic import (
+    VariationVector,
+    assemble_variation,
+    physical_inputs,
+    sample_inputs,
+)
 
 from conftest import two_bus_doc
 from oracles import fold_lambda
@@ -47,10 +52,11 @@ def _binding(status, cls):
 def traced(case, registry):
     """(direction arrays, trace result) per input, every trace computed once."""
     dists = registry.distributions()
-    inputs = list(sample_inputs(dists, N_MCS, [0, 0]))
     n_rows = chaos.basis_size(registry.dimension, PCE_ORDER)
     design = chaos.collocation_design(chaos.PceConfig(registry.dimension, PCE_ORDER), n_rows)
-    inputs += [chaos.quantile_transform(xi, dists) for xi in design.points]
+    inputs = np.vstack([
+        sample_inputs(dists, N_MCS, [0, 0]), physical_inputs(design.points, dists)
+    ])
     out = []
     for u in inputs:
         var = assemble_variation(u, registry)

@@ -12,6 +12,7 @@ from adcap.stochastic import (
     WindTurbine,
     assemble_variation,
     build_registry,
+    physical_inputs,
     reactive_from_active,
     sample_inputs,
     solar_power_kw,
@@ -109,14 +110,13 @@ def test_sampler_is_deterministic():
     a = sample_inputs(dists, 50, [7, 0])
     b = sample_inputs(dists, 50, [7, 0])
     c = sample_inputs(dists, 50, [7, 1])
-    assert all(np.array_equal(x.as_array(), y.as_array()) for x, y in zip(a, b))
-    assert not np.array_equal(a[0].as_array(), c[0].as_array())
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_sampler_moments():
     dists = [ForecastDistribution("wind_speed", 10.0, 0.6)]
-    us = sample_inputs(dists, 100_000, [3, 0])
-    vs = np.array([u.wind_speeds[0] for u in us])
+    vs = sample_inputs(dists, 100_000, [3, 0])[:, 0]
     # 5 standard errors of slack on the mean; generous bound on the sd
     assert abs(vs.mean() - 10.0) < 5 * 0.6 / math.sqrt(100_000)
     assert abs(vs.std(ddof=1) - 0.6) < 0.01
@@ -124,8 +124,7 @@ def test_sampler_moments():
 
 def test_sampler_clamps_at_zero():
     dists = [ForecastDistribution("solar_radiation", 0.1, 1.0)]
-    us = sample_inputs(dists, 400, [11, 0])
-    rs = np.array([u.radiations[0] for u in us])
+    rs = sample_inputs(dists, 400, [11, 0])[:, 0]
     assert rs.min() >= 0.0
     assert np.count_nonzero(rs == 0.0) > 0  # negatives were truncated, not resampled
 
@@ -139,10 +138,41 @@ def test_sampler_shapes(seed, count):
         ForecastDistribution("load_active_power", 50.0, 2.0),
     ]
     us = sample_inputs(dists, count, [seed, 0])
-    assert len(us) == count
-    for u in us:
-        assert u.dimension == 3
-        assert len(u.wind_speeds) == 1 and len(u.radiations) == 1 and len(u.load_p_kw) == 1
+    assert us.shape == (count, 3)
+
+
+def test_physical_inputs_affine_exact():
+    dists = [
+        ForecastDistribution("wind_speed", 10.0, 0.6),
+        ForecastDistribution("load_active_power", 100.0, 5.0),
+    ]
+    u = physical_inputs(np.array([[0.0, math.sqrt(3.0)]]), dists)[0]
+    assert u[0] == pytest.approx(10.0, rel=1e-14)
+    assert u[1] == pytest.approx(100.0 + 5.0 * math.sqrt(3.0), rel=1e-12)
+
+
+def test_physical_inputs_clamps():
+    dists = [ForecastDistribution("solar_radiation", 10.0, 100.0)]
+    assert physical_inputs(np.array([[-3.0]]), dists)[0, 0] == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(x1=st.floats(-4, 4), x2=st.floats(-4, 4))
+def test_physical_inputs_monotone(x1, x2):
+    dists = [ForecastDistribution("load_active_power", 50.0, 8.0)]
+    u1, u2 = physical_inputs(np.array([[x1], [x2]]), dists)[:, 0]
+    if x1 < x2:
+        assert u1 <= u2
+
+
+def test_physical_inputs_rejects_bad_order_and_row_length():
+    wind = ForecastDistribution("wind_speed", 10.0, 0.6)
+    load = ForecastDistribution("load_active_power", 100.0, 5.0)
+    with pytest.raises(ConfigurationError, match="ordered wind, solar, load"):
+        physical_inputs(np.zeros((1, 2)), [load, wind])
+    for xi in (np.zeros((1, 3)), np.zeros((1, 1)), np.zeros(2)):
+        with pytest.raises(ConfigurationError, match="for 2 marginals"):
+            physical_inputs(xi, [wind, load])
 
 
 # -- registry and direction assembly ----------------------------------------------
@@ -180,13 +210,14 @@ def test_mean_direction_totals(registry):
 
 
 def test_zero_inputs_give_pure_load_growth(registry):
-    u = registry.mean_inputs()
-    u = type(u)(
-        wind_speeds=np.zeros_like(u.wind_speeds),
-        radiations=np.zeros_like(u.radiations),
-        load_p_kw=np.zeros_like(u.load_p_kw),
-    )
-    var = assemble_variation(u, registry)
+    var = assemble_variation(np.zeros(registry.dimension), registry)
     # no renewable output and no stochastic load: only the constant records remain
     assert var.load_increase_kw == pytest.approx(882.5, rel=1e-9)
     assert ("680", "a") not in var.dp_kw or var.dp_kw[("680", "a")] == 0.0
+
+
+def test_assemble_variation_rejects_a_row_of_the_wrong_shape(registry):
+    n = registry.dimension
+    for u in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+        with pytest.raises(ConfigurationError, match=f"registry's {n} inputs"):
+            assemble_variation(u, registry)
