@@ -42,7 +42,6 @@ import numpy as np
 from . import chaos, continuation, stochastic
 from .errors import ConfigurationError, ConvergenceError, SingularJacobianError
 
-_CLASSES = ("voltage", "thermal", "collapse")
 _METHODS = ("mcs", "pce", "spce")
 
 # seed-stream tags so the coordinator, surrogate sampling and any future
@@ -180,9 +179,8 @@ def _trace_inputs(ctx, inputs, pool, workers, memoise):
 # -- aggregation helpers ---------------------------------------------------------
 
 def _aggregate_samples(rows):
-    """Build per-class MW sample arrays and binding tallies from trace rows."""
-    ok_rows = [r for r in rows if r is not None]
-    arr = np.array([[r[0], r[1], r[2]] for r in ok_rows], dtype=float)
+    """Per-class MW sample arrays and binding tallies of successful trace rows."""
+    arr = np.array([[r[0], r[1], r[2]] for r in rows], dtype=float)
     samples = {
         "voltage": arr[:, 0],
         "thermal": arr[:, 1],
@@ -192,7 +190,7 @@ def _aggregate_samples(rows):
     freq_overall: dict = {}
     freq_v: dict = {}
     freq_t: dict = {}
-    for r in ok_rows:
+    for r in rows:
         freq_overall[r[3]] = freq_overall.get(r[3], 0) + 1
         if r[4] is not None:
             freq_v[r[4]] = freq_v.get(r[4], 0) + 1

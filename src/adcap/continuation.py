@@ -161,7 +161,9 @@ def solve_base_case(case: pf.NetworkCase):
         status = check_limits(case, state)
         bad = status.violated()
         if bad:
-            desc = "; ".join(f"{k} at {el}" for k, el, _ in bad)
+            desc = "; ".join(
+                f"{k} at {el if isinstance(el, str) else '.'.join(el)}" for k, el, _ in bad
+            )
             raise InfeasibleBaseCaseError(
                 f"base case violates operating limits: {desc}", violations=bad
             )

@@ -1,14 +1,14 @@
-"""Three-phase feeder model: schema loading, validation, admittance assembly.
+"""Three-phase feeder model: schema, validation, per-unit branch blocks.
 
 A feeder document is JSON with top-level keys ``buses``, ``branches``,
 ``loads``, ``generators`` and ``limits``.  All quantities are in physical
-units (kV, ohm, siemens, kW, kvar, ampere); conversion to per-unit happens
-at admittance-assembly time with a fixed per-phase power base of 1 MVA and
+units (kV, ohm, siemens, kW, kvar, ampere); :func:`branch_admittance_blocks`
+converts them to per-unit with a fixed per-phase power base of 1 MVA and
 the phase-to-neutral voltage base of each bus's voltage zone.
 
 Phases absent at a bus simply do not appear in the node ordering, so the
-admittance matrix is built over existing (bus, phase) pairs only and no
-index padding is ever needed downstream.
+admittance matrix (``powerflow.NetworkCase``) is built over existing (bus,
+phase) pairs only and no index padding is ever needed downstream.
 """
 
 from __future__ import annotations
@@ -376,16 +376,7 @@ def i_base_a(bus: Bus) -> float:
     return S_BASE_VA / v_base_v(bus)
 
 
-# --- admittance assembly ----------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class AdmittanceMatrix:
-    """Dense per-unit node admittance matrix over (bus, phase) nodes."""
-
-    nodes: tuple
-    index: dict
-    matrix: np.ndarray  # (n, n) complex
-
+# --- per-branch admittance blocks -------------------------------------------
 
 def _series_admittance(branch: Branch, z_pu: np.ndarray) -> np.ndarray:
     try:
@@ -447,31 +438,3 @@ def branch_admittance_blocks(branch: Branch, zb_from: float, zb_to: float):
     ytf = yft.T.copy()
     ytt = y * np.eye(3)
     return yff, yft, ytf, ytt
-
-
-def build_admittance(model: FeederModel) -> AdmittanceMatrix:
-    """Assemble the per-unit admittance matrix over existing (bus, phase) nodes."""
-    nodes = model.nodes
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    y = np.zeros((n, n), dtype=complex)
-
-    for br in model.branches:
-        fb, tb = model.bus(br.from_bus), model.bus(br.to_bus)
-        yff, yft, ytf, ytt = branch_admittance_blocks(
-            br, z_base_ohm(fb), z_base_ohm(tb)
-        )
-        fi = [index[(br.from_bus, ph)] for ph in br.phases]
-        ti = [index[(br.to_bus, ph)] for ph in br.phases]
-        y[np.ix_(fi, fi)] += yff
-        y[np.ix_(fi, ti)] += yft
-        y[np.ix_(ti, fi)] += ytf
-        y[np.ix_(ti, ti)] += ytt
-
-    for bus in model.buses:
-        for ph, kvar in bus.shunt_kvar.items():
-            # shunt injecting Q at 1 pu: y = +j q_pu on the diagonal
-            y[index[(bus.id, ph)], index[(bus.id, ph)]] += 1j * (kvar / 1000.0)
-
-    y.setflags(write=False)
-    return AdmittanceMatrix(nodes, index, y)

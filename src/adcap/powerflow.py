@@ -25,7 +25,8 @@ the Jacobian's index maps once per switch set and pinned coordinate
 
 Branch currents (:func:`branch_flows`) come from one product of a stacked
 branch-current matrix, one row per (branch, phase, end), with V; each
-branch's loading is the largest current over its rated ends.
+branch's loading is the largest current over its rated ends.  Y and that
+matrix are built in one pass over the branches (:class:`NetworkCase`).
 
 Every power-flow solve, whether a plain solve or a continuation step, runs
 one Newton loop (:func:`correct`) on one augmented system (:class:`Curve`):
@@ -68,7 +69,6 @@ from .errors import (
 from .feeder import (
     PHASES,
     FeederModel,
-    build_admittance,
     branch_admittance_blocks,
     i_base_a,
     z_base_ohm,
@@ -97,9 +97,9 @@ class PowerFlowState:
 
 
 class NetworkCase:
-    """Immutable solver-ready view of a feeder: admittance (dense, and its
-    nonzeros for the Jacobian), base injections, node classification, the
-    monitored nodes and the stacked branch-current matrix.  Shared
+    """Immutable solver-ready view of a feeder: admittance matrix Y (dense,
+    and its nonzeros for the Jacobian), base injections, node classification,
+    the monitored nodes and the stacked branch-current matrix.  Shared
     read-only by every worker; solves never mutate it beyond filling its
     memos:
 
@@ -110,10 +110,8 @@ class NetworkCase:
 
     def __init__(self, model: FeederModel):
         self.model = model
-        self.admittance = build_admittance(model)
-        self.nodes = self.admittance.nodes
-        self.index = self.admittance.index
-        self.y = self.admittance.matrix
+        self.nodes = model.nodes
+        self.index = {node: i for i, node in enumerate(self.nodes)}
         n = len(self.nodes)
         self.n = n
         self._partitions = {}  # frozenset of switched nodes -> (idx_p, idx_q)
@@ -161,22 +159,17 @@ class NetworkCase:
 
         self.pv_nodes = [i for i in range(n) if self.pv_mask[i]]
 
-        # Y's nonzeros and its whole diagonal, row-major, for the Jacobian
-        nonzero = self.y != 0
-        np.fill_diagonal(nonzero, True)
-        self.y_rows, self.y_cols = np.nonzero(nonzero)
-        self.y_nonzero = self.y[self.y_rows, self.y_cols]
-        self.y_diag = np.flatnonzero(self.y_rows == self.y_cols)  # in node order
-
         # voltage-band scan: every node but the slack phases
         self.monitored = np.flatnonzero(~self.slack_mask)
         self.monitored_nodes = [self.nodes[i] for i in self.monitored]
 
-        # one stacked branch-current matrix: a row per (branch, phase, end),
-        # I_row = branch_current[row] @ V in pu.  The rated rows come first,
-        # grouped by branch (the from end, then the to end of a line;
-        # transformers are rated on the from side only), then the to ends
-        # of transformers.
+        # one pass over the branches: each branch's per-unit blocks go into
+        # Y and into one stacked branch-current matrix with a row per
+        # (branch, phase, end), I_row = branch_current[row] @ V in pu.  The
+        # rated rows come first, grouped by branch (the from end, then the to
+        # end of a line; transformers are rated on the from side only), then
+        # the to ends of transformers.
+        y = np.zeros((n, n), dtype=complex)
         rated, unrated = [], []  # (matrix row, base current, label)
         rated_starts = []
         for br in model.branches:
@@ -186,6 +179,10 @@ class NetworkCase:
             )
             fi = [self.index[(br.from_bus, ph)] for ph in br.phases]
             ti = [self.index[(br.to_bus, ph)] for ph in br.phases]
+            y[np.ix_(fi, fi)] += yff
+            y[np.ix_(fi, ti)] += yft
+            y[np.ix_(ti, fi)] += ytf
+            y[np.ix_(ti, ti)] += ytt
             rated_starts.append(len(rated))
             for end, y_f, y_t, bus in (("from", yff, yft, fb), ("to", ytf, ytt, tb)):
                 block = unrated if end == "to" and br.kind == "transformer" else rated
@@ -194,6 +191,13 @@ class NetworkCase:
                     row[fi] += y_f[p]
                     row[ti] += y_t[p]
                     block.append((row, i_base_a(bus), (br.id, ph, end)))
+        for bus in model.buses:
+            for ph, kvar in bus.shunt_kvar.items():
+                # shunt injecting Q at 1 pu: y = +j q_pu on the diagonal
+                i = self.index[(bus.id, ph)]
+                y[i, i] += 1j * (kvar / 1000.0)
+        y.setflags(write=False)
+        self.y = y
         rows = rated + unrated
         self.branch_current = np.array([r for r, _, _ in rows]).reshape(len(rows), n)
         self.branch_i_base = np.array([b for _, b, _ in rows])
@@ -202,6 +206,13 @@ class NetworkCase:
         self.rated_starts = np.array(rated_starts, dtype=int)
         self.branch_ids = [br.id for br in model.branches]
         self.ampacity = np.array([br.ampacity_a for br in model.branches])
+
+        # Y's nonzeros and its whole diagonal, row-major, for the Jacobian
+        nonzero = self.y != 0
+        np.fill_diagonal(nonzero, True)
+        self.y_rows, self.y_cols = np.nonzero(nonzero)
+        self.y_nonzero = self.y[self.y_rows, self.y_cols]
+        self.y_diag = np.flatnonzero(self.y_rows == self.y_cols)  # in node order
 
     # -- node partitions -----------------------------------------------------
 

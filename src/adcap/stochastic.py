@@ -151,8 +151,8 @@ class StochasticRegistry:
         return [d for _, d in self.wind_units + self.solar_units + self.load_units]
 
     def mean_inputs(self) -> np.ndarray:
-        """The input row of the forecast means."""
-        return np.array([d.mean for d in self.distributions()])
+        """The forecast means as an input row, mapped by :func:`physical_inputs`."""
+        return physical_inputs(np.zeros((1, self.dimension)), self.distributions())[0]
 
 
 def _scenario_check(check, *args):

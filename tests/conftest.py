@@ -69,3 +69,31 @@ def pv_two_bus_doc():
         {"id": "g", "bus": "r", "phases": "a", "type": "pv", "v0_pu": 1.0}
     )
     return doc
+
+
+def delta_wye_doc(x_mutual_ohm=0.0):
+    """Three-phase two-bus feeder through a delta-wye bank, 4.16 kV to
+    0.48 kV, with R 0.1 ohm and X 0.6 ohm per phase referred to the delta
+    side and 50 kW + 10 kvar per phase at the wye side.  A nonzero
+    ``x_mutual_ohm`` couples the phases' leakage, which the bank rejects."""
+    x = [[0.6 if i == j else x_mutual_ohm for j in range(3)] for i in range(3)]
+    return {
+        "name": "delta-wye",
+        "buses": [
+            {"id": "s", "type": "slack", "phases": "abc", "base_kv_ll": 4.16, "v0_pu": 1.0},
+            {"id": "r", "type": "pq", "phases": "abc", "base_kv_ll": 0.48},
+        ],
+        "branches": [
+            {
+                "id": "xf", "from": "s", "to": "r", "phases": "abc",
+                "kind": "transformer", "connection": "delta-wye",
+                "r_ohm": [[0.1 if i == j else 0.0 for j in range(3)] for i in range(3)],
+                "x_ohm": x, "ampacity_a": 1e9,
+            }
+        ],
+        "loads": [
+            {"bus": "r", "phase": ph, "p_kw": 50.0, "q_kvar": 10.0} for ph in "abc"
+        ],
+        "generators": [],
+        "limits": {"v_min_pu": 0.5, "v_max_pu": 1.5},
+    }

@@ -27,7 +27,7 @@ from adcap.powerflow import NetworkCase
 from adcap.report import run_assessment, write_outputs
 from adcap.stochastic import build_registry
 
-from conftest import DATA, pv_two_bus_doc, two_bus_doc
+from conftest import DATA, delta_wye_doc, pv_two_bus_doc, two_bus_doc
 from oracles import write_cdf_rows
 
 REPO = Path(__file__).resolve().parents[1]
@@ -425,7 +425,7 @@ def test_cli_exit_code_bad_input(tmp_path):
     assert rc == 1
 
 
-def test_cli_exit_code_infeasible_base(tmp_path):
+def test_cli_exit_code_infeasible_base(tmp_path, capsys):
     # 1000 kW through x = 0.3 pu sags the receiving end to ~0.949 < 0.96
     doc = two_bus_doc(p_kw=1000.0, v_min=0.96)
     fp, sp = _write_inputs(tmp_path, doc, _small_scenario())
@@ -433,7 +433,10 @@ def test_cli_exit_code_infeasible_base(tmp_path):
         "run", "--feeder", str(fp), "--scenario", str(sp),
         "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"),
     ])
+    err = capsys.readouterr().err
     assert rc == 2
+    # the node is named the way reports name it
+    assert len(err.splitlines()) == 1 and "voltage_lower at r.a" in err
 
 
 def test_cli_exit_code_numerical_failure(tmp_path):
@@ -504,6 +507,8 @@ def _slack_only():
     "doc, scenario, message, flags",
     [
         (two_bus_doc(x_ohm=0.0, v_min=0.90), _small_scenario(), "singular series impedance", {}),
+        (delta_wye_doc(x_mutual_ohm=0.2), _small_scenario(),
+         "delta-wye requires uniform uncoupled leakage", {}),
         (two_bus_doc(v_min=0.90), _wind_without_mean_speed(), "missing field 'mean_speed'", {}),
         (two_bus_doc(v_min=0.90), _small_scenario(std_kw=math.nan), "must be finite", {}),
         (two_bus_doc(v_min=0.90), _small_scenario(mean_kw="abc"), "field 'mean_kw' has wrong type", {}),
@@ -529,9 +534,9 @@ def _slack_only():
          {"--out": "feeder.json/out"}),
     ],
     ids=[
-        "singular-impedance", "wind-without-mean-speed", "nan-std", "string-mean-kw",
-        "null-mean-kw", "solar-phase-letter", "string-generator-p-kw", "string-tap",
-        "load-power-factor-above-1", "feeder-not-object", "scenario-not-object",
+        "singular-impedance", "coupled-delta-wye", "wind-without-mean-speed", "nan-std",
+        "string-mean-kw", "null-mean-kw", "solar-phase-letter", "string-generator-p-kw",
+        "string-tap", "load-power-factor-above-1", "feeder-not-object", "scenario-not-object",
         "slack-bus-only", "sparse-terms-above-basis", "sparse-terms-zero",
         "sparse-terms-negative", "samples-not-int", "scenario-missing", "out-under-a-file",
     ],

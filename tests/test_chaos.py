@@ -20,8 +20,10 @@ from adcap.chaos import (
     surrogate_stats_at,
 )
 from adcap.errors import ConfigurationError
-from adcap.stochastic import assemble_variation, physical_inputs
+from adcap.feeder import load_feeder
+from adcap.stochastic import assemble_variation, build_registry, physical_inputs
 
+from conftest import two_bus_doc
 from oracles import (
     basis_matrix_columns,
     evaluate,
@@ -362,13 +364,17 @@ def test_active_bases_give_each_model_its_own_evaluation():
 
 def test_design_centre_is_the_mean_input(registry):
     # the first design point traces the same direction as the mean input,
-    # which the run's trace memo relies on to trace it once
-    design = collocation_design(PceConfig(registry.dimension, 2), n_rows=31)
-    assert not design.points[0].any()
-    centre = physical_inputs(design.points[:1], registry.distributions())[0]
-    mean = registry.mean_inputs()
-    assert centre.dtype == mean.dtype and centre.tobytes() == mean.tobytes()
-    assert assemble_variation(centre, registry) == assemble_variation(mean, registry)
+    # which the run's trace memo relies on to trace it once; a negative
+    # forecast mean is clamped at zero in both
+    negative_mean = build_registry(load_feeder(two_bus_doc()), {"loads_stochastic": [
+        {"bus": "r", "phase": "a", "mean_kw": -50.0, "std_kw": 5.0}]})
+    for reg, rows in ((registry, 31), (negative_mean, 3)):
+        design = collocation_design(PceConfig(reg.dimension, 2), n_rows=rows)
+        assert not design.points[0].any()
+        centre = physical_inputs(design.points[:1], reg.distributions())[0]
+        mean = reg.mean_inputs()
+        assert centre.dtype == mean.dtype and centre.tobytes() == mean.tobytes()
+        assert assemble_variation(centre, reg) == assemble_variation(mean, reg)
 
 
 # -- surrogate statistics ------------------------------------------------------------

@@ -11,11 +11,11 @@ from adcap.errors import FeederFormatError, TopologyError
 from adcap.feeder import (
     PHASES,
     branch_admittance_blocks,
-    build_admittance,
     i_base_a,
     load_feeder,
     z_base_ohm,
 )
+from adcap.powerflow import NetworkCase
 
 from conftest import DATA, two_bus_doc
 from oracles import to_document
@@ -49,12 +49,12 @@ def test_per_unit_bases(model):
 
 
 def test_admittance_dimensions(model):
-    adm = build_admittance(model)
+    y = NetworkCase(model).y
     n = len(model.nodes)
-    assert adm.matrix.shape == (n, n)
-    assert not adm.matrix.flags.writeable
+    assert y.shape == (n, n)
+    assert not y.flags.writeable
     # hermitian-symmetric structure for a passive reciprocal network
-    assert np.allclose(adm.matrix, adm.matrix.T)
+    assert np.allclose(y, y.T)
 
 
 def test_admittance_row_sums_zero_without_shunts():
@@ -63,8 +63,7 @@ def test_admittance_row_sums_zero_without_shunts():
     doc = two_bus_doc(x_ohm=0.25)
     doc["branches"][0]["r_ohm"] = [[0.1]]
     model = load_feeder(doc)
-    adm = build_admittance(model)
-    rs = adm.matrix.sum(axis=1)
+    rs = NetworkCase(model).y.sum(axis=1)
     assert np.max(np.abs(rs)) < 1e-12
 
 
@@ -102,15 +101,15 @@ def test_wye_transformer_tap_blocks():
 
 
 def test_shunt_capacitor_enters_diagonal(model):
-    adm = build_admittance(model)
-    i = adm.index[("611", "c")]
+    case = NetworkCase(model)
+    i = case.index[("611", "c")]
     # remove the bank and the diagonal must drop by exactly j*kvar/1000
     doc = to_document(model)
     for b in doc["buses"]:
         if b["id"] == "611":
             kvar = b.pop("shunt_kvar")["c"]
-    adm2 = build_admittance(load_feeder(doc))
-    delta = adm.matrix[i, i] - adm2.matrix[i, i]
+    y2 = NetworkCase(load_feeder(doc)).y
+    delta = case.y[i, i] - y2[i, i]
     assert delta == pytest.approx(1j * kvar / 1000.0)
 
 

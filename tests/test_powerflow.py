@@ -18,7 +18,7 @@ from adcap.powerflow import (
 )
 from adcap.stochastic import assemble_variation, build_registry
 
-from conftest import two_bus_doc
+from conftest import delta_wye_doc, two_bus_doc
 from oracles import branch_flows_loop, dense_jacobian, jacobian, mismatch, power_balance
 
 
@@ -137,6 +137,18 @@ def test_power_balance_on_converged_state(case):
 def test_power_balance_under_direction(case, registry):
     var = assemble_variation(registry.mean_inputs(), registry)
     state = solve(case, 0.4, case.direction_arrays(var))
+    s_nodal, s_elem = power_balance(case, state)
+    assert abs(s_nodal - s_elem) < 10 * TOL
+
+
+def test_delta_wye_bank_solves_and_balances():
+    # no bundled feeder has a delta-wye bank: its blocks land in Y
+    # symmetrically, the flat start converges, and nodal injections match the
+    # per-element flows
+    case = NetworkCase(load_feeder(delta_wye_doc()))
+    assert np.array_equal(case.y, case.y.T)
+    state = solve(case)
+    assert state.iterations <= 5 and state.max_mismatch < TOL
     s_nodal, s_elem = power_balance(case, state)
     assert abs(s_nodal - s_elem) < 10 * TOL
 
