@@ -322,7 +322,7 @@ def calibrate():
 
     var = assemble_variation(registry.mean_inputs(), registry)
     print(f"direction: load increase {var.load_increase_kw:.1f} kW")
-    res = trace_adc(case, var, collect_curve=True)
+    res = trace_adc(case, var)
     print(f"lambdas: {({k: round(v, 4) for k, v in res.lambdas.items()})}")
     print(f"adc MW: {({k: round(v, 4) for k, v in res.adc_mw.items()})}")
     print(f"targets: v 0.5049 t 0.7231 c 1.4091 (MW 0.875/1.253/2.442)")

@@ -187,16 +187,11 @@ def _aggregate_samples(rows):
         "collapse": arr[:, 2],
         "overall": arr.min(axis=1),
     }
-    freq_overall: dict = {}
-    freq_v: dict = {}
-    freq_t: dict = {}
-    for r in rows:
-        freq_overall[r[3]] = freq_overall.get(r[3], 0) + 1
-        if r[4] is not None:
-            freq_v[r[4]] = freq_v.get(r[4], 0) + 1
-        if r[5] is not None:
-            freq_t[r[5]] = freq_t.get(r[5], 0) + 1
-    return samples, {"overall_class": freq_overall, "voltage": freq_v, "thermal": freq_t}
+    return samples, {
+        "overall_class": Counter(r[3] for r in rows),
+        "voltage": Counter(r[4] for r in rows if r[4] is not None),
+        "thermal": Counter(r[5] for r in rows if r[5] is not None),
+    }
 
 
 def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
@@ -241,17 +236,10 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
     pcfg = chaos.PceConfig(n, PCE_ORDER)
     k_full = chaos.basis_size(n, PCE_ORDER)
 
-    if sparse:
-        if isinstance(config.sparse_terms, int):
-            n_rows = config.sparse_terms
-            target = config.sparse_terms
-        else:
-            n_rows = k_full  # auto rule needs the full-rank design
-            target = "auto"
-    else:
-        n_rows = k_full
-        target = None
-
+    # a fixed term count is also the design size; auto and full PCE need
+    # the full-rank design
+    target = config.sparse_terms if sparse else None
+    n_rows = target if isinstance(target, int) else k_full
     design = chaos.collocation_design(pcfg, n_rows=n_rows)
     inputs = stochastic.physical_inputs(design.points, registry.distributions())
 
@@ -263,19 +251,14 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
             f"design-point trace {i0} failed ({err0}); "
             "the expansion cannot be fitted from an incomplete design"
         )
-    rows = [payload for _, payload, _ in raw]
-
-    responses = {
-        "voltage": np.array([r[0] for r in rows]),
-        "thermal": np.array([r[1] for r in rows]),
-        "collapse": np.array([r[2] for r in rows]),
+    # responses and binding evidence from the design traces themselves
+    samples, freq = _aggregate_samples([payload for _, payload, _ in raw])
+    models = {
+        cls: chaos.fit_sparse(design, samples[cls], target)
+        if sparse
+        else chaos.fit_full(design, samples[cls])
+        for cls in ("voltage", "thermal", "collapse")
     }
-    models = {}
-    for cls, y in responses.items():
-        if sparse:
-            models[cls] = chaos.fit_sparse(design, y, target)
-        else:
-            models[cls] = chaos.fit_full(design, y)
 
     stream = _STREAM_SPCE_SURROGATE if sparse else _STREAM_PCE_SURROGATE
     xi = stochastic.standard_normals(config.surrogate_samples, n, [config.seed, stream])
@@ -290,8 +273,6 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
     )
     classes["overall"] = chaos.ClassStats(chaos.sample_moments(overall))
 
-    # binding evidence from the design traces themselves
-    _, freq = _aggregate_samples(rows)
     method = "spce" if sparse else "pce"
     diag = {
         "design_rows": design.rows,

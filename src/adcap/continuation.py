@@ -33,6 +33,12 @@ MAX_REPINS times).  A crossing not solved inside its bracket fails the
 trace.  Violations that first appear past the fold are ignored: every
 margin is evaluated on the upper branch only.
 
+Every trace returns its curve (``AdcResult.curve``): one ``CurvePoint`` per
+accepted point in the order accepted, from the base case to the fold (to
+the first point past LAMBDA_CAP on a capped trace).
+A run's trace memo (``trace_adc``) returns a stored result, curve included,
+and never traces a stored direction again.
+
 Every setting is a module constant, not an option: the step control,
 lambda cap, point budget and re-pin cap below (STEP0 ... MAX_VM_STEP), and
 the Newton tolerance, iteration budget and magnitude floor of the shared
@@ -42,7 +48,7 @@ fold secant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,10 +116,10 @@ class AdcResult:
     overall_mw: float
     binding_class: str
     binding_element: dict  # class -> element id or None
+    curve: list  # one CurvePoint per accepted point, in the order accepted
     capped: bool = False
     n_solves: int = 0
     n_newton: int = 0
-    curve: list = field(default_factory=list)
 
 
 def binding_label(element):
@@ -183,7 +189,8 @@ def predict_secant(z_prev: np.ndarray, z_curr: np.ndarray, h: float, param_index
 
 def tangent(jac_aug: np.ndarray, param_index: int) -> np.ndarray:
     """The tangent t of the curve from the augmented Jacobian
-    [dg/dx | dg/dlam]: J_aug t = 0 with t[param_index] = 1."""
+    [dg/dx | dg/dlam]: J_aug t = 0 with t[param_index] = 1.  Raises
+    SingularJacobianError when that bordered system is singular."""
     m, n1 = jac_aug.shape
     if n1 != m + 1:
         raise ValueError("augmented jacobian must be m x (m+1)")
@@ -191,7 +198,10 @@ def tangent(jac_aug: np.ndarray, param_index: int) -> np.ndarray:
     sq[m, param_index] = 1.0
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
-    return np.linalg.solve(sq, rhs)
+    try:
+        return np.linalg.solve(sq, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularJacobianError("bordered tangent system is singular") from None
 
 
 def predict_tangent(jac_aug: np.ndarray, z_curr: np.ndarray, h: float, param_index: int) -> np.ndarray:
@@ -210,16 +220,14 @@ class _TracePoint:
 class _Tracer:
     """One continuation run for a fixed variation direction."""
 
-    def __init__(self, case, variation, collect_curve=False):
+    def __init__(self, case, variation):
         if variation.is_zero():
             raise ZeroDirectionError("variation direction is identically zero")
         self.case = case
         self.variation = variation
         self.direction = case.direction_arrays(variation)
-        self.collect_curve = collect_curve
         self.n_solves = 0
         self.n_newton = 0
-        self.curve: list[CurvePoint] = []
         self.points: list[_TracePoint] = []
         self.lam_cross = {"voltage": None, "thermal": None}
         self.binding = {"voltage": None, "thermal": None, "collapse": None}
@@ -305,8 +313,7 @@ class _Tracer:
 
     def _accept(self, lam, state, status=None):
         """Append a solved point with its limit status (computed unless
-        given), first solving each limit crossed since the previous point,
-        and record it on the curve when collecting one."""
+        given), first solving each limit crossed since the previous point."""
         new = _TracePoint(lam, state, status or check_limits(self.case, state))
         if self.points:
             prev = self.points[-1]
@@ -316,14 +323,6 @@ class _Tracer:
                 ):
                     self.lam_cross[cls], self.binding[cls] = self._cross(cls, prev, new)
         self.points.append(new)
-        if self.collect_curve:
-            self.curve.append(
-                CurvePoint(
-                    lam,
-                    float(np.min(state.vm[self.case.monitored])),
-                    float(1.0 - new.status.thermal_margin),
-                )
-            )
 
     # limit crossings ------------------------------------------------------------
 
@@ -480,30 +479,35 @@ class _Tracer:
             capped=capped,
             n_solves=self.n_solves,
             n_newton=self.n_newton,
-            curve=self.curve,
+            curve=[
+                CurvePoint(
+                    p.lam,
+                    float(np.min(p.state.vm[self.case.monitored])),
+                    float(1.0 - p.status.thermal_margin),
+                )
+                for p in points
+            ],
         )
 
 
-def trace_adc(
-    case: pf.NetworkCase, variation, collect_curve: bool = False, memo: dict | None = None
-) -> AdcResult:
+def trace_adc(case: pf.NetworkCase, variation, memo: dict | None = None) -> AdcResult:
     """Trace the solution branch for one variation direction and return the
-    delivery margins per violation class.
+    delivery margins per violation class, with the curve of every accepted
+    point (``AdcResult.curve``).
 
     ``memo`` is a dict owned by one run on one ``case``: the result of each
     direction traced with it is stored under the direction (``dp_kw``,
     ``dq_kvar``, ``load_increase_kw``), and a later call with the same
-    direction returns the stored result instead of tracing again.  A call
-    that wants a curve the stored result lacks traces again.
+    direction returns the stored result, curve included, without tracing.
     """
     if memo is None:
-        return _Tracer(case, variation, collect_curve).run()
+        return _Tracer(case, variation).run()
     key = (
         tuple(sorted(variation.dp_kw.items())),
         tuple(sorted(variation.dq_kvar.items())),
         variation.load_increase_kw,
     )
     res = memo.get(key)
-    if res is None or (collect_curve and not res.curve):
-        res = memo[key] = _Tracer(case, variation, collect_curve).run()
+    if res is None:
+        res = memo[key] = _Tracer(case, variation).run()
     return res

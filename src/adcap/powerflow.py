@@ -159,8 +159,10 @@ class NetworkCase:
 
         self.pv_nodes = [i for i in range(n) if self.pv_mask[i]]
 
-        # voltage-band scan: every node but the slack phases
+        # voltage-band scan and P rows of every switch set: every node but
+        # the slack phases
         self.monitored = np.flatnonzero(~self.slack_mask)
+        self.monitored.flags.writeable = False
         self.monitored_nodes = [self.nodes[i] for i in self.monitored]
 
         # one pass over the branches: each branch's per-unit blocks go into
@@ -218,20 +220,17 @@ class NetworkCase:
 
     def partition(self, q_switched: dict):
         """(P-row node indices, Q-row node indices) for a given switch set,
-        computed once per set of switched nodes; the arrays are read-only."""
+        computed once per set of switched nodes; the arrays are read-only.
+        The P rows are ``monitored`` for every set; the Q rows add a PV
+        phase only once it is switched to PQ."""
         key = frozenset(q_switched)
         parts = self._partitions.get(key)
         if parts is None:
-            sw = {self.index[k] for k in key}
-            idx_p = [i for i in range(self.n) if not self.slack_mask[i]]
-            idx_q = [
-                i
-                for i in range(self.n)
-                if not self.slack_mask[i] and (not self.pv_mask[i] or i in sw)
-            ]
-            parts = np.array(idx_p, dtype=int), np.array(idx_q, dtype=int)
-            for arr in parts:
-                arr.flags.writeable = False
+            switched = np.zeros(self.n, dtype=bool)
+            switched[[self.index[k] for k in key]] = True
+            idx_q = np.flatnonzero(~self.slack_mask & (~self.pv_mask | switched))
+            idx_q.flags.writeable = False
+            parts = self.monitored, idx_q
             self._partitions[key] = parts
         return parts
 

@@ -121,7 +121,8 @@ class AdcReport:
 
 def write_outputs(report: AdcReport, out_dir) -> list:
     """Write report.json / report.md / cdf_<class>_<method>.csv (+ pv_curve.csv
-    when a curve was collected); returns the written paths."""
+    when the report carries a curve, with ``--dump-trace``); returns the
+    written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -208,7 +209,7 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     }
 
     mean_var = stochastic.assemble_variation(registry.mean_inputs(), registry)
-    det = continuation.trace_adc(case, mean_var, collect_curve=config.dump_trace, memo=memo)
+    det = continuation.trace_adc(case, mean_var, memo=memo)
     deterministic = {
         "lambdas": {k: det.lambdas[k] for k in ("voltage", "thermal", "collapse")},
         "adc_mw": {k: det.adc_mw[k] for k in ("voltage", "thermal", "collapse")},

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from adcap.continuation import (
     predict_secant,
     predict_tangent,
     solve_base_case,
+    tangent,
     trace_adc,
 )
 from adcap.errors import (
@@ -66,6 +70,12 @@ def test_tangent_prediction_on_linear_curve():
     assert zp[2] == pytest.approx(0.2)
     assert np.allclose(a @ zp, 0.0, atol=1e-12)
     assert zp[0] == pytest.approx(0.2) and zp[1] == pytest.approx(0.2)
+
+
+def test_singular_tangent_system_raises_singular_jacobian_error():
+    # a bare LinAlgError would escape the per-trace failure handling
+    with pytest.raises(SingularJacobianError, match="singular"):
+        tangent(np.zeros((2, 3)), 0)
 
 
 # -- two-bus analytic benchmarks --------------------------------------------------
@@ -307,12 +317,22 @@ def test_base_case_converging_through_a_rising_mismatch():
 
 def test_curve_collection(case, registry, model):
     var = assemble_variation(registry.mean_inputs(), registry)
-    res = trace_adc(case, var, collect_curve=True)
+    res = trace_adc(case, var)
     assert len(res.curve) >= 5
     lams = [p.lam for p in res.curve]
     assert lams[0] == 0.0
     assert max(lams) >= res.lambdas["collapse"] * 0.8
     assert all(0 < p.min_vm <= 1.2 for p in res.curve)
+
+
+def test_every_trace_curve_rises_in_lambda_and_ends_at_the_fold(case, registry):
+    from adcap.stochastic import sample_inputs
+
+    for u in sample_inputs(registry.distributions(), 20, [0, 0]):
+        res = trace_adc(case, assemble_variation(u, registry))
+        lams = [p.lam for p in res.curve]
+        assert all(a < b for a, b in zip(lams, lams[1:]))
+        assert lams[-1] == res.lambdas["collapse"]
 
 
 def test_trace_memo_returns_the_stored_result_for_a_repeated_direction():
@@ -323,13 +343,27 @@ def test_trace_memo_returns_the_stored_result_for_a_repeated_direction():
     memo = {}
     first = trace_adc(case, var, memo=memo)
     assert len(memo) == 1
+    assert first.curve and first.curve[-1].lam == first.lambdas["collapse"]
     assert trace_adc(case, same, memo=memo) is first
-    # a curve the stored result lacks is traced, and then kept
-    curved = trace_adc(case, same, collect_curve=True, memo=memo)
-    assert curved is not first and curved.curve
-    assert curved.lambdas == first.lambdas
-    assert trace_adc(case, var, memo=memo) is curved
+    assert len(memo) == 1
     # another direction is another entry; no memo traces every time
     trace_adc(case, VariationVector(var.dp_kw, var.dq_kvar, 200.0), memo=memo)
     assert len(memo) == 2
     assert trace_adc(case, var) is not trace_adc(case, var)
+
+
+def test_trace_delta_of_a_tree_against_itself_is_zero():
+    # scripts/trace_delta.py checks every trace-kernel change; pin its output
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "trace_delta.py"), src, src, "--samples", "2"],
+        check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
+    lines = out.splitlines()
+    assert lines[0] == "traces: 93 (2 MCS + 91 design)"
+    rows = [line.split() for line in lines if line.split()[0] in ("voltage", "thermal", "collapse")]
+    assert len(rows) == 3
+    assert all(float(x) == 0.0 for row in rows for x in row[1:])
+    assert "binding mismatches: 0, capped mismatches: 0" in lines
+    assert sum(line.startswith(("old: 0 failed,", "new: 0 failed,")) for line in lines) == 2

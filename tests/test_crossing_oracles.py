@@ -134,7 +134,7 @@ def test_voltage_crossing_when_the_binding_node_changes_inside_the_bracket():
         dp_kw={("r", "a"): -1000.0 * pa, ("r", "b"): -1000.0 * pb},
         dq_kvar={}, load_increase_kw=1000.0 * (pa + pb),
     )
-    res = trace_adc(case, var, collect_curve=True)
+    res = trace_adc(case, var)
     # lossless, unity power factor: |V| = 0.9 where (x P)^2 = y - y^2, y = 0.81
     p_cross = math.sqrt(0.81 - 0.81 ** 2) / 0.3
     lam_a, lam_b = (p_cross - 1.0) / pa, p_cross / pb
