@@ -14,13 +14,14 @@ surrogates evaluated on one shared standard-normal block).
 
 Execution: every method maps one guarded per-input trace over its inputs,
 with builtin ``map`` in this process (one worker) or ``pool.map`` over a
-process pool whose workers receive the trace context once, when the pool
-starts.  A run opens at most one pool and shares it between its methods.
-``pool.map`` keeps input order, so the results do not depend on the worker
-count.  PCE and SPCE trace through the context's run-scoped trace memo
-(``continuation.trace_adc``), so a design point traced earlier in the run
-is not traced again; in a pool each worker memoises into its own copy.
-Monte Carlo draws never repeat, so MCS traces bypass the memo.
+process pool of at most one worker per CPU, whose workers receive the trace
+context once, when the pool starts.  A run opens at most one pool and
+shares it between its methods.  ``pool.map`` keeps input order, so the
+results do not depend on the worker count.  PCE and SPCE trace through the
+context's run-scoped trace memo (``continuation.trace_adc``), so a design
+point traced earlier in the run is not traced again; in a pool each worker
+memoises into its own copy.  Monte Carlo draws never repeat, so MCS traces
+bypass the memo.
 
 Everything that lands in report.json is a pure function of (feeder, scenario,
 config); wall-clock timings go to report.md only.
@@ -28,7 +29,7 @@ config); wall-clock timings go to report.md only.
 
 from __future__ import annotations
 
-import json
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -131,13 +132,21 @@ def _init_worker(ctx):
     _WORKER_CTX = ctx
 
 
+def _pool_size(workers: int) -> int:
+    """The processes a run traces over for ``--workers``: at most the CPU
+    count, since a process pool starts every worker at its first task."""
+    return min(workers, os.cpu_count() or 1)
+
+
 def trace_pool(ctx, workers: int):
-    """Context manager yielding a process pool whose workers hold ``ctx``,
-    or None for a single worker (trace in this process)."""
-    if workers == 1:
+    """Context manager yielding a process pool of ``_pool_size(workers)``
+    processes that hold ``ctx``, or None for a single one (trace in this
+    process)."""
+    size = _pool_size(workers)
+    if size == 1:
         return nullcontext()
     return ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(ctx,)
+        max_workers=size, initializer=_init_worker, initargs=(ctx,)
     )
 
 
@@ -169,10 +178,11 @@ def _guarded_trace(ctx, memoise, u):
 
 def _trace_inputs(ctx, inputs, pool, workers, memoise):
     """Guarded traces of ``inputs``, in input order: in this process when
-    ``pool`` is None, otherwise over its ``workers`` processes."""
+    ``pool`` is None, otherwise over the pool that :func:`trace_pool`
+    opened for ``workers``."""
     if pool is None:
         return list(map(partial(_guarded_trace, ctx, memoise), inputs))
-    chunk = max(1, len(inputs) // (workers * 8))
+    chunk = max(1, len(inputs) // (_pool_size(workers) * 8))
     return list(pool.map(partial(_guarded_trace, None, memoise), inputs, chunksize=chunk))
 
 
@@ -211,7 +221,7 @@ def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
     if not ok:
         raise ConvergenceError("every Monte Carlo trace failed")
     samples, freq = _aggregate_samples(ok)
-    classes = {k: chaos.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()}
+    classes = {k: chaos.sample_moments(v) for k, v in samples.items()}
     failures = len(reasons)
     return MethodResult(
         method="mcs",
@@ -268,17 +278,17 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
         for (cls, model), basis in zip(models.items(), bases)
     }
     overall = np.minimum(
-        np.minimum(classes["voltage"].stats.samples, classes["thermal"].stats.samples),
-        classes["collapse"].stats.samples,
+        np.minimum(classes["voltage"].samples, classes["thermal"].samples),
+        classes["collapse"].samples,
     )
-    classes["overall"] = chaos.ClassStats(chaos.sample_moments(overall))
+    classes["overall"] = chaos.sample_moments(overall)
 
     method = "spce" if sparse else "pce"
     diag = {
         "design_rows": design.rows,
         "basis_size": k_full,
         "terms": {cls: int(m.active.sum()) for cls, m in models.items()},
-        "models": {cls: json.loads(m.to_json()) for cls, m in models.items()},
+        "models": {cls: m.to_dict() for cls, m in models.items()},
     }
     return MethodResult(
         method=method,
@@ -305,7 +315,8 @@ def ks_distance(a, b) -> float:
 
 def compare(results: dict) -> dict:
     """Per-class moment deltas, KS distance and evaluation-count ratio of
-    every method against the baseline (MCS when present)."""
+    every method against the baseline (MCS when present), over the
+    baseline's classes."""
     if not results:
         return {}
     baseline_name = "mcs" if "mcs" in results else sorted(results)[0]
@@ -316,10 +327,8 @@ def compare(results: dict) -> dict:
             continue
         rows = {}
         for cls in sorted(base.classes):
-            if cls not in res.classes:
-                continue
-            b = base.classes[cls].stats
-            o = res.classes[cls].stats
+            b = base.classes[cls]
+            o = res.classes[cls]
             ks = ks_distance(b.samples, o.samples)
             rows[cls] = {
                 "mean_rel_delta": abs(o.mean - b.mean) / abs(b.mean) if b.mean else 0.0,

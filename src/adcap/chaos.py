@@ -12,9 +12,8 @@ combinations-with-replacement order.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,37 +122,31 @@ def _candidate_points(n: int, p: int):
     return np.array(pts)
 
 
-def collocation_design(config: PceConfig, n_rows: int | None = None) -> CollocationDesign:
-    """Select design points from the ranked candidate pool.
+def collocation_design(config: PceConfig, n_rows: int) -> CollocationDesign:
+    """Select ``n_rows`` design points, 1 <= n_rows <= K, from the ranked
+    candidate pool.
 
-    The K highest-ranked points that keep the basis matrix at full column
-    rank are always included (rank-deficient picks are replaced by the next
-    candidates); remaining slots up to ``n_rows`` are filled back in rank
-    order.  Default row count is 1.5 K, capped at the pool size.
+    Below K these are the ``n_rows`` highest-ranked candidates.  At K they
+    are the highest-ranked points that keep the basis matrix at full column
+    rank (rank-deficient picks are replaced by the next candidates).
     """
     n, p = config.dimension, config.order
     indices = multi_indices(n, p)
     k_full = len(indices)
-    cand = _candidate_points(n, p)
-    if n_rows is None:
-        n_rows = min(math.ceil(1.5 * k_full), len(cand))
-    if n_rows < 1:
-        raise ConfigurationError("n_rows must be >= 1")
-    if n_rows > len(cand):
-        raise DesignRankError(
-            f"requested {n_rows} rows but only {len(cand)} candidates exist; "
-            "increase the order to enlarge the pool"
+    if not 1 <= n_rows <= k_full:
+        raise ConfigurationError(
+            f"n_rows must be between 1 and the basis size {k_full}, got {n_rows}"
         )
-
+    cand = _candidate_points(n, p)
     a_cand = basis_matrix(cand, indices)
     if n_rows < k_full:
         chosen = list(range(n_rows))
     else:
-        # pass 1: greedy rank-increasing picks until full column rank
+        # greedy rank-increasing picks until full column rank
         basis: list[np.ndarray] = []
-        core = []
+        chosen = []
         for i in range(len(cand)):
-            if len(core) == k_full:
+            if len(chosen) == k_full:
                 break
             row = a_cand[i]
             r = row.copy()
@@ -164,20 +157,16 @@ def collocation_design(config: PceConfig, n_rows: int | None = None) -> Collocat
             nrm = np.linalg.norm(r)
             if nrm > _GS_TOL * np.linalg.norm(row):
                 basis.append(r / nrm)
-                core.append(i)
-        if len(core) < k_full:
+                chosen.append(i)
+        if len(chosen) < k_full:
             raise DesignRankError(
                 "candidate pool cannot reach full column rank; "
                 "increase the order to enlarge the pool"
             )
-        # pass 2: fill remaining slots with the best-ranked leftovers
-        core_set = set(core)
-        extra = [i for i in range(len(cand)) if i not in core_set]
-        chosen = sorted(core + extra[: n_rows - k_full])
 
     pts = cand[chosen]
     a = a_cand[chosen]
-    if n_rows >= k_full and np.linalg.matrix_rank(a) < k_full:
+    if n_rows == k_full and np.linalg.matrix_rank(a) < k_full:
         raise DesignRankError("selected design lost full column rank")
     return CollocationDesign(config, pts, a, indices)
 
@@ -203,20 +192,17 @@ class PceModel:
             out += c * c * basis_norm_sq(ix)
         return float(out)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.config.dimension,
-                "order": self.config.order,
-                "terms": {
-                    ",".join(map(str, ix)): c
-                    for ix, c, act in zip(self.indices, self.coeffs, self.active)
-                    if act
-                },
-                "diagnostics": self.diagnostics,
+    def to_dict(self) -> dict:
+        return {
+            "dimension": self.config.dimension,
+            "order": self.config.order,
+            "terms": {
+                ",".join(map(str, ix)): float(c)
+                for ix, c, act in zip(self.indices, self.coeffs, self.active)
+                if act
             },
-            sort_keys=True,
-        )
+            "diagnostics": self.diagnostics,
+        }
 
 
 def fit_full(design: CollocationDesign, y) -> PceModel:
@@ -414,27 +400,38 @@ def active_bases(models, xi):
 # -- sampling statistics -----------------------------------------------------------
 
 @dataclass
-class SampleStats:
-    count: int
+class ClassStats:
+    """One response class's sample statistics; for a surrogate also the
+    fraction of samples clipped at zero and the analytic moments."""
+
     mean: float
     variance: float  # 1/(M-1)
     skewness: float  # standardized third central moment
     kurtosis: float  # raw (normal -> 3)
     ci95: tuple
-    samples: np.ndarray = field(repr=False, default=None)
+    samples: np.ndarray = field(repr=False)
+    clip_fraction: float = 0.0
+    analytic_mean: float | None = None
+    analytic_variance: float | None = None
 
-    def moments(self) -> dict:
-        return {
+    def to_dict(self) -> dict:
+        out = {
             "mean": self.mean,
             "variance": self.variance,
             "skewness": self.skewness,
             "kurtosis": self.kurtosis,
             "ci95_low": self.ci95[0],
             "ci95_high": self.ci95[1],
+            "count": len(self.samples),
+            "clip_fraction": self.clip_fraction,
         }
+        if self.analytic_mean is not None:
+            out["analytic_mean"] = self.analytic_mean
+            out["analytic_variance"] = self.analytic_variance
+        return out
 
 
-def sample_moments(samples) -> SampleStats:
+def sample_moments(samples) -> ClassStats:
     y = np.asarray(samples, dtype=float)
     m = len(y)
     mean = float(np.mean(y))
@@ -447,27 +444,7 @@ def sample_moments(samples) -> SampleStats:
     else:
         skew, kurt = 0.0, 0.0
     lo, hi = np.percentile(y, [2.5, 97.5])
-    return SampleStats(m, mean, var, skew, kurt, (float(lo), float(hi)), y)
-
-
-@dataclass
-class ClassStats:
-    """One response class's sample statistics; for a surrogate also the
-    fraction of samples clipped at zero and the analytic moments."""
-
-    stats: SampleStats
-    clip_fraction: float = 0.0
-    analytic_mean: float | None = None
-    analytic_variance: float | None = None
-
-    def to_dict(self) -> dict:
-        out = dict(self.stats.moments())
-        out["count"] = self.stats.count
-        out["clip_fraction"] = self.clip_fraction
-        if self.analytic_mean is not None:
-            out["analytic_mean"] = self.analytic_mean
-            out["analytic_variance"] = self.analytic_variance
-        return out
+    return ClassStats(mean, var, skew, kurt, (float(lo), float(hi)), y)
 
 
 def surrogate_stats_at(model: PceModel, basis, clip_at_zero: bool = False) -> ClassStats:
@@ -481,4 +458,9 @@ def surrogate_stats_at(model: PceModel, basis, clip_at_zero: bool = False) -> Cl
         neg = y < 0.0
         clip_fraction = float(np.mean(neg))
         y = np.maximum(y, 0.0)
-    return ClassStats(sample_moments(y), clip_fraction, model.mean, model.variance)
+    return replace(
+        sample_moments(y),
+        clip_fraction=clip_fraction,
+        analytic_mean=model.mean,
+        analytic_variance=model.variance,
+    )

@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     )
     for name in sorted(rep.results):
         res = rep.results[name]
-        o = res.classes["overall"].stats
+        o = res.classes["overall"]
         flag = " [UNRELIABLE]" if res.unreliable else ""
         print(
             f"{name}: overall mean {o.mean:.4f} MW, var {o.variance:.3e} "

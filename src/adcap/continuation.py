@@ -434,7 +434,10 @@ class _Tracer:
             curve, z = self._predict(h)
             try:
                 new_state = self._solve_natural(lam_new, curve.state(z))
-            except (ConvergenceError, SingularJacobianError):
+            except ConvergenceError as exc:
+                self.n_newton += exc.iterations  # summed over its switching rounds
+                new_state = None
+            except SingularJacobianError:
                 new_state = None
             if new_state is None or not self._sane(lam_new, new_state, prev.state):
                 h *= 0.5

@@ -89,9 +89,7 @@ class AdcReport:
             lines.append("| class | mean | variance | skewness | kurtosis | 95% CI |")
             lines.append("|---|---|---|---|---|---|")
             for cls in _CLASS_ORDER:
-                if cls not in r.classes:
-                    continue
-                s = r.classes[cls].stats
+                s = r.classes[cls]
                 lines.append(
                     f"| {cls} | {s.mean:.6f} | {s.variance:.6e} | {s.skewness:.4f} "
                     f"| {s.kurtosis:.4f} | [{s.ci95[0]:.4f}, {s.ci95[1]:.4f}] |"
@@ -106,8 +104,6 @@ class AdcReport:
             lines.append("|---|---|---|---|---|---|---|---|")
             for name, pair in sorted(self.comparison["pairs"].items()):
                 for cls in _CLASS_ORDER:
-                    if cls not in pair["classes"]:
-                        continue
                     row = pair["classes"][cls]
                     lines.append(
                         f"| {name} | {cls} | {row['mean_rel_delta']:.2e} "
@@ -138,11 +134,9 @@ def write_outputs(report: AdcReport, out_dir) -> list:
     probabilities = {}  # sample count -> formatted cumulative probabilities
     for name, res in sorted(report.results.items()):
         for cls in _CLASS_ORDER:
-            if cls not in res.classes:
-                continue
             # sorted samples against their cumulative probability i/M, the
             # latter formatted once per sample count
-            s = np.sort(res.classes[cls].stats.samples)
+            s = np.sort(res.classes[cls].samples)
             n = len(s)
             if n not in probabilities:
                 probabilities[n] = ["%.6g" % q for q in (np.arange(1, n + 1) / n).tolist()]
@@ -164,8 +158,6 @@ def write_outputs(report: AdcReport, out_dir) -> list:
             )
             for name, pair in sorted(report.comparison["pairs"].items()):
                 for cls in _CLASS_ORDER:
-                    if cls not in pair["classes"]:
-                        continue
                     row = pair["classes"][cls]
                     fh.write(
                         f"{name},{cls},{row['mean_rel_delta']:.10g},"

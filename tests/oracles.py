@@ -6,7 +6,6 @@ from the feeder model and the formulas in ``adcap.powerflow``'s docstring,
 or row by row, so that it shares no kernel with the code under test.
 """
 
-import json
 import math
 
 import numpy as np
@@ -255,9 +254,8 @@ def to_document(model) -> dict:
     }
 
 
-def pce_model_from_json(text: str) -> chaos.PceModel:
-    """Inverse of ``PceModel.to_json``."""
-    doc = json.loads(text)
+def pce_model_from_dict(doc: dict) -> chaos.PceModel:
+    """Inverse of ``PceModel.to_dict``."""
     config = chaos.PceConfig(doc["dimension"], doc["order"])
     indices = chaos.multi_indices(config.dimension, config.order)
     coeffs = np.zeros(len(indices))

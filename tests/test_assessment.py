@@ -126,13 +126,13 @@ def test_mcs_eval_count_and_reproducibility():
     assert r1.failures == 0 and not r1.unreliable
     for cls in ("voltage", "thermal", "collapse", "overall"):
         assert np.array_equal(
-            r1.classes[cls].stats.samples, r2.classes[cls].stats.samples
+            r1.classes[cls].samples, r2.classes[cls].samples
         )
     # at 600 A the line overloads before the voltage band breaks
-    m = {c: r1.classes[c].stats.mean for c in ("voltage", "thermal", "collapse")}
+    m = {c: r1.classes[c].mean for c in ("voltage", "thermal", "collapse")}
     assert m["thermal"] < m["voltage"] < m["collapse"]
     assert np.array_equal(
-        r1.classes["overall"].stats.samples, r1.classes["thermal"].stats.samples
+        r1.classes["overall"].samples, r1.classes["thermal"].samples
     )
 
 
@@ -141,7 +141,7 @@ def test_mcs_seed_changes_samples():
     a = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=20, seed=0))
     b = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=20, seed=1))
     assert not np.array_equal(
-        a.classes["overall"].stats.samples, b.classes["overall"].stats.samples
+        a.classes["overall"].samples, b.classes["overall"].samples
     )
 
 
@@ -197,13 +197,31 @@ def test_pce_surrogate_tracks_mcs_on_smooth_response():
     )
     assert pce.eval_count == 6  # comb(2 + 2, 2)
     for cls in ("voltage", "thermal", "collapse"):
-        bm = mcs.classes[cls].stats.mean
-        om = pce.classes[cls].stats.mean
+        bm = mcs.classes[cls].mean
+        om = pce.classes[cls].mean
         assert abs(om - bm) / bm < 0.02
-        bv = mcs.classes[cls].stats.variance
-        ov = pce.classes[cls].stats.variance
+        bv = mcs.classes[cls].variance
+        ov = pce.classes[cls].variance
         assert bv > 0
         assert abs(ov - bv) / bv < 0.30
+
+    # every method reports exactly the four classes, and so does every
+    # comparison pair, full and sparse alike
+    spce = run_pce(
+        ctx,
+        AssessmentConfig(method="spce", surrogate_samples=4000, sparse_terms=4, seed=0),
+        sparse=True,
+    )
+    results = {"mcs": mcs, "pce": pce, "spce": spce}
+    classes = {"voltage", "thermal", "collapse", "overall"}
+    for res in results.values():
+        assert set(res.classes) == classes
+        for stats in res.classes.values():
+            assert stats.to_dict()["count"] == len(stats.samples)
+    pairs = compare(results)["pairs"]
+    assert set(pairs) == {"pce", "spce"}
+    for pair in pairs.values():
+        assert set(pair["classes"]) == classes
 
 
 def test_zero_spread_inputs_give_zero_variance():
@@ -211,19 +229,19 @@ def test_zero_spread_inputs_give_zero_variance():
     mcs = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=12, seed=0))
     for cls in ("voltage", "thermal", "collapse", "overall"):
         # identical traces; only mean-rounding noise survives
-        assert mcs.classes[cls].stats.variance < 1e-30
+        assert mcs.classes[cls].variance < 1e-30
     pce = run_pce(
         ctx, AssessmentConfig(method="pce", surrogate_samples=64, seed=0), sparse=False
     )
     for cls in ("voltage", "thermal", "collapse"):
         assert pce.classes[cls].analytic_variance < 1e-18
-        assert pce.classes[cls].stats.variance < 1e-18
+        assert pce.classes[cls].variance < 1e-18
         assert pce.classes[cls].clip_fraction == 0.0
 
 
 def _synthetic_result(method, eval_count, rows):
     samples, freq = assessment._aggregate_samples(rows)
-    classes = {k: chaos.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()}
+    classes = {k: chaos.sample_moments(v) for k, v in samples.items()}
     return MethodResult(method, eval_count, classes, freq, "rule")
 
 
@@ -261,6 +279,31 @@ def test_failures_counted_by_type_beyond_the_listed_reasons():
     assert list(out["failure_counts"]) == sorted(out["failure_counts"])
     assert len(out["failure_reasons"]) == 20
     assert _synthetic_result("mcs", 5, rows).to_dict()["failure_counts"] == {}
+
+
+def test_pool_capped_at_cpu_count(monkeypatch):
+    # a process pool starts all its workers at its first task, so the pool
+    # and the chunk size use at most the CPU count; the fake starts nothing
+    opened = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            opened.append(("workers", max_workers))
+
+        def map(self, fn, inputs, chunksize):
+            opened.append(("chunk", chunksize))
+            return []
+
+    monkeypatch.setattr(assessment, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    ctx, _ = _small_ctx()
+    pool = assessment.trace_pool(ctx, 5000)
+    assessment._trace_inputs(ctx, list(range(240)), pool, 5000, memoise=False)
+    assert opened == [("workers", 3), ("chunk", 10)]  # 240 // (3 * 8)
+    assessment.trace_pool(ctx, 2)
+    assert opened[-1] == ("workers", 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert not isinstance(assessment.trace_pool(ctx, 5000), FakePool)
 
 
 def test_ks_distance_matches_scipy():
@@ -362,14 +405,14 @@ def test_cdf_files_match_the_row_by_row_writer(tmp_path):
     }
     samples["overall"] = np.minimum(samples["voltage"][:1], samples["collapse"])
     rep.results["pce"] = MethodResult(
-        "pce", 3, {k: chaos.ClassStats(chaos.sample_moments(v)) for k, v in samples.items()},
+        "pce", 3, {k: chaos.sample_moments(v) for k, v in samples.items()},
         {}, "",
     )
     write_outputs(rep, tmp_path / "out")
     for name in ("mcs", "pce"):
         for cls, stats in rep.results[name].classes.items():
             ref = tmp_path / f"ref_{cls}_{name}.csv"
-            write_cdf_rows(ref, stats.stats.samples)
+            write_cdf_rows(ref, stats.samples)
             got = (tmp_path / "out" / f"cdf_{cls}_{name}.csv").read_bytes()
             assert got == ref.read_bytes(), (cls, name)
     assert len((tmp_path / "out" / "cdf_collapse_mcs.csv").read_text().splitlines()) == 2

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from oracles import (
     basis_matrix_columns,
     evaluate,
     hermite_1d,
-    pce_model_from_json,
+    pce_model_from_dict,
     surrogate_statistics,
 )
 
@@ -144,6 +145,9 @@ def test_full_design_is_square_and_full_rank():
     assert design.matrix.shape == (91, 91)
     assert np.linalg.matrix_rank(design.matrix) == 91
     assert np.allclose(design.points[0], 0.0)  # origin ranks first
+    for rows in (0, 92):  # outside 1 .. the basis size
+        with pytest.raises(ConfigurationError):
+            collocation_design(cfg, n_rows=rows)
 
 
 def test_sparse_design_takes_best_ranked():
@@ -153,12 +157,6 @@ def test_sparse_design_takes_best_ranked():
     assert design.rows == 31
     for got, want in zip(design.points, expected[:31]):
         assert np.allclose(got, want)
-
-
-def test_default_rows_oversample():
-    cfg = PceConfig(dimension=3, order=2)
-    design = collocation_design(cfg)
-    assert design.rows == min(math.ceil(1.5 * basis_size(3, 2)), len(_ranked_candidates(3, 2)))
 
 
 # -- regression fits ------------------------------------------------------------
@@ -323,7 +321,7 @@ def test_model_json_round_trip():
     design = _design(rows=40)
     y = design.matrix @ (0.1 * np.arange(91.0))
     model = fit_sparse(design, y, target_terms=9)
-    again = pce_model_from_json(model.to_json())
+    again = pce_model_from_dict(json.loads(json.dumps(model.to_dict())))
     assert np.array_equal(again.active, model.active)
     assert np.allclose(again.coeffs, model.coeffs)
     xi = np.random.default_rng(3).standard_normal((7, 12))
@@ -358,7 +356,7 @@ def test_active_bases_give_each_model_its_own_evaluation():
         assert len(bases) == len(models)
         for model, basis in zip(models, bases):
             assert basis.flags.c_contiguous
-            got = surrogate_stats_at(model, basis).stats.samples
+            got = surrogate_stats_at(model, basis).samples
             assert np.array_equal(got, evaluate(model, xi))
 
 
@@ -391,8 +389,8 @@ def test_analytic_moments_match_sampling():
     stats = surrogate_statistics(model, 200_000, seed=[9, 1], clip_at_zero=False)
     assert stats.analytic_mean == pytest.approx(4.0)
     assert stats.analytic_variance == pytest.approx(1.0 + 0.3**2 * 2.0)
-    assert stats.stats.mean == pytest.approx(stats.analytic_mean, rel=5e-3)
-    assert stats.stats.variance == pytest.approx(stats.analytic_variance, rel=2e-2)
+    assert stats.mean == pytest.approx(stats.analytic_mean, rel=5e-3)
+    assert stats.variance == pytest.approx(stats.analytic_variance, rel=2e-2)
     assert stats.clip_fraction == 0.0
 
 
@@ -404,7 +402,7 @@ def test_clip_fraction_counts():
     model = fit_full(design, design.matrix @ truth)
     stats = surrogate_statistics(model, 50_000, seed=[1, 2], clip_at_zero=True)
     assert stats.clip_fraction == pytest.approx(0.5, abs=0.02)
-    assert stats.stats.samples.min() >= 0.0
+    assert stats.samples.min() >= 0.0
 
 
 def test_sample_moments_agree_with_numpy():

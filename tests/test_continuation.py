@@ -301,6 +301,33 @@ def test_failed_march_steps_give_up_early(case, registry, monkeypatch):
     assert all(iters < MAX_ITER for _, iters in failed)
 
 
+def test_n_newton_counts_every_corrector_iteration(model, registry, monkeypatch):
+    # a fresh case solves its base case inside the trace, and the mean-input
+    # trace fails natural steps at the nose: every Newton iteration of every
+    # corrector run, converged or failed, is in the trace's n_newton
+    from adcap import continuation, powerflow
+
+    iterations = []
+
+    def counting(correct_):
+        def wrapped(*args, **kwargs):
+            try:
+                z, iters, norm = correct_(*args, **kwargs)
+            except ConvergenceError as exc:
+                iterations.append(("failed", exc.iterations))
+                raise
+            iterations.append(("converged", iters))
+            return z, iters, norm
+
+        return wrapped
+
+    monkeypatch.setattr(powerflow, "correct", counting(powerflow.correct))
+    monkeypatch.setattr(continuation, "correct", counting(continuation.correct))
+    res = trace_adc(NetworkCase(model), assemble_variation(registry.mean_inputs(), registry))
+    assert any(kind == "failed" for kind, _ in iterations)
+    assert res.n_newton == sum(n for _, n in iterations)
+
+
 def test_base_case_converging_through_a_rising_mismatch():
     # 1.4 pu of load with 2.7 pu of reactive injection behind x = 0.3 pu:
     # from the flat start the mismatch max-norm rises in the first Newton
