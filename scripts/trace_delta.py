@@ -15,7 +15,15 @@ and of |delta lambda| / lambda (lambda from OLD_SRC) over the traces that
 succeed in both trees; the traces whose binding class, binding elements or
 ``capped`` flag differ; the failed traces of each tree; and each tree's mean
 ``n_solves`` and ``n_newton`` per successful trace.
-Exits 1 when the two trees drew different inputs.
+
+The tolerances every trace-kernel change must meet are checked, and the
+exit status says whether they hold:
+
+- 0: they hold;
+- 1: the two trees drew different inputs;
+- 2: a binding or ``capped`` mismatch, a trace that fails only in NEW_SRC,
+  or a |delta lambda| / lambda above 1e-8 (voltage, thermal) or 1e-7
+  (collapse); the last line names each breach.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 CLASSES = ("voltage", "thermal", "collapse")
+REL_TOL = (1e-8, 1e-8, 1e-7)  # largest |delta lambda| / lambda per class
 
 
 def trace_all(samples: int) -> list:
@@ -105,6 +114,7 @@ def main(argv=None) -> int:
         return 1
     print(f"traces: {len(old)} ({args.samples} MCS + {len(old) - args.samples} design)")
 
+    breaches = []
     both = [(a, b) for a, b in zip(old, new) if "error" not in a and "error" not in b]
     if both:
         lam_old = np.array([a["lambdas"] for a, _ in both])
@@ -117,8 +127,13 @@ def main(argv=None) -> int:
                 line += (f" {d.max():10.3g} {np.percentile(d, 50):10.3g} "
                          f"{np.percentile(d, 99):10.3g}  ")
             print(line.rstrip())
-    print(f"binding mismatches: {sum(a['binding'] != b['binding'] for a, b in both)}, "
-          f"capped mismatches: {sum(a['capped'] != b['capped'] for a, b in both)}")
+            if (delta[:, j] / lam_old[:, j]).max() > REL_TOL[j]:
+                breaches.append(f"{cls} above {REL_TOL[j]:g}")
+    n_binding = sum(a["binding"] != b["binding"] for a, b in both)
+    n_capped = sum(a["capped"] != b["capped"] for a, b in both)
+    print(f"binding mismatches: {n_binding}, capped mismatches: {n_capped}")
+    if n_binding or n_capped:
+        breaches.append("binding or capped mismatches")
     for name, rows in (("old", old), ("new", new)):
         ok = [r for r in rows if "error" not in r]
         line = f"{name}: {len(rows) - len(ok)} failed"
@@ -129,6 +144,11 @@ def main(argv=None) -> int:
         for r in rows:
             if "error" in r:
                 print(f"  {r['error']}")
+    if any("error" in b and "error" not in a for a, b in zip(old, new)):
+        breaches.append("traces failing only in NEW_SRC")
+    if breaches:
+        print("FAIL: " + "; ".join(breaches))
+        return 2
     return 0
 
 

@@ -272,10 +272,10 @@ def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodRes
 
     stream = _STREAM_SPCE_SURROGATE if sparse else _STREAM_PCE_SURROGATE
     xi = stochastic.standard_normals(config.surrogate_samples, n, [config.seed, stream])
-    bases = chaos.active_bases(models.values(), xi)
+    values = chaos.surrogate_values(models.values(), xi)
     classes = {
-        cls: chaos.surrogate_stats_at(model, basis, clip_at_zero=True)
-        for (cls, model), basis in zip(models.items(), bases)
+        cls: chaos.surrogate_stats_at(model, y, clip_at_zero=True)
+        for (cls, model), y in zip(models.items(), values)
     }
     overall = np.minimum(
         np.minimum(classes["voltage"].samples, classes["thermal"].samples),

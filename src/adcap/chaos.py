@@ -379,22 +379,26 @@ def fit_sparse(design: CollocationDesign, y, target_terms) -> PceModel:
     )
 
 
-def active_bases(models, xi):
-    """Yield each model's active basis functions at the points ``xi`` (what
-    ``surrogate_stats_at`` takes), all read from one ``basis_matrix``
-    evaluation over the union of the models' active sets.
-
-    A model's columns come as a C-contiguous copy, bitwise equal to
-    ``basis_matrix`` over its own indices (a strided view would change the
-    rounding of the product that follows), or as the shared block itself
-    when the model uses every column of it.
-    """
+def surrogate_values(models, xi) -> list:
+    """Each model's values at the points ``xi`` (what ``surrogate_stats_at``
+    takes).  ``xi`` is read BASIS_BLOCK_ROWS points at a time, so no basis
+    array spans all of it: per block, ``basis_matrix`` is evaluated once
+    over the union of the models' active sets, and each model multiplies a
+    C-contiguous copy of its own columns (the block itself when it uses all
+    of them).  The values are bitwise those of ``basis_matrix`` over the
+    model's active indices times its coefficients (a strided view would
+    change the rounding of the product)."""
     models = list(models)
     union = np.flatnonzero(np.any([m.active for m in models], axis=0))
-    block = basis_matrix(xi, [models[0].indices[i] for i in union])
-    for m in models:
-        cols = np.searchsorted(union, np.flatnonzero(m.active))
-        yield block if len(cols) == len(union) else block.take(cols, axis=1)
+    indices = [models[0].indices[i] for i in union]
+    cols = [np.searchsorted(union, np.flatnonzero(m.active)) for m in models]
+    out = [np.empty(len(xi)) for _ in models]
+    for r0 in range(0, len(xi), BASIS_BLOCK_ROWS):
+        block = basis_matrix(xi[r0:r0 + BASIS_BLOCK_ROWS], indices)
+        for y, m, c in zip(out, models, cols):
+            basis = block if len(c) == len(union) else block.take(c, axis=1)
+            y[r0:r0 + len(block)] = basis @ m.coeffs[m.active]
+    return out
 
 
 # -- sampling statistics -----------------------------------------------------------
@@ -447,12 +451,9 @@ def sample_moments(samples) -> ClassStats:
     return ClassStats(mean, var, skew, kurt, (float(lo), float(hi)), y)
 
 
-def surrogate_stats_at(model: PceModel, basis, clip_at_zero: bool = False) -> ClassStats:
-    """Surrogate statistics on a caller-supplied block of standard-normal
-    points, given as ``basis``: the values of the model's active basis
-    functions there (``basis_matrix`` over its active indices), so several
-    response models can share one block and one basis evaluation."""
-    y = basis @ model.coeffs[model.active]
+def surrogate_stats_at(model: PceModel, y, clip_at_zero: bool = False) -> ClassStats:
+    """Surrogate statistics from the model's values ``y`` on a block of
+    standard-normal points (``surrogate_values``)."""
     clip_fraction = 0.0
     if clip_at_zero:
         neg = y < 0.0

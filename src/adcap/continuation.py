@@ -6,10 +6,14 @@ power-flow solve at a pinned lambda (``powerflow.solve``) that starts from
 the secant through the last two accepted points, or from the tangent while
 the march holds one.  A rejected step is retried at half the length, and a
 step grows again after three easy corrections.  The march stops at the
-first of two signs of the nose: a secant along which some magnitude moves
-further than lambda, or a step that fails down to the step floor STEP_MIN.
+first of three signs of the nose: a secant along which some magnitude moves
+further than lambda; the first step that fails or is rejected while the
+march holds two points, which is most often the step past the nose; or a
+step that fails down to the step floor STEP_MIN.  The fold is solved from
+there.  Only at the first failed step may that solve fail: the march then
+halves on as before, and waits for one of the other two signs.
 
-The collapse point is then solved directly.  At the fold lambda is
+The collapse point is solved directly.  At the fold lambda is
 stationary along the curve, so with eta the free voltage magnitude that
 moved most over the last step, the fold is the root of s(eta) = d lambda /
 d eta, the lambda entry of the tangent with eta's entry 1 (``tangent``).  A
@@ -118,8 +122,8 @@ class AdcResult:
     binding_element: dict  # class -> element id or None
     curve: list  # one CurvePoint per accepted point, in the order accepted
     capped: bool = False
-    n_solves: int = 0
-    n_newton: int = 0
+    n_solves: int = 0  # base case, converged steps, every fold or crossing run
+    n_newton: int = 0  # every Newton iteration, failed runs included
 
 
 def binding_label(element):
@@ -250,8 +254,12 @@ class _Tracer:
         returns ``(state, lambda)``."""
         while True:  # each round switches one more PV phase, so this ends
             pin = None if pin_node is None else curve.vm_coord(pin_node)
-            z, iters, norm = correct(curve.linearize, z, pin)
             self.n_solves += 1
+            try:
+                z, iters, norm = correct(curve.linearize, z, pin)
+            except ConvergenceError as exc:
+                self.n_newton += exc.iterations
+                raise
             self.n_newton += iters
             state, next_curve = curve.settle(z, iters, norm)
             if next_curve is None:
@@ -386,9 +394,11 @@ class _Tracer:
 
     def _fold(self, h):
         """Solve the fold by a secant on s(eta) = d lambda / d eta (module
-        docstring), accept it and return its lambda; ``h`` is the pending
-        natural step.  Raises ConvergenceError when an iterate leaves the
-        branch or MAX_ITER iterates do not settle."""
+        docstring) and return it as ``(state, lambda)``, the last point's
+        when that is the fold; ``h`` is the pending natural step.  Accepts
+        nothing.  Raises ConvergenceError when an iterate leaves the branch
+        or MAX_ITER iterates do not settle, SingularJacobianError when a
+        slope or iterate meets a singular system."""
         pin_node = self._pin()
         curve, z = self._predict(h)
         pts = [(p.state, p.lam, self._slope(curve, p.state, pin_node)) for p in self.points[-2:]]
@@ -410,10 +420,7 @@ class _Tracer:
             pts = [pts[-1], (state, lam, self._slope(curve, state, pin_node))]
         else:
             raise ConvergenceError(f"fold not located in {pf.MAX_ITER} secant steps")
-        state, lam = pts[-1][:2]
-        if state is not self.points[-1].state:
-            self._accept(lam, state)
-        return lam
+        return pts[-1][:2]
 
     # main driver --------------------------------------------------------------------
 
@@ -426,7 +433,8 @@ class _Tracer:
 
         h = STEP0
         easy = 0
-        capped = False
+        fold = None  # (state, lambda) once solved; None on a capped trace
+        fold_tried = False
 
         for _step in range(MAX_POINTS):
             prev = points[-1]
@@ -443,18 +451,24 @@ class _Tracer:
                 h *= 0.5
                 easy = 0
                 if h < STEP_MIN:  # the corrector cannot advance in lambda
-                    lam_collapse = self._fold(h)
+                    fold = self._fold(h)
                     break
+                if not fold_tried and len(points) >= 2:
+                    # the first failure is most often the step past the nose
+                    fold_tried = True
+                    try:
+                        fold = self._fold(h)
+                        break
+                    except (ConvergenceError, SingularJacobianError):
+                        pass  # the march halves on towards the nose
                 continue
             self._accept(lam_new, new_state)
 
             if lam_new > LAMBDA_CAP:
-                capped = True
-                lam_collapse = LAMBDA_CAP
                 break
             if np.max(np.abs(new_state.vm - prev.state.vm)) > lam_new - prev.lam:
                 # magnitudes move faster than lambda
-                lam_collapse = self._fold(h)
+                fold = self._fold(h)
                 break
             if new_state.iterations <= EASY_ITERS:
                 easy += 1
@@ -466,6 +480,12 @@ class _Tracer:
         else:
             raise ConvergenceError("continuation exceeded the point budget")
 
+        if fold is None:
+            lam_collapse = LAMBDA_CAP
+        else:
+            state, lam_collapse = fold
+            if state is not points[-1].state:
+                self._accept(lam_collapse, state)
         lam_cross = self.lam_cross
         lam_v = lam_cross["voltage"] if lam_cross["voltage"] is not None else lam_collapse
         lam_t = lam_cross["thermal"] if lam_cross["thermal"] is not None else lam_collapse
@@ -479,7 +499,7 @@ class _Tracer:
             overall_mw=adc[overall_cls],
             binding_class=overall_cls,
             binding_element=self.binding,
-            capped=capped,
+            capped=fold is None,
             n_solves=self.n_solves,
             n_newton=self.n_newton,
             curve=[

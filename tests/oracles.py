@@ -276,8 +276,7 @@ def surrogate_statistics(model, m_s: int, seed, clip_at_zero: bool = False):
         raise ConfigurationError("M_S must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     xi = rng.standard_normal((m_s, model.config.dimension))
-    active = [ix for ix, act in zip(model.indices, model.active) if act]
-    return chaos.surrogate_stats_at(model, chaos.basis_matrix(xi, active), clip_at_zero)
+    return chaos.surrogate_stats_at(model, evaluate(model, xi), clip_at_zero)
 
 
 def write_cdf_rows(path, samples):

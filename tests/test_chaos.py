@@ -8,7 +8,6 @@ import pytest
 from adcap.chaos import (
     BASIS_BLOCK_ROWS,
     PceConfig,
-    active_bases,
     basis_matrix,
     basis_norm_sq,
     basis_size,
@@ -19,6 +18,7 @@ from adcap.chaos import (
     multi_indices,
     sample_moments,
     surrogate_stats_at,
+    surrogate_values,
 )
 from adcap.errors import ConfigurationError
 from adcap.feeder import load_feeder
@@ -338,10 +338,12 @@ def test_evaluate_matches_direct_expansion():
     assert np.allclose(evaluate(model, xi), phi @ model.coeffs)
 
 
-def test_active_bases_give_each_model_its_own_evaluation():
-    # the per-class samples of one shared basis block are bitwise those of
-    # evaluating each class alone, for a full model and sparse models with
-    # different active sets (their union, and one model using all of it)
+def test_surrogate_values_give_each_model_its_own_evaluation():
+    # the per-class samples of one shared basis block per BASIS_BLOCK_ROWS
+    # points are bitwise those of evaluating each class alone over all
+    # points, for a full model and sparse models with different active sets
+    # (their union, and one model using all of it), on a last block that is
+    # partly filled
     design = _design(rows=91)
     rng = np.random.default_rng(5)
     full = fit_full(design, rng.normal(size=91))
@@ -350,13 +352,12 @@ def test_active_bases_give_each_model_its_own_evaluation():
         for t in (4, 9, 17)
     ]
     assert len({tuple(np.flatnonzero(m.active)) for m in sparse}) == 3
-    xi = rng.standard_normal((2000, 12))
+    xi = rng.standard_normal((2 * BASIS_BLOCK_ROWS + 3, 12))
     for models in ([full, full, full], sparse, sparse[::-1], [sparse[0], full]):
-        bases = list(active_bases(models, xi))
-        assert len(bases) == len(models)
-        for model, basis in zip(models, bases):
-            assert basis.flags.c_contiguous
-            got = surrogate_stats_at(model, basis).samples
+        values = surrogate_values(models, xi)
+        assert len(values) == len(models)
+        for model, y in zip(models, values):
+            got = surrogate_stats_at(model, y).samples
             assert np.array_equal(got, evaluate(model, xi))
 
 

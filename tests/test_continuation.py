@@ -110,8 +110,9 @@ def test_two_bus_nose_matches_closed_form():
     (20.0, True),  # the fold (lambda 0.068) lies below STEP0
 ])
 def test_fold_after_natural_failure_matches_two_bus_closed_form(monkeypatch, scale, base_only):
-    # with STEP_MIN above STEP0 the first failed natural step stops the
-    # march, before any secant turns steep, and the fold is solved from there
+    # with STEP_MIN above STEP0 the first failed natural step halves the
+    # step below the floor, before any secant turns steep, so the fold is
+    # solved on that path, not on the first-failure attempt with fallback
     from adcap import continuation, powerflow
 
     p, q, x = scale, 0.2 * scale, 0.3
@@ -328,6 +329,62 @@ def test_n_newton_counts_every_corrector_iteration(model, registry, monkeypatch)
     assert res.n_newton == sum(n for _, n in iterations)
 
 
+def test_failed_fold_attempt_falls_back_to_halving(model, registry, monkeypatch):
+    # the fold attempt at the mean-input trace's first failed natural step
+    # fails in its first corrector run: the march halves on and solves the
+    # fold once more, and the failed run's iterations stay in n_newton
+    from adcap import continuation, powerflow
+
+    iterations = []
+    folds = []
+    injected = []
+    fold_ = continuation._Tracer._fold
+
+    def fold(self, h):
+        folds.append(h)
+        return fold_(self, h)
+
+    def counting(correct_, fail_first_fold):
+        def wrapped(*args, **kwargs):
+            try:
+                z, iters, norm = correct_(*args, **kwargs)
+            except ConvergenceError as exc:
+                iterations.append(exc.iterations)
+                raise
+            iterations.append(iters)
+            if fail_first_fold and len(folds) == 1 and not injected:
+                injected.append(iters)
+                raise ConvergenceError("injected fold failure", iterations=iters)
+            return z, iters, norm
+
+        return wrapped
+
+    monkeypatch.setattr(continuation._Tracer, "_fold", fold)
+    monkeypatch.setattr(powerflow, "correct", counting(powerflow.correct, False))
+    monkeypatch.setattr(continuation, "correct", counting(continuation.correct, True))
+    case = NetworkCase(model)
+    var = assemble_variation(registry.mean_inputs(), registry)
+    res = trace_adc(case, var)
+    assert injected and len(folds) == 2
+    assert res.n_newton == sum(iterations)
+    lam = res.lambdas["collapse"]
+    assert lam == pytest.approx(fold_lambda(case, case.direction_arrays(var), lam), rel=1e-7)
+
+
+def test_mcs_traces_stop_halving_into_the_nose(case, registry):
+    # the fold is solved at the first failed natural step, not after the
+    # march has halved its step into the nose; the counts are deterministic
+    from adcap.assessment import _STREAM_MCS
+    from adcap.stochastic import sample_inputs
+
+    results = [
+        trace_adc(case, assemble_variation(u, registry))
+        for u in sample_inputs(registry.distributions(), 50, [0, _STREAM_MCS])
+    ]
+    assert np.mean([r.n_newton for r in results]) <= 33.0
+    assert np.mean([r.n_solves for r in results]) <= 13.5
+
+
 def test_base_case_converging_through_a_rising_mismatch():
     # 1.4 pu of load with 2.7 pu of reactive injection behind x = 0.3 pu:
     # from the flat start the mismatch max-norm rises in the first Newton
@@ -394,3 +451,29 @@ def test_trace_delta_of_a_tree_against_itself_is_zero():
     assert all(float(x) == 0.0 for row in rows for x in row[1:])
     assert "binding mismatches: 0, capped mismatches: 0" in lines
     assert sum(line.startswith(("old: 0 failed,", "new: 0 failed,")) for line in lines) == 2
+
+
+def test_trace_delta_fails_a_collapse_lambda_off_by_more_than_its_tolerance(tmp_path):
+    # a copy of the package whose collapse lambdas sit 1e-6 off fails the
+    # 1e-7 tolerance, and the script says so in its exit status
+    import shutil
+
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "src" / "adcap", tmp_path / "adcap",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "adcap" / "continuation.py", "a") as f:
+        f.write(
+            "\n_run = _Tracer.run\n\n\n"
+            "def _shifted(self):\n"
+            "    res = _run(self)\n"
+            "    res.lambdas['collapse'] *= 1.0 + 1e-6\n"
+            "    return res\n\n\n"
+            "_Tracer.run = _shifted\n"
+        )
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "trace_delta.py"), str(root / "src"),
+         str(tmp_path), "--samples", "2"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout.splitlines()[-1] == "FAIL: collapse above 1e-07"
