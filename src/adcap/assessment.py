@@ -4,8 +4,8 @@ Pipeline per method:
   MCS   -- draw M_S input realizations, trace each, aggregate sample stats.
   PCE   -- K-row collocation design, one trace per row, full least-squares
            fit per response class, surrogate sampling for statistics.
-  SPCE  -- M_C-row design (square on the selected columns), LARS selection,
-           surrogate sampling as above.
+  SPCE  -- the first M_C rows of the run's one design (all K for auto),
+           LARS selection of M_C terms, surrogate sampling as above.
 
 All three ADC responses (voltage, thermal, collapse) come from the same
 trace, are fitted independently, and an "overall" response is formed as the
@@ -34,7 +34,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -86,6 +86,13 @@ class AssessmentConfig:
                 f"--sparse-terms must be 'auto' or between 1 and the basis "
                 f"size {k_full}, got {terms}"
             )
+
+    def design_rows(self, dimension: int) -> int:
+        """Rows of the one collocation design a run builds, 0 for none: the
+        basis size, or the budget M_C when SPCE alone runs at one."""
+        if self.method == "spce" and self.sparse_terms != "auto":
+            return self.sparse_terms
+        return 0 if self.method == "mcs" else chaos.basis_size(dimension, PCE_ORDER)
 
 
 @dataclass
@@ -237,20 +244,19 @@ def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
     )
 
 
-def run_pce(ctx, config: AssessmentConfig, sparse: bool, pool=None) -> MethodResult:
-    """Collocation + chaos-expansion assessment (full or sparse), tracing the
-    design over ``pool`` (see :func:`trace_pool`) when given."""
+def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> MethodResult:
+    """Collocation + chaos-expansion assessment (full or sparse) on the
+    first rows of the run's ``design`` (see ``design_rows``), traced over
+    ``pool`` (see :func:`trace_pool`) when given."""
     registry = ctx[1]
     t0 = time.perf_counter()
     n = registry.dimension
-    pcfg = chaos.PceConfig(n, PCE_ORDER)
-    k_full = chaos.basis_size(n, PCE_ORDER)
+    k_full = len(design.indices)
 
-    # a fixed term count is also the design size; auto and full PCE need
-    # the full-rank design
+    # PCE and auto SPCE take every row, a fixed SPCE budget as many rows
     target = config.sparse_terms if sparse else None
-    n_rows = target if isinstance(target, int) else k_full
-    design = chaos.collocation_design(pcfg, n_rows=n_rows)
+    if isinstance(target, int):
+        design = replace(design, points=design.points[:target], matrix=design.matrix[:target])
     inputs = stochastic.physical_inputs(design.points, registry.distributions())
 
     raw = _trace_inputs(ctx, inputs, pool, config.workers, memoise=True)

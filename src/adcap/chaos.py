@@ -123,13 +123,12 @@ def _candidate_points(n: int, p: int):
 
 
 def collocation_design(config: PceConfig, n_rows: int) -> CollocationDesign:
-    """Select ``n_rows`` design points, 1 <= n_rows <= K, from the ranked
-    candidate pool.
-
-    Below K these are the ``n_rows`` highest-ranked candidates.  At K they
-    are the highest-ranked points that keep the basis matrix at full column
-    rank (rank-deficient picks are replaced by the next candidates).
-    """
+    """Select ``n_rows`` design points, 1 <= n_rows <= K: walking the ranked
+    candidate pool, keep each candidate whose basis row adds rank to the
+    rows kept so far (greedy Gram-Schmidt) until ``n_rows`` are kept.  So
+    every design has full row rank and is a prefix of the square,
+    nonsingular K-row design.  Raises DesignRankError if the pool runs out
+    first."""
     n, p = config.dimension, config.order
     indices = multi_indices(n, p)
     k_full = len(indices)
@@ -139,36 +138,21 @@ def collocation_design(config: PceConfig, n_rows: int) -> CollocationDesign:
         )
     cand = _candidate_points(n, p)
     a_cand = basis_matrix(cand, indices)
-    if n_rows < k_full:
-        chosen = list(range(n_rows))
-    else:
-        # greedy rank-increasing picks until full column rank
-        basis: list[np.ndarray] = []
-        chosen = []
-        for i in range(len(cand)):
-            if len(chosen) == k_full:
-                break
-            row = a_cand[i]
-            r = row.copy()
-            for q in basis:
-                r -= (q @ r) * q
-            for q in basis:  # second pass for numerical safety
-                r -= (q @ r) * q
-            nrm = np.linalg.norm(r)
-            if nrm > _GS_TOL * np.linalg.norm(row):
-                basis.append(r / nrm)
-                chosen.append(i)
-        if len(chosen) < k_full:
-            raise DesignRankError(
-                "candidate pool cannot reach full column rank; "
-                "increase the order to enlarge the pool"
-            )
-
-    pts = cand[chosen]
-    a = a_cand[chosen]
-    if n_rows == k_full and np.linalg.matrix_rank(a) < k_full:
-        raise DesignRankError("selected design lost full column rank")
-    return CollocationDesign(config, pts, a, indices)
+    basis: list[np.ndarray] = []
+    chosen = []
+    for i, row in enumerate(a_cand):
+        if len(chosen) == n_rows:
+            break
+        r = row.copy()
+        for q in basis + basis:  # two passes for numerical safety
+            r -= (q @ r) * q
+        nrm = np.linalg.norm(r)
+        if nrm > _GS_TOL * np.linalg.norm(row):
+            basis.append(r / nrm)
+            chosen.append(i)
+    if len(chosen) < n_rows:
+        raise DesignRankError(f"candidate pool cannot reach rank {n_rows}; raise the order")
+    return CollocationDesign(config, cand[chosen], a_cand[chosen], indices)
 
 
 # -- models and fitting ----------------------------------------------------------

@@ -122,7 +122,7 @@ class AdcResult:
     binding_element: dict  # class -> element id or None
     curve: list  # one CurvePoint per accepted point, in the order accepted
     capped: bool = False
-    n_solves: int = 0  # base case, converged steps, every fold or crossing run
+    n_solves: int = 0  # converged solves, base case included, each once however it switched
     n_newton: int = 0  # every Newton iteration, failed runs included
 
 
@@ -254,7 +254,6 @@ class _Tracer:
         returns ``(state, lambda)``."""
         while True:  # each round switches one more PV phase, so this ends
             pin = None if pin_node is None else curve.vm_coord(pin_node)
-            self.n_solves += 1
             try:
                 z, iters, norm = correct(curve.linearize, z, pin)
             except ConvergenceError as exc:
@@ -263,6 +262,7 @@ class _Tracer:
             self.n_newton += iters
             state, next_curve = curve.settle(z, iters, norm)
             if next_curve is None:
+                self.n_solves += 1
                 return state, float(z[-1])
             curve = next_curve
             z = curve.pack(state, z[-1])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assessment, continuation, powerflow, stochastic
+from . import assessment, chaos, continuation, powerflow, stochastic
 
 _CLASS_ORDER = ("voltage", "thermal", "collapse", "overall")
 
@@ -214,13 +214,18 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
         "capped": det.capped,
     }
 
+    rows = config.design_rows(registry.dimension)  # the one design PCE and SPCE share
+    pcfg = chaos.PceConfig(registry.dimension, assessment.PCE_ORDER)
+    design = chaos.collocation_design(pcfg, rows) if rows else None
     results = {}
     with assessment.trace_pool(ctx, config.workers) as pool:
         for method in config.methods():
             if method == "mcs":
                 results["mcs"] = assessment.run_mcs(ctx, config, pool)
             else:
-                results[method] = assessment.run_pce(ctx, config, method == "spce", pool)
+                results[method] = assessment.run_pce(
+                    ctx, config, design, method == "spce", pool
+                )
 
     return AdcReport(
         feeder_name=model.name,

@@ -53,6 +53,12 @@ def _small_ctx(scenario=None, ampacity=600.0, v_min=0.90):
     return (NetworkCase(model), registry, {}), model
 
 
+def _design(ctx, config):
+    """The collocation design a run with ``config`` builds (``design_rows``)."""
+    n = ctx[1].dimension
+    return chaos.collocation_design(chaos.PceConfig(n, PCE_ORDER), config.design_rows(n))
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigurationError):
         AssessmentConfig(method="bootstrap")
@@ -83,13 +89,16 @@ def test_base_case_solved_once_per_run(model, scenario_doc, monkeypatch):
 
 
 def test_trace_memo_traces_each_direction_once_per_run(model, scenario_doc, monkeypatch):
-    # every SPCE design point is a PCE design point and the design centre is
-    # the mean input, so a run traces 1 + 8 + 90 directions in 1 + 8 + 91 + 31
-    # calls; MCS draws bypass the memo, and a new run starts from an empty one
+    # a run builds one design, whose first row is the mean input and whose
+    # first M_C rows are the SPCE design at any budget, so a run traces
+    # 1 + 8 + 90 directions in 1 + 8 + 91 + M_C calls (113 directions at
+    # 60 rows when shorter designs were not prefixes of the full one); MCS
+    # draws bypass the memo, and a new run starts from an empty one
     from adcap import continuation
 
-    calls, computed = [], []
+    calls, computed, designs = [], [], []
     trace_adc, tracer_run = continuation.trace_adc, continuation._Tracer.run
+    collocation_design = chaos.collocation_design
 
     def counting_trace(*args, **kwargs):
         calls.append(kwargs.get("memo") is not None)
@@ -99,21 +108,29 @@ def test_trace_memo_traces_each_direction_once_per_run(model, scenario_doc, monk
         computed.append(1)
         return tracer_run(self)
 
+    def counting_design(*args, **kwargs):
+        designs.append(1)
+        return collocation_design(*args, **kwargs)
+
     monkeypatch.setattr(continuation, "trace_adc", counting_trace)
     monkeypatch.setattr(continuation._Tracer, "run", counting_run)
-    cfg = AssessmentConfig(method="all", sparse_terms=31, mcs_samples=8, surrogate_samples=64)
-    reports = []
-    for _ in range(2):
-        calls.clear()
-        computed.clear()
-        reports.append(run_assessment(model, scenario_doc, cfg).to_json())
-        assert len(calls) == 1 + 8 + 91 + 31
-        assert sum(calls) == 1 + 91 + 31  # the MCS draws pass no memo
+    monkeypatch.setattr(chaos, "collocation_design", counting_design)
+    reports = {}
+    for terms in (31, 31, 60):
+        cfg = AssessmentConfig(
+            method="all", sparse_terms=terms, mcs_samples=8, surrogate_samples=64
+        )
+        for counter in (calls, computed, designs):
+            counter.clear()
+        report = run_assessment(model, scenario_doc, cfg).to_json()
+        assert reports.setdefault(terms, report) == report
+        assert len(calls) == 1 + 8 + 91 + terms
+        assert sum(calls) == 1 + 91 + terms  # the MCS draws pass no memo
         assert len(computed) == 1 + 8 + 90
-    assert reports[0] == reports[1]
-    blob = json.loads(reports[0])
-    assert blob["methods"]["pce"]["eval_count"] == 91
-    assert blob["methods"]["spce"]["eval_count"] == 31
+        assert len(designs) == 1
+        blob = json.loads(report)
+        assert blob["methods"]["pce"]["eval_count"] == 91
+        assert blob["methods"]["spce"]["eval_count"] == terms
 
 
 def test_mcs_eval_count_and_reproducibility():
@@ -158,7 +175,7 @@ def test_pce_full_design_trace_count():
     # one random input at order 2: basis size comb(3, 2) = 3
     ctx, _ = _small_ctx()
     cfg = AssessmentConfig(method="pce", surrogate_samples=256, seed=0)
-    res = run_pce(ctx, cfg, sparse=False)
+    res = run_pce(ctx, cfg, _design(ctx, cfg), sparse=False)
     assert res.eval_count == 3
     assert res.diagnostics["basis_size"] == 3
     assert res.diagnostics["design_rows"] == 3
@@ -170,12 +187,12 @@ def test_spce_trace_count_follows_term_budget():
     cfg = AssessmentConfig(
         method="spce", surrogate_samples=256, sparse_terms=2, seed=0
     )
-    res = run_pce(ctx, cfg, sparse=True)
+    res = run_pce(ctx, cfg, _design(ctx, cfg), sparse=True)
     assert res.eval_count == 2
     assert all(t <= 2 for t in res.diagnostics["terms"].values())
 
     auto = AssessmentConfig(method="spce", surrogate_samples=256, seed=0)
-    res_auto = run_pce(ctx, auto, sparse=True)
+    res_auto = run_pce(ctx, auto, _design(ctx, auto), sparse=True)
     assert res_auto.eval_count == 3  # auto rule needs the full-rank design
 
 
@@ -190,11 +207,8 @@ def test_pce_surrogate_tracks_mcs_on_smooth_response():
     }]
     ctx, _ = _small_ctx(scenario=scenario)
     mcs = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=300, seed=0))
-    pce = run_pce(
-        ctx,
-        AssessmentConfig(method="pce", surrogate_samples=4000, seed=0),
-        sparse=False,
-    )
+    pce_cfg = AssessmentConfig(method="pce", surrogate_samples=4000, seed=0)
+    pce = run_pce(ctx, pce_cfg, _design(ctx, pce_cfg), sparse=False)
     assert pce.eval_count == 6  # comb(2 + 2, 2)
     for cls in ("voltage", "thermal", "collapse"):
         bm = mcs.classes[cls].mean
@@ -207,11 +221,8 @@ def test_pce_surrogate_tracks_mcs_on_smooth_response():
 
     # every method reports exactly the four classes, and so does every
     # comparison pair, full and sparse alike
-    spce = run_pce(
-        ctx,
-        AssessmentConfig(method="spce", surrogate_samples=4000, sparse_terms=4, seed=0),
-        sparse=True,
-    )
+    spce_cfg = AssessmentConfig(method="spce", surrogate_samples=4000, sparse_terms=4, seed=0)
+    spce = run_pce(ctx, spce_cfg, _design(ctx, spce_cfg), sparse=True)
     results = {"mcs": mcs, "pce": pce, "spce": spce}
     classes = {"voltage", "thermal", "collapse", "overall"}
     for res in results.values():
@@ -230,9 +241,8 @@ def test_zero_spread_inputs_give_zero_variance():
     for cls in ("voltage", "thermal", "collapse", "overall"):
         # identical traces; only mean-rounding noise survives
         assert mcs.classes[cls].variance < 1e-30
-    pce = run_pce(
-        ctx, AssessmentConfig(method="pce", surrogate_samples=64, seed=0), sparse=False
-    )
+    pce_cfg = AssessmentConfig(method="pce", surrogate_samples=64, seed=0)
+    pce = run_pce(ctx, pce_cfg, _design(ctx, pce_cfg), sparse=False)
     for cls in ("voltage", "thermal", "collapse"):
         assert pce.classes[cls].analytic_variance < 1e-18
         assert pce.classes[cls].variance < 1e-18
@@ -604,11 +614,14 @@ def test_cli_bad_input_exits_1_with_one_line(
     assert not ran
 
 
-@pytest.mark.parametrize("terms", ["16", "19"])
+@pytest.mark.parametrize("terms", ["16", "19", "37", "45", "61", "90"])
 def test_cli_sparse_terms_on_a_singular_gram_matrix(tmp_path, capsys, terms):
-    # on these square designs LARS meets a Gram matrix of its active columns
-    # that np.linalg.solve accepts but whose 1' G^-1 1 is not positive; the
-    # column is left out and every class still fits its full term budget
+    # at 16 and 19 rows LARS meets a Gram matrix of its active columns that
+    # np.linalg.solve accepts but whose 1' G^-1 1 is not positive; the
+    # column is left out.  From 37 rows on the density-ranked candidates are
+    # no longer independent (the first 45 span rank 36, the first 90 rank
+    # 60), and the design skips each that adds no rank.  Every class fits
+    # its full term budget
     rc = cli_main([
         "run", "--feeder", str(DATA / "ieee13_mod.json"),
         "--scenario", str(DATA / "scenario_ieee13.json"), "--method", "spce",

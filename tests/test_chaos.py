@@ -159,6 +159,23 @@ def test_sparse_design_takes_best_ranked():
         assert np.allclose(got, want)
 
 
+def test_every_design_size_is_a_full_rank_prefix_fitting_its_budget():
+    # every size keeps only rank-increasing picks, so each design is a
+    # prefix of the K-row design with full row rank, and a sparse fit at a
+    # budget of its rows fits that many terms (54 sizes from 37 to 90 fit
+    # fewer when a design took the top-ranked candidates as they came)
+    cfg = PceConfig(dimension=12, order=2)
+    full = collocation_design(cfg, n_rows=91)
+    y = np.random.default_rng(5).normal(size=91)
+    for rows in range(1, 92):
+        design = collocation_design(cfg, n_rows=rows)
+        assert np.array_equal(design.points, full.points[:rows])
+        assert np.array_equal(design.matrix, full.matrix[:rows])
+        assert np.linalg.matrix_rank(design.matrix) == rows
+        assert fit_sparse(design, y[:rows], rows).active.sum() == rows
+        fit_sparse(design, y[:rows], "auto")
+
+
 # -- regression fits ------------------------------------------------------------
 
 

@@ -245,11 +245,12 @@ def test_bundled_nose_agrees_with_fold_oracle(case, registry):
     assert lam == pytest.approx(fold_lambda(case, case.direction_arrays(var), lam), rel=1e-7)
 
 
-def test_trace_switching_reactive_limit_agrees_with_fold_oracle(feeder_doc, scenario_doc):
-    # bus 675 held at 1 pu by a +-300 kvar pv generator: within its limits
-    # at the base case, phases c and a at their upper limit on the way up,
-    # and phase b at its lower limit at the fold, which the fold secant
-    # switches
+def _pv_675_trace(feeder_doc, scenario_doc):
+    """``(case, variation)`` of the bundled feeder at its mean inputs with
+    bus 675 held at 1 pu by a +-300 kvar pv generator: within its limits
+    at the base case, phases c and a at their upper limit on the way up,
+    and phase b at its lower limit at the fold, which the fold secant
+    switches."""
     doc = json.loads(json.dumps(feeder_doc))
     next(b for b in doc["buses"] if b["id"] == "675").update(type="pv", v0_pu=1.0)
     doc["generators"].append({
@@ -257,9 +258,12 @@ def test_trace_switching_reactive_limit_agrees_with_fold_oracle(feeder_doc, scen
         "v0_pu": 1.0, "q_min_kvar": -300.0, "q_max_kvar": 300.0,
     })
     model = load_feeder(doc)
-    case = NetworkCase(model)
     registry = build_registry(model, scenario_doc)
-    var = assemble_variation(registry.mean_inputs(), registry)
+    return NetworkCase(model), assemble_variation(registry.mean_inputs(), registry)
+
+
+def test_trace_switching_reactive_limit_agrees_with_fold_oracle(feeder_doc, scenario_doc):
+    case, var = _pv_675_trace(feeder_doc, scenario_doc)
     d = case.direction_arrays(var)
     assert not solve(case).q_switched
     lam = trace_adc(case, var).lambdas["collapse"]
@@ -329,10 +333,11 @@ def test_n_newton_counts_every_corrector_iteration(model, registry, monkeypatch)
     assert res.n_newton == sum(n for _, n in iterations)
 
 
-def test_failed_fold_attempt_falls_back_to_halving(model, registry, monkeypatch):
-    # the fold attempt at the mean-input trace's first failed natural step
-    # fails in its first corrector run: the march halves on and solves the
-    # fold once more, and the failed run's iterations stay in n_newton
+def _fail_first_fold(monkeypatch):
+    """Make the first corrector run of the first ``_Tracer._fold`` call
+    raise ConvergenceError once it has converged.  Returns ``(iterations,
+    folds, injected)``: the iterations of every corrector run, the ``h`` of
+    every ``_fold`` call, and the iterations of the injected failure."""
     from adcap import continuation, powerflow
 
     iterations = []
@@ -362,6 +367,14 @@ def test_failed_fold_attempt_falls_back_to_halving(model, registry, monkeypatch)
     monkeypatch.setattr(continuation._Tracer, "_fold", fold)
     monkeypatch.setattr(powerflow, "correct", counting(powerflow.correct, False))
     monkeypatch.setattr(continuation, "correct", counting(continuation.correct, True))
+    return iterations, folds, injected
+
+
+def test_failed_fold_attempt_falls_back_to_halving(model, registry, monkeypatch):
+    # the fold attempt at the mean-input trace's first failed natural step
+    # fails in its first corrector run: the march halves on and solves the
+    # fold once more, and the failed run's iterations stay in n_newton
+    iterations, folds, injected = _fail_first_fold(monkeypatch)
     case = NetworkCase(model)
     var = assemble_variation(registry.mean_inputs(), registry)
     res = trace_adc(case, var)
@@ -369,6 +382,41 @@ def test_failed_fold_attempt_falls_back_to_halving(model, registry, monkeypatch)
     assert res.n_newton == sum(iterations)
     lam = res.lambdas["collapse"]
     assert lam == pytest.approx(fold_lambda(case, case.direction_arrays(var), lam), rel=1e-7)
+
+
+@pytest.mark.parametrize("trace", ["reactive-limit-switch", "failed-fold"])
+def test_n_solves_counts_each_converged_solve_once(
+    feeder_doc, scenario_doc, model, registry, monkeypatch, trace
+):
+    # the base case plus one per converged natural step, fold iterate or
+    # crossing, however many reactive-limit switching rounds it took; a
+    # failed corrector run counts none
+    from adcap import continuation
+
+    returns, local_switches = [], []
+    tracer = continuation._Tracer
+    solve_natural, solve_local = tracer._solve_natural, tracer._solve_local
+
+    def counted_natural(self, *args):
+        returns.append(solve_natural(self, *args))
+        return returns[-1]
+
+    def counted_local(self, curve, *args):
+        returns.append(solve_local(self, curve, *args))
+        local_switches.append(returns[-1][0].q_switched != curve.q_switched)
+        return returns[-1]
+
+    monkeypatch.setattr(tracer, "_solve_natural", counted_natural)
+    monkeypatch.setattr(tracer, "_solve_local", counted_local)
+    if trace == "failed-fold":
+        injected = _fail_first_fold(monkeypatch)[2]
+        case = NetworkCase(model)
+        var = assemble_variation(registry.mean_inputs(), registry)
+    else:
+        case, var = _pv_675_trace(feeder_doc, scenario_doc)
+    res = trace_adc(case, var)
+    assert res.n_solves == 1 + len(returns)
+    assert injected if trace == "failed-fold" else any(local_switches)
 
 
 def test_mcs_traces_stop_halving_into_the_nose(case, registry):
