@@ -41,7 +41,12 @@ from pathlib import Path
 import numpy as np
 
 from . import chaos, continuation, stochastic
-from .errors import ConfigurationError, ConvergenceError, SingularJacobianError
+from .errors import (
+    ConfigurationError,
+    ConvergenceError,
+    SingularJacobianError,
+    ZeroDirectionError,
+)
 
 _METHODS = ("mcs", "pce", "spce")
 
@@ -52,6 +57,7 @@ _STREAM_PCE_SURROGATE = 1
 _STREAM_SPCE_SURROGATE = 2
 
 PCE_ORDER = 2  # total degree of every PCE and SPCE basis
+KS_BLOCK_ROWS = 4096  # points per block of ks_distance
 
 
 @dataclass
@@ -162,14 +168,16 @@ def _guarded_trace(ctx, memoise, u):
     ``memoise`` is set.
 
     Returns ``(True, row, "")``, or ``(False, None, reason)`` when a
-    numerical failure stops the trace.  ``ctx`` is None in a pool worker,
-    which uses the context the pool gave it.
+    numerical failure stops the trace or the realization's direction is
+    zero (every stochastic input clamped at zero, no constant entry).
+    ``ctx`` is None in a pool worker, which uses the context the pool gave
+    it.
     """
     case, registry, memo = _WORKER_CTX if ctx is None else ctx
     variation = stochastic.assemble_variation(u, registry)
     try:
         res = continuation.trace_adc(case, variation, memo=memo if memoise else None)
-    except (ConvergenceError, SingularJacobianError) as exc:
+    except (ConvergenceError, SingularJacobianError, ZeroDirectionError) as exc:
         return False, None, f"{type(exc).__name__}: {exc}"
     row = (
         res.adc_mw["voltage"],
@@ -276,17 +284,19 @@ def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> M
         for cls in ("voltage", "thermal", "collapse")
     }
 
+    # the standard normals go block by block from the draw to the surrogates
     stream = _STREAM_SPCE_SURROGATE if sparse else _STREAM_PCE_SURROGATE
-    xi = stochastic.standard_normals(config.surrogate_samples, n, [config.seed, stream])
-    values = chaos.surrogate_values(models.values(), xi)
+    count = config.surrogate_samples
+    blocks = stochastic.standard_normals(
+        count, n, [config.seed, stream], chaos.BASIS_BLOCK_ROWS
+    )
+    values = chaos.surrogate_values(models.values(), blocks, count)
     classes = {
         cls: chaos.surrogate_stats_at(model, y, clip_at_zero=True)
         for (cls, model), y in zip(models.items(), values)
     }
-    overall = np.minimum(
-        np.minimum(classes["voltage"].samples, classes["thermal"].samples),
-        classes["collapse"].samples,
-    )
+    overall = np.minimum(classes["voltage"].samples, classes["thermal"].samples)
+    np.minimum(overall, classes["collapse"].samples, out=overall)
     classes["overall"] = chaos.sample_moments(overall)
 
     method = "spce" if sparse else "pce"
@@ -309,14 +319,20 @@ def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> M
 
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
-    empirical CDFs of ``a`` and ``b``, evaluated at every sample of both."""
+    empirical CDFs of ``a`` and ``b``, evaluated at every sample of both,
+    KS_BLOCK_ROWS samples at a time (the largest of the block maxima is the
+    maximum)."""
     a, b = np.sort(a), np.sort(b)
-    both = np.concatenate([a, b])
-    gap = (
-        np.searchsorted(a, both, side="right") / len(a)
-        - np.searchsorted(b, both, side="right") / len(b)
-    )
-    return float(np.max(np.abs(gap)))
+    gap = 0.0
+    for x in (a, b):
+        for r0 in range(0, len(x), KS_BLOCK_ROWS):
+            at = x[r0:r0 + KS_BLOCK_ROWS]
+            d = (
+                np.searchsorted(a, at, side="right") / len(a)
+                - np.searchsorted(b, at, side="right") / len(b)
+            )
+            gap = max(gap, float(np.max(np.abs(d))))
+    return gap
 
 
 def compare(results: dict) -> dict:

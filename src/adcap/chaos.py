@@ -128,7 +128,11 @@ def collocation_design(config: PceConfig, n_rows: int) -> CollocationDesign:
     rows kept so far (greedy Gram-Schmidt) until ``n_rows`` are kept.  So
     every design has full row rank and is a prefix of the square,
     nonsingular K-row design.  Raises DesignRankError if the pool runs out
-    first."""
+    first.
+
+    Each candidate is projected off the orthonormal rows kept so far twice
+    (for numerical safety), each time as one block product
+    ``r -= Q.T @ (Q @ r)`` over the kept rows ``Q``."""
     n, p = config.dimension, config.order
     indices = multi_indices(n, p)
     k_full = len(indices)
@@ -138,17 +142,17 @@ def collocation_design(config: PceConfig, n_rows: int) -> CollocationDesign:
         )
     cand = _candidate_points(n, p)
     a_cand = basis_matrix(cand, indices)
-    basis: list[np.ndarray] = []
+    q = np.empty((n_rows, k_full))  # orthonormal basis of the kept rows
     chosen = []
     for i, row in enumerate(a_cand):
         if len(chosen) == n_rows:
             break
-        r = row.copy()
-        for q in basis + basis:  # two passes for numerical safety
-            r -= (q @ r) * q
+        q_k = q[:len(chosen)]
+        r = row - q_k.T @ (q_k @ row)
+        r -= q_k.T @ (q_k @ r)
         nrm = np.linalg.norm(r)
         if nrm > _GS_TOL * np.linalg.norm(row):
-            basis.append(r / nrm)
+            q[len(chosen)] = r / nrm
             chosen.append(i)
     if len(chosen) < n_rows:
         raise DesignRankError(f"candidate pool cannot reach rank {n_rows}; raise the order")
@@ -363,25 +367,31 @@ def fit_sparse(design: CollocationDesign, y, target_terms) -> PceModel:
     )
 
 
-def surrogate_values(models, xi) -> list:
-    """Each model's values at the points ``xi`` (what ``surrogate_stats_at``
-    takes).  ``xi`` is read BASIS_BLOCK_ROWS points at a time, so no basis
-    array spans all of it: per block, ``basis_matrix`` is evaluated once
-    over the union of the models' active sets, and each model multiplies a
-    C-contiguous copy of its own columns (the block itself when it uses all
-    of them).  The values are bitwise those of ``basis_matrix`` over the
-    model's active indices times its coefficients (a strided view would
-    change the rounding of the product)."""
+def surrogate_values(models, blocks, count) -> list:
+    """Each model's values at ``count`` standard-normal points that arrive as
+    consecutive ``blocks`` (what ``surrogate_stats_at`` takes), such as
+    ``stochastic.standard_normals(count, n, seed, BASIS_BLOCK_ROWS)``, so
+    no array of all the points and no basis array spans them: per block,
+    ``basis_matrix`` is evaluated once over the union of the models' active
+    sets, and each model multiplies a C-contiguous copy of its own columns
+    (the block itself when it uses all of them).  The values are bitwise
+    those of ``basis_matrix`` over all the points and the model's active
+    indices times its coefficients (a strided view would change the
+    rounding of the product)."""
     models = list(models)
     union = np.flatnonzero(np.any([m.active for m in models], axis=0))
     indices = [models[0].indices[i] for i in union]
     cols = [np.searchsorted(union, np.flatnonzero(m.active)) for m in models]
-    out = [np.empty(len(xi)) for _ in models]
-    for r0 in range(0, len(xi), BASIS_BLOCK_ROWS):
-        block = basis_matrix(xi[r0:r0 + BASIS_BLOCK_ROWS], indices)
+    out = [np.empty(count) for _ in models]
+    r0 = 0
+    for xi in blocks:
+        block = basis_matrix(xi, indices)
         for y, m, c in zip(out, models, cols):
             basis = block if len(c) == len(union) else block.take(c, axis=1)
             y[r0:r0 + len(block)] = basis @ m.coeffs[m.active]
+        r0 += len(block)
+    if r0 != count:
+        raise ConfigurationError(f"{r0} surrogate points for a count of {count}")
     return out
 
 
@@ -437,12 +447,12 @@ def sample_moments(samples) -> ClassStats:
 
 def surrogate_stats_at(model: PceModel, y, clip_at_zero: bool = False) -> ClassStats:
     """Surrogate statistics from the model's values ``y`` on a block of
-    standard-normal points (``surrogate_values``)."""
+    standard-normal points (``surrogate_values``).  With ``clip_at_zero``
+    the negative values of ``y`` are set to zero in place."""
     clip_fraction = 0.0
     if clip_at_zero:
-        neg = y < 0.0
-        clip_fraction = float(np.mean(neg))
-        y = np.maximum(y, 0.0)
+        clip_fraction = float(np.mean(y < 0.0))
+        np.maximum(y, 0.0, out=y)
     return replace(
         sample_moments(y),
         clip_fraction=clip_fraction,

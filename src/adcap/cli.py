@@ -119,7 +119,11 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    written = report.write_outputs(rep, config.out_dir)
+    try:
+        written = report.write_outputs(rep, config.out_dir)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     det = rep.deterministic
     print(f"feeder: {rep.feeder_name} ({rep.dimension} random inputs)")
     print(

@@ -17,6 +17,7 @@ import numpy as np
 from . import assessment, chaos, continuation, powerflow, stochastic
 
 _CLASS_ORDER = ("voltage", "thermal", "collapse", "overall")
+CDF_BLOCK_ROWS = 4096  # rows per block of a CDF file
 
 
 @dataclass
@@ -115,6 +116,17 @@ class AdcReport:
         return "\n".join(lines) + "\n"
 
 
+def _probability_column(n: int) -> np.ndarray:
+    """The cumulative probabilities i/n, i = 1 .. n, each formatted ``%.6g``
+    into a fixed-width bytes array (at most 11 characters a value), built
+    CDF_BLOCK_ROWS values at a time."""
+    column = np.empty(n, dtype="S11")
+    for r0 in range(0, n, CDF_BLOCK_ROWS):
+        q = np.arange(r0 + 1, min(r0 + CDF_BLOCK_ROWS, n) + 1) / n
+        column[r0:r0 + len(q)] = [b"%.6g" % v for v in q.tolist()]
+    return column
+
+
 def write_outputs(report: AdcReport, out_dir) -> list:
     """Write report.json / report.md / cdf_<class>_<method>.csv (+ pv_curve.csv
     when the report carries a curve, with ``--dump-trace``); returns the
@@ -131,22 +143,23 @@ def write_outputs(report: AdcReport, out_dir) -> list:
     p.write_text(report.to_markdown())
     written.append(p)
 
-    probabilities = {}  # sample count -> formatted cumulative probabilities
+    probabilities = {}  # sample count -> its formatted probability column
     for name, res in sorted(report.results.items()):
         for cls in _CLASS_ORDER:
-            # sorted samples against their cumulative probability i/M, the
-            # latter formatted once per sample count
+            # sorted samples against their cumulative probability i/M
             s = np.sort(res.classes[cls].samples)
             n = len(s)
             if n not in probabilities:
-                probabilities[n] = ["%.6g" % q for q in (np.arange(1, n + 1) / n).tolist()]
-            rows = [None] * (2 * n)
-            rows[::2] = s.tolist()
-            rows[1::2] = probabilities[n]
+                probabilities[n] = _probability_column(n)
             p = out / f"cdf_{cls}_{name}.csv"
-            with p.open("w", newline="") as fh:
-                fh.write("adc_mw,cumulative_probability\n")
-                fh.write(("%.10g,%s\n" * n) % tuple(rows))
+            with p.open("wb") as fh:
+                fh.write(b"adc_mw,cumulative_probability\n")
+                for r0 in range(0, n, CDF_BLOCK_ROWS):
+                    rows = s[r0:r0 + CDF_BLOCK_ROWS].tolist()
+                    cells = [None] * (2 * len(rows))
+                    cells[::2] = rows
+                    cells[1::2] = probabilities[n][r0:r0 + CDF_BLOCK_ROWS].tolist()
+                    fh.write(b"%.10g,%s\n" * len(rows) % tuple(cells))
             written.append(p)
 
     if report.comparison.get("pairs"):

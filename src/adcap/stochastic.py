@@ -249,12 +249,17 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
     return reg
 
 
-def standard_normals(count, dimension, seed) -> np.ndarray:
-    """A (count, dimension) block of standard normals from the counter-based
-    Philox generator keyed by ``seed``, drawn in one pass so results do not
-    depend on how work is later split across processes."""
+def standard_normals(count, dimension, seed, block_rows=None):
+    """Yield a (count, dimension) draw of standard normals from the
+    counter-based Philox generator keyed by ``seed``, in consecutive blocks
+    of ``block_rows`` rows (the last may be shorter; one block of all rows
+    by default).  The blocks read one stream in order, so at any block size,
+    even or uneven, they are bitwise the rows of the one-pass draw, and no
+    result depends on how the draw or the later work is split."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return rng.standard_normal((count, dimension))
+    step = block_rows or count
+    for r0 in range(0, count, step):
+        yield rng.standard_normal((min(step, count - r0), dimension))
 
 
 def physical_inputs(xi, distributions) -> np.ndarray:
@@ -279,7 +284,8 @@ def physical_inputs(xi, distributions) -> np.ndarray:
 def sample_inputs(distributions, count, seed) -> np.ndarray:
     """Draw ``count`` input rows: ``standard_normals`` mapped by
     ``physical_inputs``."""
-    return physical_inputs(standard_normals(count, len(distributions), seed), distributions)
+    [xi] = standard_normals(count, len(distributions), seed)
+    return physical_inputs(xi, distributions)
 
 
 def assemble_variation(u, registry: StochasticRegistry) -> VariationVector:

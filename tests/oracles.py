@@ -193,6 +193,27 @@ def basis_matrix_columns(xi, indices):
     return a
 
 
+def design_points_loop(config, n_rows):
+    """The first ``n_rows`` candidates of ``chaos.collocation_design``'s
+    ranked pool that add rank, by Gram-Schmidt one kept vector at a time:
+    each candidate's basis row is projected off every kept unit vector, the
+    kept list twice over, and kept when the remainder is not negligible."""
+    indices = chaos.multi_indices(config.dimension, config.order)
+    cand = chaos._candidate_points(config.dimension, config.order)
+    basis, chosen = [], []
+    for i, row in enumerate(chaos.basis_matrix(cand, indices)):
+        if len(chosen) == n_rows:
+            break
+        r = row.copy()
+        for q in basis + basis:
+            r -= (q @ r) * q
+        nrm = np.linalg.norm(r)
+        if nrm > chaos._GS_TOL * np.linalg.norm(row):
+            basis.append(r / nrm)
+            chosen.append(i)
+    return cand[chosen]
+
+
 def to_document(model) -> dict:
     """Canonical schema dict of a ``FeederModel``; load_feeder(json.dumps(doc))
     round-trips."""

@@ -41,12 +41,15 @@ REFERENCE_MW = {"voltage": 0.875, "thermal": 1.253, "collapse": 2.442}
 
 @pytest.fixture(scope="module")
 def full_scale(model, scenario_doc):
+    # two workers (at most the CPU count): the report does not depend on the
+    # worker count (test_report_identical_at_one_and_two_workers)
     cfg = AssessmentConfig(
         method="all",
         mcs_samples=10000,
         surrogate_samples=10000,
         sparse_terms=31,
         seed=0,
+        workers=2,
     )
     return run_assessment(model, scenario_doc, cfg)
 

@@ -24,7 +24,7 @@ from adcap.cli import main as cli_main
 from adcap.errors import ConfigurationError
 from adcap.feeder import load_feeder
 from adcap.powerflow import NetworkCase
-from adcap.report import run_assessment, write_outputs
+from adcap.report import CDF_BLOCK_ROWS, run_assessment, write_outputs
 from adcap.stochastic import build_registry
 
 from conftest import DATA, delta_wye_doc, pv_two_bus_doc, two_bus_doc
@@ -322,7 +322,9 @@ def test_ks_distance_matches_scipy():
     from scipy.stats import ks_2samp
 
     rng = np.random.default_rng(4)
-    for n_a, n_b in ((20, 20), (37, 200), (200, 13), (1, 5), (50, 50)):
+    long = assessment.KS_BLOCK_ROWS + 17  # points span blocks of the scan
+    for n_a, n_b in ((20, 20), (37, 200), (200, 13), (1, 5), (50, 50),
+                     (long, 3 * long), (20, long)):
         a = np.round(rng.normal(0.0, 1.0, n_a), 1)
         b = np.round(rng.normal(0.3, 1.2, n_b), 1)
         expect = ks_2samp(a, b, method="asymp").statistic
@@ -418,8 +420,14 @@ def test_cdf_files_match_the_row_by_row_writer(tmp_path):
         "pce", 3, {k: chaos.sample_moments(v) for k, v in samples.items()},
         {}, "",
     )
+    # a sample count whose file spans three write blocks, the last partly
+    long = rng.normal(1.0, 0.3, (4, 2 * CDF_BLOCK_ROWS + 5))
+    rep.results["spce"] = MethodResult(
+        "spce", 3, {k: chaos.sample_moments(v) for k, v in zip(samples, long)},
+        {}, "",
+    )
     write_outputs(rep, tmp_path / "out")
-    for name in ("mcs", "pce"):
+    for name in ("mcs", "pce", "spce"):
         for cls, stats in rep.results[name].classes.items():
             ref = tmp_path / f"ref_{cls}_{name}.csv"
             write_cdf_rows(ref, stats.samples)
@@ -490,6 +498,37 @@ def test_cli_exit_code_infeasible_base(tmp_path, capsys):
     assert rc == 2
     # the node is named the way reports name it
     assert len(err.splitlines()) == 1 and "voltage_lower at r.a" in err
+
+
+def test_cli_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
+    fp, sp = _write_inputs(tmp_path, two_bus_doc(v_min=0.90), _small_scenario())
+    out = tmp_path / "out"
+    (out / "cdf_voltage_mcs.csv").mkdir(parents=True)  # a directory, not a file
+    rc = cli_main([
+        "run", "--feeder", str(fp), "--scenario", str(sp),
+        "--method", "mcs", "--samples", "4", "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write outputs: ")
+
+
+def test_zero_direction_realizations_count_as_failed_traces():
+    # a load of mean 20 kW and std 40 kW is clamped at zero in about a third
+    # of the draws, and a realization with no load growth has no direction
+    model = load_feeder(two_bus_doc(v_min=0.90))
+    cfg = dict(method="mcs", mcs_samples=20, seed=0)
+    texts = []
+    for workers in (1, 2):
+        rep = run_assessment(
+            model, _small_scenario(mean_kw=20.0, std_kw=40.0),
+            AssessmentConfig(**cfg, workers=workers),
+        )
+        mcs = rep.results["mcs"]
+        assert mcs.failures > 0 and mcs.eval_count == 20
+        assert mcs.to_dict()["failure_counts"] == {"ZeroDirectionError": mcs.failures}
+        texts.append(rep.to_json())
+    assert texts[1] == texts[0].replace('"workers": 1', '"workers": 2')
 
 
 def test_cli_exit_code_numerical_failure(tmp_path):

@@ -22,11 +22,17 @@ from adcap.chaos import (
 )
 from adcap.errors import ConfigurationError
 from adcap.feeder import load_feeder
-from adcap.stochastic import assemble_variation, build_registry, physical_inputs
+from adcap.stochastic import (
+    assemble_variation,
+    build_registry,
+    physical_inputs,
+    standard_normals,
+)
 
 from conftest import two_bus_doc
 from oracles import (
     basis_matrix_columns,
+    design_points_loop,
     evaluate,
     hermite_1d,
     pce_model_from_dict,
@@ -174,6 +180,15 @@ def test_every_design_size_is_a_full_rank_prefix_fitting_its_budget():
         assert np.linalg.matrix_rank(design.matrix) == rows
         assert fit_sparse(design, y[:rows], rows).active.sum() == rows
         fit_sparse(design, y[:rows], "auto")
+
+
+def test_block_projections_pick_the_rows_of_the_vector_loop():
+    # projecting each candidate off all kept rows in one product keeps the
+    # same candidates as projecting off one kept vector at a time
+    cfg = PceConfig(dimension=12, order=2)
+    for rows in range(1, 92):
+        got = collocation_design(cfg, n_rows=rows).points
+        assert np.array_equal(got, design_points_loop(cfg, rows)), rows
 
 
 # -- regression fits ------------------------------------------------------------
@@ -356,11 +371,11 @@ def test_evaluate_matches_direct_expansion():
 
 
 def test_surrogate_values_give_each_model_its_own_evaluation():
-    # the per-class samples of one shared basis block per BASIS_BLOCK_ROWS
-    # points are bitwise those of evaluating each class alone over all
-    # points, for a full model and sparse models with different active sets
-    # (their union, and one model using all of it), on a last block that is
-    # partly filled
+    # the per-class samples of one shared basis block per drawn block of
+    # BASIS_BLOCK_ROWS points are bitwise those of evaluating each class
+    # alone over the one-pass draw, for a full model and sparse models with
+    # different active sets (their union, and one model using all of it),
+    # on a last block that is partly filled
     design = _design(rows=91)
     rng = np.random.default_rng(5)
     full = fit_full(design, rng.normal(size=91))
@@ -369,9 +384,11 @@ def test_surrogate_values_give_each_model_its_own_evaluation():
         for t in (4, 9, 17)
     ]
     assert len({tuple(np.flatnonzero(m.active)) for m in sparse}) == 3
-    xi = rng.standard_normal((2 * BASIS_BLOCK_ROWS + 3, 12))
+    count = 2 * BASIS_BLOCK_ROWS + 3
+    [xi] = standard_normals(count, 12, [5, 1])
     for models in ([full, full, full], sparse, sparse[::-1], [sparse[0], full]):
-        values = surrogate_values(models, xi)
+        blocks = standard_normals(count, 12, [5, 1], BASIS_BLOCK_ROWS)
+        values = surrogate_values(models, blocks, count)
         assert len(values) == len(models)
         for model, y in zip(models, values):
             got = surrogate_stats_at(model, y).samples
@@ -410,6 +427,20 @@ def test_analytic_moments_match_sampling():
     assert stats.mean == pytest.approx(stats.analytic_mean, rel=5e-3)
     assert stats.variance == pytest.approx(stats.analytic_variance, rel=2e-2)
     assert stats.clip_fraction == 0.0
+
+
+def test_clipping_in_place_gives_the_statistics_of_a_clipped_copy():
+    design = _design(n=2, p=2, rows=6)
+    model = fit_full(design, np.arange(6.0))
+    y = np.random.default_rng(3).normal(0.2, 1.0, 5000)
+    negative = float(np.mean(y < 0.0))
+    expect = sample_moments(np.maximum(y, 0.0))
+    got = surrogate_stats_at(model, y, clip_at_zero=True)
+    assert got.samples is y and y.min() == 0.0
+    assert got.clip_fraction == negative > 0.0
+    for key in ("mean", "variance", "skewness", "kurtosis", "ci95"):
+        assert getattr(got, key) == getattr(expect, key), key
+    assert got.samples.tobytes() == expect.samples.tobytes()
 
 
 def test_clip_fraction_counts():

@@ -16,6 +16,7 @@ from adcap.stochastic import (
     reactive_from_active,
     sample_inputs,
     solar_power_kw,
+    standard_normals,
     wind_power_kw,
 )
 
@@ -112,6 +113,17 @@ def test_sampler_is_deterministic():
     c = sample_inputs(dists, 50, [7, 1])
     assert np.array_equal(a, b)
     assert not np.array_equal(a[0], c[0])
+
+
+def test_block_draws_equal_the_one_pass_draw():
+    # 2,051 rows is not a multiple of the 1,024-row block, and uneven
+    # blocks read the same stream
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([4, 1])))
+    whole = rng.standard_normal((2051, 12))
+    for block_rows in (None, 1024, 1, 700, 2051, 5000):
+        blocks = list(standard_normals(2051, 12, [4, 1], block_rows))
+        assert [len(b) for b in blocks[:-1]] == [block_rows or 2051] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes(), block_rows
 
 
 def test_sampler_moments():
