@@ -8,7 +8,9 @@ Each tree is imported in its own subprocess, which traces, on the bundled
 feeder and scenario, N Monte Carlo inputs (the first N draws of the seed-0
 MCS stream, as ``adc run --seed 0`` draws them) and then every point of the
 full PCE collocation design (91 on the bundled scenario), one ``trace_adc``
-call each.
+call each.  Both trees must have ``chaos.ORDER`` and
+``chaos.collocation_design(dimension, n_rows)``: an older tree, which has
+``chaos.PceConfig`` instead, cannot be compared.
 
 Printed: per class, the max, median and 99th percentile of |delta lambda|
 and of |delta lambda| / lambda (lambda from OLD_SRC) over the traces that
@@ -57,10 +59,7 @@ def trace_all(samples: int) -> list:
     case = NetworkCase(model)
     dists = registry.distributions()
     n = registry.dimension
-    design = chaos.collocation_design(
-        chaos.PceConfig(n, assessment.PCE_ORDER),
-        n_rows=chaos.basis_size(n, assessment.PCE_ORDER),
-    )
+    design = chaos.collocation_design(n, n_rows=chaos.basis_size(n, chaos.ORDER))
     inputs = np.vstack([
         stochastic.sample_inputs(dists, samples, [0, assessment._STREAM_MCS]),
         stochastic.physical_inputs(design.points, dists),

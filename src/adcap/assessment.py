@@ -56,7 +56,6 @@ _STREAM_MCS = 0
 _STREAM_PCE_SURROGATE = 1
 _STREAM_SPCE_SURROGATE = 2
 
-PCE_ORDER = 2  # total degree of every PCE and SPCE basis
 KS_BLOCK_ROWS = 4096  # points per block of ks_distance
 
 
@@ -78,14 +77,19 @@ class AssessmentConfig:
             raise ConfigurationError("sample counts must be >= 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     def methods(self) -> list:
         return list(_METHODS) if self.method == "all" else [self.method]
 
-    def check_sparse_terms(self, dimension: int):
-        """Reject a sparse term count M_C outside 1 .. the basis size for
-        ``dimension`` inputs; a run calls this before it traces anything."""
-        k_full = chaos.basis_size(dimension, PCE_ORDER)
+    def check_dimension(self, dimension: int):
+        """Reject a run over ``dimension`` random inputs that has none, or
+        whose sparse term count M_C is outside 1 .. the basis size; a run
+        calls this before it traces anything."""
+        if dimension < 1:
+            raise ConfigurationError("scenario: no wind, solar or stochastic load")
+        k_full = chaos.basis_size(dimension, chaos.ORDER)
         terms = self.sparse_terms
         if terms != "auto" and not (isinstance(terms, int) and 1 <= terms <= k_full):
             raise ConfigurationError(
@@ -98,7 +102,7 @@ class AssessmentConfig:
         basis size, or the budget M_C when SPCE alone runs at one."""
         if self.method == "spce" and self.sparse_terms != "auto":
             return self.sparse_terms
-        return 0 if self.method == "mcs" else chaos.basis_size(dimension, PCE_ORDER)
+        return 0 if self.method == "mcs" else chaos.basis_size(dimension, chaos.ORDER)
 
 
 @dataclass
@@ -292,7 +296,7 @@ def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> M
     )
     values = chaos.surrogate_values(models.values(), blocks, count)
     classes = {
-        cls: chaos.surrogate_stats_at(model, y, clip_at_zero=True)
+        cls: chaos.surrogate_stats_at(model, y)
         for (cls, model), y in zip(models.items(), values)
     }
     overall = np.minimum(classes["voltage"].samples, classes["thermal"].samples)

@@ -19,20 +19,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DesignRankError
 
+ORDER = 2  # total degree of every PCE and SPCE basis
 _GS_TOL = 1e-9
 BASIS_BLOCK_ROWS = 1024  # points per block of basis_matrix
-
-
-@dataclass(frozen=True)
-class PceConfig:
-    dimension: int
-    order: int = 2
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigurationError("dimension must be >= 1")
-        if not (1 <= self.order <= 3):
-            raise ConfigurationError("expansion order must be 1, 2 or 3")
 
 
 def basis_size(n: int, p: int) -> int:
@@ -90,7 +79,6 @@ def basis_matrix(xi, indices) -> np.ndarray:
 
 @dataclass
 class CollocationDesign:
-    config: PceConfig
     points: np.ndarray  # (rows, n) standard-normal coordinates
     matrix: np.ndarray  # (rows, K) basis values
     indices: list  # K multi-indices
@@ -122,10 +110,11 @@ def _candidate_points(n: int, p: int):
     return np.array(pts)
 
 
-def collocation_design(config: PceConfig, n_rows: int) -> CollocationDesign:
-    """Select ``n_rows`` design points, 1 <= n_rows <= K: walking the ranked
-    candidate pool, keep each candidate whose basis row adds rank to the
-    rows kept so far (greedy Gram-Schmidt) until ``n_rows`` are kept.  So
+def collocation_design(dimension: int, n_rows: int) -> CollocationDesign:
+    """Select ``n_rows`` design points for the order-``ORDER`` basis in
+    ``dimension`` inputs, 1 <= n_rows <= K: walking the ranked candidate
+    pool, keep each candidate whose basis row adds rank to the rows kept
+    so far (greedy Gram-Schmidt) until ``n_rows`` are kept.  So
     every design has full row rank and is a prefix of the square,
     nonsingular K-row design.  Raises DesignRankError if the pool runs out
     first.
@@ -133,14 +122,13 @@ def collocation_design(config: PceConfig, n_rows: int) -> CollocationDesign:
     Each candidate is projected off the orthonormal rows kept so far twice
     (for numerical safety), each time as one block product
     ``r -= Q.T @ (Q @ r)`` over the kept rows ``Q``."""
-    n, p = config.dimension, config.order
-    indices = multi_indices(n, p)
+    indices = multi_indices(dimension, ORDER)
     k_full = len(indices)
     if not 1 <= n_rows <= k_full:
         raise ConfigurationError(
             f"n_rows must be between 1 and the basis size {k_full}, got {n_rows}"
         )
-    cand = _candidate_points(n, p)
+    cand = _candidate_points(dimension, ORDER)
     a_cand = basis_matrix(cand, indices)
     q = np.empty((n_rows, k_full))  # orthonormal basis of the kept rows
     chosen = []
@@ -155,15 +143,14 @@ def collocation_design(config: PceConfig, n_rows: int) -> CollocationDesign:
             q[len(chosen)] = r / nrm
             chosen.append(i)
     if len(chosen) < n_rows:
-        raise DesignRankError(f"candidate pool cannot reach rank {n_rows}; raise the order")
-    return CollocationDesign(config, cand[chosen], a_cand[chosen], indices)
+        raise DesignRankError(f"candidate pool cannot reach rank {n_rows}")
+    return CollocationDesign(cand[chosen], a_cand[chosen], indices)
 
 
 # -- models and fitting ----------------------------------------------------------
 
 @dataclass
 class PceModel:
-    config: PceConfig
     indices: list
     coeffs: np.ndarray
     active: np.ndarray  # boolean mask over indices
@@ -182,8 +169,8 @@ class PceModel:
 
     def to_dict(self) -> dict:
         return {
-            "dimension": self.config.dimension,
-            "order": self.config.order,
+            "dimension": len(self.indices[0]),
+            "order": ORDER,
             "terms": {
                 ",".join(map(str, ix)): float(c)
                 for ix, c, act in zip(self.indices, self.coeffs, self.active)
@@ -206,7 +193,6 @@ def fit_full(design: CollocationDesign, y) -> PceModel:
             f"design matrix rank {rank} < {k}; repair the design first"
         )
     return PceModel(
-        design.config,
         list(design.indices),
         coeffs,
         np.ones(k, dtype=bool),
@@ -354,7 +340,6 @@ def fit_sparse(design: CollocationDesign, y, target_terms) -> PceModel:
         coeffs[j] = c
         active[j] = True
     return PceModel(
-        design.config,
         list(design.indices),
         coeffs,
         active,
@@ -445,14 +430,13 @@ def sample_moments(samples) -> ClassStats:
     return ClassStats(mean, var, skew, kurt, (float(lo), float(hi)), y)
 
 
-def surrogate_stats_at(model: PceModel, y, clip_at_zero: bool = False) -> ClassStats:
+def surrogate_stats_at(model: PceModel, y) -> ClassStats:
     """Surrogate statistics from the model's values ``y`` on a block of
-    standard-normal points (``surrogate_values``).  With ``clip_at_zero``
-    the negative values of ``y`` are set to zero in place."""
-    clip_fraction = 0.0
-    if clip_at_zero:
-        clip_fraction = float(np.mean(y < 0.0))
-        np.maximum(y, 0.0, out=y)
+    standard-normal points (``surrogate_values``).  A delivery margin is
+    never negative, so the negative values of ``y`` are set to zero in
+    place and their share is reported as ``clip_fraction``."""
+    clip_fraction = float(np.mean(y < 0.0))
+    np.maximum(y, 0.0, out=y)
     return replace(
         sample_moments(y),
         clip_fraction=clip_fraction,

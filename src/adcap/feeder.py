@@ -319,6 +319,8 @@ def load_feeder(document) -> FeederModel:
         v0 = _number(raw, "v0_pu", ctx, None)
         if gtype == "pv":
             _require(v0 is not None, f"{ctx}: pv generator requires v0_pu")
+            _require(bus_by_id[bus].bus_type == "pv",
+                     f"{ctx}: pv generator on {bus_by_id[bus].bus_type} bus '{bus}'")
         generators.append(
             Generator(
                 gid, bus, phases, gtype,

@@ -39,7 +39,7 @@ class AdcReport:
                 "mcs_samples": self.config.mcs_samples,
                 "surrogate_samples": self.config.surrogate_samples,
                 "sparse_terms": self.config.sparse_terms,
-                "order": assessment.PCE_ORDER,
+                "order": chaos.ORDER,
                 "seed": self.config.seed,
                 "workers": self.config.workers,
             },
@@ -194,7 +194,7 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     """Assemble the full report for a parsed feeder model and scenario dict."""
     case = powerflow.NetworkCase(model)
     registry = stochastic.build_registry(model, scenario)
-    config.check_sparse_terms(registry.dimension)
+    config.check_dimension(registry.dimension)
     # the run's trace memo: the design centre of PCE and SPCE is the mean
     # input traced here, and every SPCE design point is a PCE design point
     memo = {}
@@ -228,8 +228,7 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     }
 
     rows = config.design_rows(registry.dimension)  # the one design PCE and SPCE share
-    pcfg = chaos.PceConfig(registry.dimension, assessment.PCE_ORDER)
-    design = chaos.collocation_design(pcfg, rows) if rows else None
+    design = chaos.collocation_design(registry.dimension, rows) if rows else None
     results = {}
     with assessment.trace_pool(ctx, config.workers) as pool:
         for method in config.methods():

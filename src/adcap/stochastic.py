@@ -191,13 +191,17 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
     def _num(raw, key, ctx, *default):
         return _scenario_check(_number, raw, key, ctx, *default)
 
-    def _phases(raw, ctx):
-        return _scenario_check(_parse_phases, raw.get("phases", "abc"), ctx)
+    def _phases(raw, ctx, bus):
+        phases = _scenario_check(_parse_phases, raw.get("phases", "abc"), ctx)
+        for ph in phases:
+            if ph not in bus_ids[bus].phases:
+                raise ConfigurationError(f"{ctx}: phase '{ph}' absent at bus")
+        return phases
 
     for raw, ctx, bus in _units("wind", "wind"):
         unit = WindTurbine(
             bus,
-            _phases(raw, ctx),
+            _phases(raw, ctx, bus),
             _num(raw, "p_rated_kw", ctx),
             _num(raw, "v_cut_in", ctx),
             _num(raw, "v_rated", ctx),
@@ -212,7 +216,7 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
     for raw, ctx, bus in _units("solar", "solar"):
         unit = SolarUnit(
             bus,
-            _phases(raw, ctx),
+            _phases(raw, ctx, bus),
             _num(raw, "p_rated_kw", ctx),
             _num(raw, "r_certain", ctx),
             _num(raw, "r_standard", ctx),

@@ -193,13 +193,13 @@ def basis_matrix_columns(xi, indices):
     return a
 
 
-def design_points_loop(config, n_rows):
+def design_points_loop(dimension, n_rows):
     """The first ``n_rows`` candidates of ``chaos.collocation_design``'s
     ranked pool that add rank, by Gram-Schmidt one kept vector at a time:
     each candidate's basis row is projected off every kept unit vector, the
     kept list twice over, and kept when the remainder is not negligible."""
-    indices = chaos.multi_indices(config.dimension, config.order)
-    cand = chaos._candidate_points(config.dimension, config.order)
+    indices = chaos.multi_indices(dimension, chaos.ORDER)
+    cand = chaos._candidate_points(dimension, chaos.ORDER)
     basis, chosen = [], []
     for i, row in enumerate(chaos.basis_matrix(cand, indices)):
         if len(chosen) == n_rows:
@@ -277,8 +277,7 @@ def to_document(model) -> dict:
 
 def pce_model_from_dict(doc: dict) -> chaos.PceModel:
     """Inverse of ``PceModel.to_dict``."""
-    config = chaos.PceConfig(doc["dimension"], doc["order"])
-    indices = chaos.multi_indices(config.dimension, config.order)
+    indices = chaos.multi_indices(doc["dimension"], doc["order"])
     coeffs = np.zeros(len(indices))
     active = np.zeros(len(indices), dtype=bool)
     pos = {ix: i for i, ix in enumerate(indices)}
@@ -286,18 +285,19 @@ def pce_model_from_dict(doc: dict) -> chaos.PceModel:
         ix = tuple(int(t) for t in key.split(","))
         coeffs[pos[ix]] = c
         active[pos[ix]] = True
-    return chaos.PceModel(config, indices, coeffs, active, doc.get("diagnostics", {}))
+    return chaos.PceModel(indices, coeffs, active, doc.get("diagnostics", {}))
 
 
-def surrogate_statistics(model, m_s: int, seed, clip_at_zero: bool = False):
+def surrogate_statistics(model, m_s: int, seed):
     """Sample the surrogate at M_S standard-normal points drawn from
-    ``seed``, with the analytic mean (c_0) and variance (sum of c^2 times
-    basis norms) alongside as cross-checks on the sampled values."""
+    ``seed``, clipped at zero, with the analytic mean (c_0) and variance
+    (sum of c^2 times basis norms) alongside as cross-checks on the sampled
+    values."""
     if m_s < 1:
         raise ConfigurationError("M_S must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xi = rng.standard_normal((m_s, model.config.dimension))
-    return chaos.surrogate_stats_at(model, evaluate(model, xi), clip_at_zero)
+    xi = rng.standard_normal((m_s, len(model.indices[0])))
+    return chaos.surrogate_stats_at(model, evaluate(model, xi))
 
 
 def write_cdf_rows(path, samples):

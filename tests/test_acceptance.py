@@ -168,7 +168,7 @@ def test_criterion_5_chaos_machinery():
             assert chaos.basis_size(n, p) == count
 
     # three-term synthetic truth recovered exactly by the selection path
-    design = chaos.collocation_design(chaos.PceConfig(12, 2), n_rows=60)
+    design = chaos.collocation_design(12, n_rows=60)
     idx = design.indices
     truth = np.zeros(len(idx))
     truth[0] = 1.5
@@ -182,7 +182,7 @@ def test_criterion_5_chaos_machinery():
     assert np.allclose(model.coeffs[model.active], [1.5, 3.0, -2.0], atol=1e-8)
 
     # no sparsification at full budget: identical to the dense fit
-    square = chaos.collocation_design(chaos.PceConfig(12, 2), n_rows=91)
+    square = chaos.collocation_design(12, n_rows=91)
     rng = np.random.default_rng(2)
     coeffs = rng.normal(0, 1, 91) * np.exp(-0.15 * np.arange(91))
     y = square.matrix @ coeffs

@@ -12,7 +12,6 @@ import pytest
 
 from adcap import assessment, chaos, continuation
 from adcap.assessment import (
-    PCE_ORDER,
     AssessmentConfig,
     MethodResult,
     compare,
@@ -56,7 +55,7 @@ def _small_ctx(scenario=None, ampacity=600.0, v_min=0.90):
 def _design(ctx, config):
     """The collocation design a run with ``config`` builds (``design_rows``)."""
     n = ctx[1].dimension
-    return chaos.collocation_design(chaos.PceConfig(n, PCE_ORDER), config.design_rows(n))
+    return chaos.collocation_design(n, config.design_rows(n))
 
 
 def test_config_rejects_bad_values():
@@ -68,6 +67,8 @@ def test_config_rejects_bad_values():
         AssessmentConfig(surrogate_samples=0)
     with pytest.raises(ConfigurationError):
         AssessmentConfig(workers=0)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        AssessmentConfig(seed=-1)
     assert AssessmentConfig(method="all").methods() == ["mcs", "pce", "spce"]
     assert AssessmentConfig(method="spce").methods() == ["spce"]
 
@@ -624,6 +625,13 @@ def _slack_only():
          {"--scenario": None}),
         (two_bus_doc(v_min=0.90), _small_scenario(), "cannot create the output directory",
          {"--out": "feeder.json/out"}),
+        (two_bus_doc(v_min=0.90), _small_scenario(), "seed must be >= 0", {"--seed": "-1"}),
+        (two_bus_doc(v_min=0.90), _solar_on_phases("abc"),
+         "solar at 'r': phase 'b' absent at bus", {}),
+        (_with_generator(type="pv", v0_pu=1.0, q_kvar=80.0), _small_scenario(),
+         "generator 'g': pv generator on pq bus 'r'", {}),
+        *[(two_bus_doc(v_min=0.90), {}, "scenario: no wind, solar or stochastic load",
+           {"--method": method}) for method in ("mcs", "pce", "spce", "all")],
     ],
     ids=[
         "singular-impedance", "coupled-delta-wye", "wind-without-mean-speed", "nan-std",
@@ -631,6 +639,8 @@ def _slack_only():
         "string-tap", "load-power-factor-above-1", "feeder-not-object", "scenario-not-object",
         "slack-bus-only", "sparse-terms-above-basis", "sparse-terms-zero",
         "sparse-terms-negative", "samples-not-int", "scenario-missing", "out-under-a-file",
+        "seed-negative", "solar-phase-absent-at-bus", "pv-generator-on-pq-bus",
+        "empty-scenario-mcs", "empty-scenario-pce", "empty-scenario-spce", "empty-scenario-all",
     ],
 )
 def test_cli_bad_input_exits_1_with_one_line(
@@ -674,12 +684,12 @@ def test_cli_sparse_terms_on_a_singular_gram_matrix(tmp_path, capsys, terms):
 
 
 def test_sparse_terms_checked_against_the_basis_size():
-    k_full = chaos.basis_size(12, PCE_ORDER)
+    k_full = chaos.basis_size(12, chaos.ORDER)
     for terms in ("auto", 1, k_full):
-        AssessmentConfig(sparse_terms=terms).check_sparse_terms(12)
+        AssessmentConfig(sparse_terms=terms).check_dimension(12)
     for terms in (0, -3, k_full + 1, "all"):
         with pytest.raises(ConfigurationError, match=f"basis size {k_full}, got {terms}"):
-            AssessmentConfig(sparse_terms=terms).check_sparse_terms(12)
+            AssessmentConfig(sparse_terms=terms).check_dimension(12)
 
 
 def test_cli_and_report_import_without_scipy():

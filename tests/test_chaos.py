@@ -7,7 +7,6 @@ import pytest
 
 from adcap.chaos import (
     BASIS_BLOCK_ROWS,
-    PceConfig,
     basis_matrix,
     basis_norm_sq,
     basis_size,
@@ -136,29 +135,26 @@ def _ranked_candidates(n, p):
 
 
 def test_design_points_follow_norm_ranking():
-    cfg = PceConfig(dimension=4, order=2)
     expected = _ranked_candidates(4, 2)
-    design = collocation_design(cfg, n_rows=9)
+    design = collocation_design(4, n_rows=9)
     assert design.rows == 9
     for got, want in zip(design.points, expected[:9]):
         assert np.allclose(got, want)
 
 
 def test_full_design_is_square_and_full_rank():
-    cfg = PceConfig(dimension=12, order=2)
-    design = collocation_design(cfg, n_rows=91)
+    design = collocation_design(12, n_rows=91)
     assert design.rows == 91
     assert design.matrix.shape == (91, 91)
     assert np.linalg.matrix_rank(design.matrix) == 91
     assert np.allclose(design.points[0], 0.0)  # origin ranks first
     for rows in (0, 92):  # outside 1 .. the basis size
         with pytest.raises(ConfigurationError):
-            collocation_design(cfg, n_rows=rows)
+            collocation_design(12, n_rows=rows)
 
 
 def test_sparse_design_takes_best_ranked():
-    cfg = PceConfig(dimension=12, order=2)
-    design = collocation_design(cfg, n_rows=31)
+    design = collocation_design(12, n_rows=31)
     expected = _ranked_candidates(12, 2)
     assert design.rows == 31
     for got, want in zip(design.points, expected[:31]):
@@ -170,11 +166,10 @@ def test_every_design_size_is_a_full_rank_prefix_fitting_its_budget():
     # prefix of the K-row design with full row rank, and a sparse fit at a
     # budget of its rows fits that many terms (54 sizes from 37 to 90 fit
     # fewer when a design took the top-ranked candidates as they came)
-    cfg = PceConfig(dimension=12, order=2)
-    full = collocation_design(cfg, n_rows=91)
+    full = collocation_design(12, n_rows=91)
     y = np.random.default_rng(5).normal(size=91)
     for rows in range(1, 92):
-        design = collocation_design(cfg, n_rows=rows)
+        design = collocation_design(12, n_rows=rows)
         assert np.array_equal(design.points, full.points[:rows])
         assert np.array_equal(design.matrix, full.matrix[:rows])
         assert np.linalg.matrix_rank(design.matrix) == rows
@@ -185,17 +180,16 @@ def test_every_design_size_is_a_full_rank_prefix_fitting_its_budget():
 def test_block_projections_pick_the_rows_of_the_vector_loop():
     # projecting each candidate off all kept rows in one product keeps the
     # same candidates as projecting off one kept vector at a time
-    cfg = PceConfig(dimension=12, order=2)
     for rows in range(1, 92):
-        got = collocation_design(cfg, n_rows=rows).points
-        assert np.array_equal(got, design_points_loop(cfg, rows)), rows
+        got = collocation_design(12, n_rows=rows).points
+        assert np.array_equal(got, design_points_loop(12, rows)), rows
 
 
 # -- regression fits ------------------------------------------------------------
 
 
-def _design(n=12, p=2, rows=91):
-    return collocation_design(PceConfig(dimension=n, order=p), n_rows=rows)
+def _design(n=12, rows=91):
+    return collocation_design(n, n_rows=rows)
 
 
 def test_fit_full_recovers_polynomial_exactly():
@@ -391,8 +385,7 @@ def test_surrogate_values_give_each_model_its_own_evaluation():
         values = surrogate_values(models, blocks, count)
         assert len(values) == len(models)
         for model, y in zip(models, values):
-            got = surrogate_stats_at(model, y).samples
-            assert np.array_equal(got, evaluate(model, xi))
+            assert np.array_equal(y, evaluate(model, xi))
 
 
 def test_design_centre_is_the_mean_input(registry):
@@ -402,7 +395,7 @@ def test_design_centre_is_the_mean_input(registry):
     negative_mean = build_registry(load_feeder(two_bus_doc()), {"loads_stochastic": [
         {"bus": "r", "phase": "a", "mean_kw": -50.0, "std_kw": 5.0}]})
     for reg, rows in ((registry, 31), (negative_mean, 3)):
-        design = collocation_design(PceConfig(reg.dimension, 2), n_rows=rows)
+        design = collocation_design(reg.dimension, n_rows=rows)
         assert not design.points[0].any()
         centre = physical_inputs(design.points[:1], reg.distributions())[0]
         mean = reg.mean_inputs()
@@ -421,7 +414,7 @@ def test_analytic_moments_match_sampling():
     truth[idx.index(tuple([1] + [0] * 11))] = 1.0
     truth[idx.index(tuple([2] + [0] * 11))] = 0.3
     model = fit_full(design, design.matrix @ truth)
-    stats = surrogate_statistics(model, 200_000, seed=[9, 1], clip_at_zero=False)
+    stats = surrogate_statistics(model, 200_000, seed=[9, 1])
     assert stats.analytic_mean == pytest.approx(4.0)
     assert stats.analytic_variance == pytest.approx(1.0 + 0.3**2 * 2.0)
     assert stats.mean == pytest.approx(stats.analytic_mean, rel=5e-3)
@@ -430,12 +423,12 @@ def test_analytic_moments_match_sampling():
 
 
 def test_clipping_in_place_gives_the_statistics_of_a_clipped_copy():
-    design = _design(n=2, p=2, rows=6)
+    design = _design(n=2, rows=6)
     model = fit_full(design, np.arange(6.0))
     y = np.random.default_rng(3).normal(0.2, 1.0, 5000)
     negative = float(np.mean(y < 0.0))
     expect = sample_moments(np.maximum(y, 0.0))
-    got = surrogate_stats_at(model, y, clip_at_zero=True)
+    got = surrogate_stats_at(model, y)
     assert got.samples is y and y.min() == 0.0
     assert got.clip_fraction == negative > 0.0
     for key in ("mean", "variance", "skewness", "kurtosis", "ci95"):
@@ -444,12 +437,12 @@ def test_clipping_in_place_gives_the_statistics_of_a_clipped_copy():
 
 
 def test_clip_fraction_counts():
-    design = _design(n=2, p=2, rows=6)
+    design = _design(n=2, rows=6)
     idx = design.indices
     truth = np.zeros(len(idx))
     truth[idx.index((1, 0))] = 1.0  # plain standard normal response
     model = fit_full(design, design.matrix @ truth)
-    stats = surrogate_statistics(model, 50_000, seed=[1, 2], clip_at_zero=True)
+    stats = surrogate_statistics(model, 50_000, seed=[1, 2])
     assert stats.clip_fraction == pytest.approx(0.5, abs=0.02)
     assert stats.samples.min() >= 0.0
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from adcap import chaos
-from adcap.assessment import PCE_ORDER
 from adcap.continuation import check_limits, trace_adc
 from adcap.feeder import load_feeder
 from adcap.powerflow import NetworkCase, solve
@@ -52,8 +51,8 @@ def _binding(status, cls):
 def traced(case, registry):
     """(direction arrays, trace result) per input, every trace computed once."""
     dists = registry.distributions()
-    n_rows = chaos.basis_size(registry.dimension, PCE_ORDER)
-    design = chaos.collocation_design(chaos.PceConfig(registry.dimension, PCE_ORDER), n_rows)
+    n_rows = chaos.basis_size(registry.dimension, chaos.ORDER)
+    design = chaos.collocation_design(registry.dimension, n_rows)
     inputs = np.vstack([
         sample_inputs(dists, N_MCS, [0, 0]), physical_inputs(design.points, dists)
     ])

@@ -55,7 +55,7 @@ def _feeders():
     line = two_bus_doc(p_kw=10.0, q_kvar=2.0)
     line["buses"][1]["shunt_kvar"] = {"a": 5.0}
     line["generators"].append({
-        "id": "g", "bus": "r", "phases": "a", "type": "pv", "p_kw": 1.0, "q_kvar": 0.0,
+        "id": "g", "bus": "r", "phases": "a", "type": "pq", "p_kw": 1.0, "q_kvar": 0.0,
         "v0_pu": 1.0, "q_min_kvar": -5.0, "q_max_kvar": 5.0,
         "delta_p_kw": -2.0, "delta_q_kvar": -1.0,
     })
