@@ -15,8 +15,10 @@ call each.  Both trees must have ``chaos.ORDER`` and
 Printed: per class, the max, median and 99th percentile of |delta lambda|
 and of |delta lambda| / lambda (lambda from OLD_SRC) over the traces that
 succeed in both trees; the traces whose binding class, binding elements or
-``capped`` flag differ; the failed traces of each tree; and each tree's mean
-``n_solves`` and ``n_newton`` per successful trace.
+``capped`` flag differ; the failed traces of each tree (a convergence
+failure, a singular Jacobian or a zero direction, the failures a run counts
+per trace); and each tree's mean ``n_solves`` and ``n_newton`` per
+successful trace.
 
 The tolerances every trace-kernel change must meet are checked, and the
 exit status says whether they hold:
@@ -47,7 +49,7 @@ def trace_all(samples: int) -> list:
     """Trace the inputs with the ``adcap`` on ``sys.path``; one dict per trace."""
     import adcap
     from adcap import assessment, chaos, continuation, stochastic
-    from adcap.errors import ConvergenceError, SingularJacobianError
+    from adcap.errors import ConvergenceError, SingularJacobianError, ZeroDirectionError
     from adcap.feeder import load_feeder
     from adcap.powerflow import NetworkCase
 
@@ -70,7 +72,7 @@ def trace_all(samples: int) -> list:
         row = {"input": u.tolist()}
         try:
             res = continuation.trace_adc(case, stochastic.assemble_variation(u, registry))
-        except (ConvergenceError, SingularJacobianError) as exc:
+        except (ConvergenceError, SingularJacobianError, ZeroDirectionError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         else:
             row.update(

@@ -4,8 +4,8 @@ Pipeline per method:
   MCS   -- draw M_S input realizations, trace each, aggregate sample stats.
   PCE   -- K-row collocation design, one trace per row, full least-squares
            fit per response class, surrogate sampling for statistics.
-  SPCE  -- the first M_C rows of the run's one design (all K for auto),
-           LARS selection of M_C terms, surrogate sampling as above.
+  SPCE  -- the first M_C rows of the run's one full design (all K for
+           auto), LARS selection of M_C terms, surrogate sampling as above.
 
 All three ADC responses (voltage, thermal, collapse) come from the same
 trace, are fitted independently, and an "overall" response is formed as the
@@ -96,13 +96,6 @@ class AssessmentConfig:
                 f"--sparse-terms must be 'auto' or between 1 and the basis "
                 f"size {k_full}, got {terms}"
             )
-
-    def design_rows(self, dimension: int) -> int:
-        """Rows of the one collocation design a run builds, 0 for none: the
-        basis size, or the budget M_C when SPCE alone runs at one."""
-        if self.method == "spce" and self.sparse_terms != "auto":
-            return self.sparse_terms
-        return 0 if self.method == "mcs" else chaos.basis_size(dimension, chaos.ORDER)
 
 
 @dataclass
@@ -258,8 +251,8 @@ def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
 
 def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> MethodResult:
     """Collocation + chaos-expansion assessment (full or sparse) on the
-    first rows of the run's ``design`` (see ``design_rows``), traced over
-    ``pool`` (see :func:`trace_pool`) when given."""
+    first rows of the run's full ``design``, traced over ``pool`` (see
+    :func:`trace_pool`) when given."""
     registry = ctx[1]
     t0 = time.perf_counter()
     n = registry.dimension

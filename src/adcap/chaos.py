@@ -88,17 +88,12 @@ class CollocationDesign:
         return self.points.shape[0]
 
 
-def coordinate_values(p: int) -> np.ndarray:
-    """Per-dimension candidate coordinates: {0} union roots of He_{p+1}."""
-    roots = np.polynomial.hermite_e.hermegauss(p + 1)[0]
-    vals = [0.0] + [float(r) for r in roots if abs(r) > 1e-9]
-    return np.array(sorted(vals))
-
-
 def _candidate_points(n: int, p: int):
-    """Tensor points with at most p nonzero coordinates, ranked by joint
-    standard-normal density descending (ties: lexicographic)."""
-    nonzero = [v for v in coordinate_values(p) if v != 0.0]
+    """Tensor points with at most p nonzero coordinates, each a nonzero
+    root of He_{p+1}, ranked by joint standard-normal density descending
+    (ties: lexicographic)."""
+    roots = np.polynomial.hermite_e.hermegauss(p + 1)[0]
+    nonzero = [float(r) for r in roots if abs(r) > 1e-9]
     pts = []
     for k in range(0, p + 1):
         for dims in itertools.combinations(range(n), k):

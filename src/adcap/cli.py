@@ -5,7 +5,8 @@
             [--sparse-terms M|auto] [--workers W] [--dump-trace]
 
 Exit codes: 0 success, 1 bad input (a bad or missing flag included), 2
-infeasible base case, 3 numerical failure during solving or fitting.
+infeasible base case, 3 numerical failure during solving or fitting, or an
+internal error: any other exception of the run, a pool worker's included.
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except (ConvergenceError, SingularJacobianError, DesignRankError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:  # a fault in the program, also one a pool worker raised
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     try:

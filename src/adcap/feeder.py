@@ -321,6 +321,8 @@ def load_feeder(document) -> FeederModel:
             _require(v0 is not None, f"{ctx}: pv generator requires v0_pu")
             _require(bus_by_id[bus].bus_type == "pv",
                      f"{ctx}: pv generator on {bus_by_id[bus].bus_type} bus '{bus}'")
+            _require(v0 == bus_by_id[bus].v0_pu,
+                     f"{ctx}: v0_pu {v0} differs from bus '{bus}' v0_pu {bus_by_id[bus].v0_pu}")
         generators.append(
             Generator(
                 gid, bus, phases, gtype,

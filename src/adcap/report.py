@@ -227,8 +227,8 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
         "capped": det.capped,
     }
 
-    rows = config.design_rows(registry.dimension)  # the one design PCE and SPCE share
-    design = chaos.collocation_design(registry.dimension, rows) if rows else None
+    k_full = chaos.basis_size(registry.dimension, chaos.ORDER)  # PCE and SPCE share one design
+    design = chaos.collocation_design(registry.dimension, k_full) if config.method != "mcs" else None
     results = {}
     with assessment.trace_pool(ctx, config.workers) as pool:
         for method in config.methods():

@@ -64,6 +64,11 @@ class WindTurbine:
         if not (0.0 < self.power_factor <= 1.0):
             raise ConfigurationError(f"wind at '{self.bus}': bad power factor")
 
+    def injection(self, v) -> tuple[float, float]:
+        """(kW, kvar) at wind speed ``v``, at the unit's power factor."""
+        p = wind_power_kw(v, self)
+        return p, reactive_from_active(p, self.power_factor)
+
 
 @dataclass(frozen=True)
 class SolarUnit:
@@ -79,16 +84,24 @@ class SolarUnit:
                 f"solar at '{self.bus}': require 0 < r_certain < r_standard"
             )
 
+    def injection(self, r) -> tuple[float, float]:
+        """(kW, kvar) at radiation ``r``, at unity power factor."""
+        return solar_power_kw(r, self), 0.0
+
 
 @dataclass(frozen=True)
 class StochasticLoad:
     bus: str
-    phase: str
+    phases: tuple[str, ...]  # one phase
     power_factor: float = 0.85  # constant-power-factor growth
 
     def __post_init__(self):
         if not (0.0 < self.power_factor <= 1.0):
             raise ConfigurationError(f"stochastic load at '{self.bus}': bad power factor")
+
+    def injection(self, p) -> tuple[float, float]:
+        """(kW, kvar) of a demand of ``p`` kW, at the load's power factor."""
+        return -p, -reactive_from_active(p, self.power_factor)
 
 
 def wind_power_kw(v, unit: WindTurbine) -> float:
@@ -133,22 +146,20 @@ class VariationVector:
 
 @dataclass
 class StochasticRegistry:
-    """Pairs every unit with its forecast marginal and carries the constant
-    (deterministic) direction entries contributed by generator records."""
+    """(unit, forecast marginal) per random input, in column order, and the
+    constant direction entries contributed by generator records."""
 
-    wind_units: list = field(default_factory=list)  # (WindTurbine, ForecastDistribution)
-    solar_units: list = field(default_factory=list)
-    load_units: list = field(default_factory=list)  # (StochasticLoad, ForecastDistribution)
+    units: list = field(default_factory=list)  # (unit, ForecastDistribution)
     constant_dp_kw: dict = field(default_factory=dict)  # (bus, phase) -> kW
     constant_dq_kvar: dict = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
-        return len(self.wind_units) + len(self.solar_units) + len(self.load_units)
+        return len(self.units)
 
     def distributions(self) -> list[ForecastDistribution]:
         """Marginals in the canonical input order (wind, solar, load)."""
-        return [d for _, d in self.wind_units + self.solar_units + self.load_units]
+        return [d for _, d in self.units]
 
     def mean_inputs(self) -> np.ndarray:
         """The forecast means as an input row, mapped by :func:`physical_inputs`."""
@@ -191,12 +202,15 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
     def _num(raw, key, ctx, *default):
         return _scenario_check(_number, raw, key, ctx, *default)
 
-    def _phases(raw, ctx, bus):
-        phases = _scenario_check(_parse_phases, raw.get("phases", "abc"), ctx)
+    def _at_bus(phases, ctx, bus):
         for ph in phases:
             if ph not in bus_ids[bus].phases:
                 raise ConfigurationError(f"{ctx}: phase '{ph}' absent at bus")
         return phases
+
+    def _phases(raw, ctx, bus):
+        phases = _scenario_check(_parse_phases, raw.get("phases", "abc"), ctx)
+        return _at_bus(phases, ctx, bus)
 
     for raw, ctx, bus in _units("wind", "wind"):
         unit = WindTurbine(
@@ -211,7 +225,7 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
         dist = ForecastDistribution(
             "wind_speed", _num(raw, "mean_speed", ctx), _num(raw, "std_speed", ctx)
         )
-        reg.wind_units.append((unit, dist))
+        reg.units.append((unit, dist))
 
     for raw, ctx, bus in _units("solar", "solar"):
         unit = SolarUnit(
@@ -226,17 +240,15 @@ def build_registry(model, scenario: dict) -> StochasticRegistry:
             _num(raw, "mean_radiation", ctx),
             _num(raw, "std_radiation", ctx),
         )
-        reg.solar_units.append((unit, dist))
+        reg.units.append((unit, dist))
 
     for raw, ctx, bus in _units("loads_stochastic", "stochastic load"):
-        phase = _scenario_check(_get, raw, "phase", ctx)
-        if phase not in bus_ids[bus].phases:
-            raise ConfigurationError(f"{ctx}: phase '{phase}' absent at bus")
-        unit = StochasticLoad(bus, phase, _num(raw, "power_factor", ctx, 0.85))
+        phases = _at_bus((_scenario_check(_get, raw, "phase", ctx),), ctx, bus)
+        unit = StochasticLoad(bus, phases, _num(raw, "power_factor", ctx, 0.85))
         dist = ForecastDistribution(
             "load_active_power", _num(raw, "mean_kw", ctx), _num(raw, "std_kw", ctx)
         )
-        reg.load_units.append((unit, dist))
+        reg.units.append((unit, dist))
 
     for g in model.generators:
         if g.delta_p_kw == 0.0 and g.delta_q_kvar == 0.0:
@@ -294,11 +306,12 @@ def sample_inputs(distributions, count, seed) -> np.ndarray:
 
 def assemble_variation(u, registry: StochasticRegistry) -> VariationVector:
     """Convert one input row (wind speeds, radiations, load kW, in registry
-    order) into the per-(bus, phase) direction.
+    order) into the per-(bus, phase) direction: each unit's ``injection``,
+    spread evenly over its phases, plus the constant entries.
 
     Sign convention: injections are positive, so DG enters with + and load
-    growth with -.  The positive load-increase total (stochastic demands plus
-    negative constant entries) is recorded for MW conversion of margins.
+    growth with -.  The negative parts of all injections add up to the load
+    increase, which converts margins to MW.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (registry.dimension,):
@@ -306,35 +319,19 @@ def assemble_variation(u, registry: StochasticRegistry) -> VariationVector:
             f"input row of shape {u.shape} does not match the registry's "
             f"{registry.dimension} inputs"
         )
-    n_w = len(registry.wind_units)
-    n_s = len(registry.solar_units)
-
-    dp: dict = {}
-    dq: dict = {}
+    dp, dq = {}, {}
+    load_increase = 0.0
 
     def _add(key, p, q):
         dp[key] = dp.get(key, 0.0) + p
         dq[key] = dq.get(key, 0.0) + q
 
-    for (unit, _), v in zip(registry.wind_units, u[:n_w]):
-        p = wind_power_kw(float(v), unit)
-        q = reactive_from_active(p, unit.power_factor)
+    for (unit, _), x in zip(registry.units, u):
+        p, q = unit.injection(float(x))
         share = 1.0 / len(unit.phases)
         for ph in unit.phases:
-            _add((unit.bus, ph), p * share, q * share)  # constant-pf injection
-
-    for (unit, _), r in zip(registry.solar_units, u[n_w:n_w + n_s]):
-        p = solar_power_kw(float(r), unit)
-        share = 1.0 / len(unit.phases)
-        for ph in unit.phases:
-            _add((unit.bus, ph), p * share, 0.0)
-
-    load_increase = 0.0
-    for (unit, _), p in zip(registry.load_units, u[n_w + n_s:]):
-        p = float(p)
-        q = reactive_from_active(p, unit.power_factor)
-        _add((unit.bus, unit.phase), -p, -q)
-        load_increase += max(p, 0.0)
+            _add((unit.bus, ph), p * share, q * share)
+        load_increase += max(-p, 0.0)
 
     for key, p in registry.constant_dp_kw.items():
         _add(key, p, 0.0)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from adcap import chaos, powerflow
+from adcap import chaos, powerflow, stochastic
 from adcap.errors import ConfigurationError
 from adcap.feeder import branch_admittance_blocks, i_base_a, z_base_ohm
 
@@ -212,6 +212,50 @@ def design_points_loop(dimension, n_rows):
             basis.append(r / nrm)
             chosen.append(i)
     return cand[chosen]
+
+
+def variation_per_kind(u, registry):
+    """``stochastic.assemble_variation`` written with one list and one loop
+    per unit kind: wind at its power factor and solar at unity, each spread
+    over its phases, then each stochastic load on its phase, then the
+    constant entries."""
+    def kind(cls):
+        return [unit for unit, _ in registry.units if isinstance(unit, cls)]
+
+    wind, solar = kind(stochastic.WindTurbine), kind(stochastic.SolarUnit)
+    loads = kind(stochastic.StochasticLoad)
+    u = np.asarray(u, dtype=float)
+    n_w, n_s = len(wind), len(solar)
+    dp, dq = {}, {}
+
+    def _add(key, p, q):
+        dp[key] = dp.get(key, 0.0) + p
+        dq[key] = dq.get(key, 0.0) + q
+
+    for unit, v in zip(wind, u[:n_w]):
+        p = stochastic.wind_power_kw(float(v), unit)
+        q = stochastic.reactive_from_active(p, unit.power_factor)
+        share = 1.0 / len(unit.phases)
+        for ph in unit.phases:
+            _add((unit.bus, ph), p * share, q * share)
+    for unit, r in zip(solar, u[n_w:n_w + n_s]):
+        p = stochastic.solar_power_kw(float(r), unit)
+        share = 1.0 / len(unit.phases)
+        for ph in unit.phases:
+            _add((unit.bus, ph), p * share, 0.0)
+    load_increase = 0.0
+    for unit, p in zip(loads, u[n_w + n_s:]):
+        p = float(p)
+        q = stochastic.reactive_from_active(p, unit.power_factor)
+        [phase] = unit.phases
+        _add((unit.bus, phase), -p, -q)
+        load_increase += max(p, 0.0)
+    for key, p in registry.constant_dp_kw.items():
+        _add(key, p, 0.0)
+        load_increase += max(-p, 0.0)
+    for key, q in registry.constant_dq_kvar.items():
+        _add(key, 0.0, q)
+    return stochastic.VariationVector(dp, dq, load_increase)
 
 
 def to_document(model) -> dict:

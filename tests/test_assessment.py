@@ -52,10 +52,10 @@ def _small_ctx(scenario=None, ampacity=600.0, v_min=0.90):
     return (NetworkCase(model), registry, {}), model
 
 
-def _design(ctx, config):
-    """The collocation design a run with ``config`` builds (``design_rows``)."""
+def _design(ctx):
+    """The one full collocation design a run builds for PCE and SPCE."""
     n = ctx[1].dimension
-    return chaos.collocation_design(n, config.design_rows(n))
+    return chaos.collocation_design(n, chaos.basis_size(n, chaos.ORDER))
 
 
 def test_config_rejects_bad_values():
@@ -176,7 +176,7 @@ def test_pce_full_design_trace_count():
     # one random input at order 2: basis size comb(3, 2) = 3
     ctx, _ = _small_ctx()
     cfg = AssessmentConfig(method="pce", surrogate_samples=256, seed=0)
-    res = run_pce(ctx, cfg, _design(ctx, cfg), sparse=False)
+    res = run_pce(ctx, cfg, _design(ctx), sparse=False)
     assert res.eval_count == 3
     assert res.diagnostics["basis_size"] == 3
     assert res.diagnostics["design_rows"] == 3
@@ -188,12 +188,12 @@ def test_spce_trace_count_follows_term_budget():
     cfg = AssessmentConfig(
         method="spce", surrogate_samples=256, sparse_terms=2, seed=0
     )
-    res = run_pce(ctx, cfg, _design(ctx, cfg), sparse=True)
+    res = run_pce(ctx, cfg, _design(ctx), sparse=True)
     assert res.eval_count == 2
     assert all(t <= 2 for t in res.diagnostics["terms"].values())
 
     auto = AssessmentConfig(method="spce", surrogate_samples=256, seed=0)
-    res_auto = run_pce(ctx, auto, _design(ctx, auto), sparse=True)
+    res_auto = run_pce(ctx, auto, _design(ctx), sparse=True)
     assert res_auto.eval_count == 3  # auto rule needs the full-rank design
 
 
@@ -209,7 +209,7 @@ def test_pce_surrogate_tracks_mcs_on_smooth_response():
     ctx, _ = _small_ctx(scenario=scenario)
     mcs = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=300, seed=0))
     pce_cfg = AssessmentConfig(method="pce", surrogate_samples=4000, seed=0)
-    pce = run_pce(ctx, pce_cfg, _design(ctx, pce_cfg), sparse=False)
+    pce = run_pce(ctx, pce_cfg, _design(ctx), sparse=False)
     assert pce.eval_count == 6  # comb(2 + 2, 2)
     for cls in ("voltage", "thermal", "collapse"):
         bm = mcs.classes[cls].mean
@@ -223,7 +223,7 @@ def test_pce_surrogate_tracks_mcs_on_smooth_response():
     # every method reports exactly the four classes, and so does every
     # comparison pair, full and sparse alike
     spce_cfg = AssessmentConfig(method="spce", surrogate_samples=4000, sparse_terms=4, seed=0)
-    spce = run_pce(ctx, spce_cfg, _design(ctx, spce_cfg), sparse=True)
+    spce = run_pce(ctx, spce_cfg, _design(ctx), sparse=True)
     results = {"mcs": mcs, "pce": pce, "spce": spce}
     classes = {"voltage", "thermal", "collapse", "overall"}
     for res in results.values():
@@ -243,7 +243,7 @@ def test_zero_spread_inputs_give_zero_variance():
         # identical traces; only mean-rounding noise survives
         assert mcs.classes[cls].variance < 1e-30
     pce_cfg = AssessmentConfig(method="pce", surrogate_samples=64, seed=0)
-    pce = run_pce(ctx, pce_cfg, _design(ctx, pce_cfg), sparse=False)
+    pce = run_pce(ctx, pce_cfg, _design(ctx), sparse=False)
     for cls in ("voltage", "thermal", "collapse"):
         assert pce.classes[cls].analytic_variance < 1e-18
         assert pce.classes[cls].variance < 1e-18
@@ -544,6 +544,44 @@ def test_cli_exit_code_numerical_failure(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("fault, workers", [
+    ("raise", "1"), ("raise", "2"), ("exit", "2"),
+])
+def test_cli_unexpected_error_in_one_realization_exits_3_with_one_line(
+    tmp_path, capsys, monkeypatch, fault, workers
+):
+    # a fault that is not a per-trace failure ends the run with one line:
+    # raised in this process, raised in a pool worker, or a worker that dies
+    from adcap import stochastic
+
+    scenario = _small_scenario()
+    fp, sp = _write_inputs(tmp_path, two_bus_doc(v_min=0.90), scenario)
+    registry = build_registry(load_feeder(two_bus_doc(v_min=0.90)), scenario)
+    target = stochastic.sample_inputs(
+        registry.distributions(), 4, [0, assessment._STREAM_MCS])[2]
+    assemble = stochastic.assemble_variation
+
+    def faulty(u, reg):
+        if np.array_equal(u, target):
+            if fault == "exit":
+                os._exit(1)
+            raise KeyError("injected")
+        return assemble(u, reg)
+
+    monkeypatch.setattr(stochastic, "assemble_variation", faulty)
+    rc = cli_main([
+        "run", "--feeder", str(fp), "--scenario", str(sp), "--method", "mcs",
+        "--samples", "4", "--workers", workers, "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1
+    if fault == "exit":
+        assert err.startswith("internal error: BrokenProcessPool: ")
+    else:
+        assert err == "internal error: KeyError: 'injected'\n"
+
+
 def test_cli_no_free_magnitude_exits_3_with_one_line(tmp_path, capsys):
     # every non-slack magnitude is voltage-controlled, so the continuation
     # cannot pin one to pass the fold
@@ -580,6 +618,12 @@ def _solar_on_phases(phases):
 def _with_generator(**fields):
     doc = two_bus_doc(v_min=0.90)
     doc["generators"].append({"id": "g", "bus": "r", "phases": "a", "type": "pq", **fields})
+    return doc
+
+
+def _pv_generator_set_at(v0_pu):
+    doc = pv_two_bus_doc()
+    doc["generators"][0]["v0_pu"] = v0_pu
     return doc
 
 
@@ -630,6 +674,8 @@ def _slack_only():
          "solar at 'r': phase 'b' absent at bus", {}),
         (_with_generator(type="pv", v0_pu=1.0, q_kvar=80.0), _small_scenario(),
          "generator 'g': pv generator on pq bus 'r'", {}),
+        (_pv_generator_set_at(1.05), _small_scenario(),
+         "generator 'g': v0_pu 1.05 differs from bus 'r' v0_pu 1.0", {}),
         *[(two_bus_doc(v_min=0.90), {}, "scenario: no wind, solar or stochastic load",
            {"--method": method}) for method in ("mcs", "pce", "spce", "all")],
     ],
@@ -640,6 +686,7 @@ def _slack_only():
         "slack-bus-only", "sparse-terms-above-basis", "sparse-terms-zero",
         "sparse-terms-negative", "samples-not-int", "scenario-missing", "out-under-a-file",
         "seed-negative", "solar-phase-absent-at-bus", "pv-generator-on-pq-bus",
+        "pv-generator-set-point-off-bus",
         "empty-scenario-mcs", "empty-scenario-pce", "empty-scenario-spce", "empty-scenario-all",
     ],
 )

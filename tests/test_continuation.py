@@ -525,3 +525,32 @@ def test_trace_delta_fails_a_collapse_lambda_off_by_more_than_its_tolerance(tmp_
     )
     assert out.returncode == 2
     assert out.stdout.splitlines()[-1] == "FAIL: collapse above 1e-07"
+
+
+def test_trace_delta_counts_a_zero_direction_as_a_failed_trace(tmp_path):
+    # a copy of the package whose first input row has no direction fails
+    # that trace, as a run counts it, instead of ending the script
+    import shutil
+
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "src" / "adcap", tmp_path / "adcap",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "adcap" / "stochastic.py", "a") as f:
+        f.write(
+            "\n_assemble = assemble_variation\n_rows = []\n\n\n"
+            "def assemble_variation(u, registry):\n"
+            "    _rows.append(u)\n"
+            "    if len(_rows) == 1:\n"
+            "        return VariationVector({}, {}, 0.0)\n"
+            "    return _assemble(u, registry)\n"
+        )
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "trace_delta.py"), str(root / "src"),
+         str(tmp_path), "--samples", "2"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    lines = out.stdout.splitlines()
+    assert out.returncode == 2
+    assert lines[-1] == "FAIL: traces failing only in NEW_SRC"
+    assert "  ZeroDirectionError: variation direction is identically zero" in lines
+    assert any(line.startswith("new: 1 failed,") for line in lines)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adcap import assessment, chaos
 from adcap.errors import ConfigurationError
 from adcap.stochastic import (
     ForecastDistribution,
@@ -19,6 +20,8 @@ from adcap.stochastic import (
     standard_normals,
     wind_power_kw,
 )
+
+from oracles import variation_per_kind
 
 TURBINE = WindTurbine(bus="680", phases=("a", "b", "c"), p_rated_kw=450.0,
                       v_cut_in=4.0, v_rated=15.0, v_cut_out=25.0)
@@ -226,6 +229,28 @@ def test_zero_inputs_give_pure_load_growth(registry):
     # no renewable output and no stochastic load: only the constant records remain
     assert var.load_increase_kw == pytest.approx(882.5, rel=1e-9)
     assert ("680", "a") not in var.dp_kw or var.dp_kw[("680", "a")] == 0.0
+
+
+def test_one_loop_over_the_units_matches_the_per_kind_loops(registry):
+    # bit for bit, in values and key order, on the bundled scenario's 200
+    # seed-0 Monte Carlo rows, its 91 design rows and the zero row
+    n = registry.dimension
+    dists = registry.distributions()
+    design = chaos.collocation_design(n, chaos.basis_size(n, chaos.ORDER))
+    rows = np.vstack([
+        sample_inputs(dists, 200, [0, assessment._STREAM_MCS]),
+        physical_inputs(design.points, dists),
+        np.zeros((1, n)),
+    ])
+
+    def bits(d):
+        return [(key, float(v).hex()) for key, v in d.items()]
+
+    for u in rows:
+        got, want = assemble_variation(u, registry), variation_per_kind(u, registry)
+        assert bits(got.dp_kw) == bits(want.dp_kw)
+        assert bits(got.dq_kvar) == bits(want.dq_kvar)
+        assert got.load_increase_kw.hex() == want.load_increase_kw.hex()
 
 
 def test_assemble_variation_rejects_a_row_of_the_wrong_shape(registry):
