@@ -14,11 +14,12 @@ call each.  Both trees must have ``chaos.ORDER`` and
 
 Printed: per class, the max, median and 99th percentile of |delta lambda|
 and of |delta lambda| / lambda (lambda from OLD_SRC) over the traces that
-succeed in both trees; the traces whose binding class, binding elements or
-``capped`` flag differ; the failed traces of each tree (a convergence
-failure, a singular Jacobian or a zero direction, the failures a run counts
-per trace); and each tree's mean ``n_solves`` and ``n_newton`` per
-successful trace.
+succeed in both trees; the traces whose binding class, binding labels
+(``AdcResult.binding_element``, or ``continuation.binding_label`` of it in
+an older tree) or ``capped`` flag differ; the failed traces of each tree
+(a convergence failure, a singular Jacobian or a zero direction, the
+failures a run counts per trace); and each tree's mean ``n_solves`` and
+``n_newton`` per successful trace.
 
 The tolerances every trace-kernel change must meet are checked, and the
 exit status says whether they hold:
@@ -67,6 +68,8 @@ def trace_all(samples: int) -> list:
         stochastic.physical_inputs(design.points, dists),
     ])
 
+    # a tree older than the labels in AdcResult formats elements through its binding_label
+    label = getattr(continuation, "binding_label", lambda element: element)
     rows = []
     for u in inputs:
         row = {"input": u.tolist()}
@@ -78,7 +81,7 @@ def trace_all(samples: int) -> list:
             row.update(
                 lambdas=[res.lambdas[c] for c in CLASSES],
                 binding=[res.binding_class]
-                + [continuation.binding_label(res.binding_element[c]) for c in CLASSES],
+                + [label(res.binding_element[c]) for c in CLASSES],
                 capped=res.capped,
                 n_solves=res.n_solves,
                 n_newton=res.n_newton,

@@ -181,8 +181,8 @@ def _guarded_trace(ctx, memoise, u):
         res.adc_mw["thermal"],
         res.adc_mw["collapse"],
         res.binding_class,
-        continuation.binding_label(res.binding_element["voltage"]),
-        continuation.binding_label(res.binding_element["thermal"]),
+        res.binding_element["voltage"],
+        res.binding_element["thermal"],
         res.capped,
     )
     return True, row, ""
@@ -203,12 +203,8 @@ def _trace_inputs(ctx, inputs, pool, workers, memoise):
 def _aggregate_samples(rows):
     """Per-class MW sample arrays and binding tallies of successful trace rows."""
     arr = np.array([[r[0], r[1], r[2]] for r in rows], dtype=float)
-    samples = {
-        "voltage": arr[:, 0],
-        "thermal": arr[:, 1],
-        "collapse": arr[:, 2],
-        "overall": arr.min(axis=1),
-    }
+    samples = {cls: arr[:, j] for j, cls in enumerate(continuation.CLASSES)}
+    samples["overall"] = arr.min(axis=1)
     return samples, {
         "overall_class": Counter(r[3] for r in rows),
         "voltage": Counter(r[4] for r in rows if r[4] is not None),
@@ -278,7 +274,7 @@ def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> M
         cls: chaos.fit_sparse(design, samples[cls], target)
         if sparse
         else chaos.fit_full(design, samples[cls])
-        for cls in ("voltage", "thermal", "collapse")
+        for cls in continuation.CLASSES
     }
 
     # the standard normals go block by block from the draw to the surrogates

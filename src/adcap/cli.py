@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import assessment, report
+from .continuation import CLASSES
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -133,7 +134,7 @@ def main(argv=None) -> int:
     print(
         "deterministic ADC (MW): "
         + ", ".join(
-            f"{cls}={det['adc_mw'][cls]:.4f}" for cls in ("voltage", "thermal", "collapse")
+            f"{cls}={det['adc_mw'][cls]:.4f}" for cls in CLASSES
         )
     )
     for name in sorted(rep.results):

@@ -37,9 +37,10 @@ MAX_REPINS times).  A crossing not solved inside its bracket fails the
 trace.  Violations that first appear past the fold are ignored: every
 margin is evaluated on the upper branch only.
 
-Every trace returns its curve (``AdcResult.curve``): one ``CurvePoint`` per
-accepted point in the order accepted, from the base case to the fold (to
-the first point past LAMBDA_CAP on a capped trace).
+A trace decides its result once (``AdcResult``): per class its lambda, MW
+margin and binding label, the class of the overall margin, and its curve,
+one ``CurvePoint`` per accepted point in the order accepted, from the base
+case to the fold (to the first point past LAMBDA_CAP on a capped trace).
 A run's trace memo (``trace_adc``) returns a stored result, curve included,
 and never traces a stored direction again.
 
@@ -66,7 +67,7 @@ from . import powerflow as pf
 # fold and crossing solves call the loop as this module's ``correct``; a wrapper set here sees only them
 from .powerflow import correct
 
-_CLASSES = ("voltage", "thermal", "collapse")
+CLASSES = ("voltage", "thermal", "collapse")  # the margin classes of a trace, in report order
 
 # Step control: the first lambda step, its bounds, and doubling after
 # GROW_AFTER consecutive corrections of at most EASY_ITERS Newton iterations
@@ -115,24 +116,14 @@ class LimitStatus:
 
 @dataclass
 class AdcResult:
-    lambdas: dict  # class -> lambda at first violation / fold
+    lambdas: dict  # class of CLASSES -> lambda at first violation / fold
     adc_mw: dict  # class -> lambda * positive load-increase direction
-    overall_mw: float
-    binding_class: str
-    binding_element: dict  # class -> element id or None
+    binding_class: str  # the class of the smallest lambda; its adc_mw is the overall ADC
+    binding_element: dict  # class -> report label ("611.c:lower", a branch id) or None
     curve: list  # one CurvePoint per accepted point, in the order accepted
     capped: bool = False
     n_solves: int = 0  # converged solves, base case included, each once however it switched
     n_newton: int = 0  # every Newton iteration, failed runs included
-
-
-def binding_label(element):
-    """Report label of a binding element: ``"<bus>.<phase>:<side>"`` for a
-    voltage node, the branch id for a thermal limit, None when unbound."""
-    if element is None or isinstance(element, str):
-        return element
-    side, (bus, phase) = element
-    return f"{bus}.{phase}:{side}"
 
 
 def check_limits(case: pf.NetworkCase, state: pf.PowerFlowState) -> LimitStatus:
@@ -233,8 +224,7 @@ class _Tracer:
         self.n_solves = 0
         self.n_newton = 0
         self.points: list[_TracePoint] = []
-        self.lam_cross = {"voltage": None, "thermal": None}
-        self.binding = {"voltage": None, "thermal": None, "collapse": None}
+        self.crossings = {}  # class -> (lambda, binding label) of each limit crossed
 
     # corrector entry points ---------------------------------------------------
     # ``abort_on_rise`` (see ``powerflow.correct``) is set for the steps of
@@ -326,10 +316,10 @@ class _Tracer:
         if self.points:
             prev = self.points[-1]
             for cls in ("voltage", "thermal"):
-                if self.lam_cross[cls] is None and (
+                if cls not in self.crossings and (
                     self._margins(prev.status)[cls] >= 0 > self._margins(new.status)[cls]
                 ):
-                    self.lam_cross[cls], self.binding[cls] = self._cross(cls, prev, new)
+                    self.crossings[cls] = self._cross(cls, prev, new)
         self.points.append(new)
 
     # limit crossings ------------------------------------------------------------
@@ -337,7 +327,7 @@ class _Tracer:
     def _cross(self, cls, a: _TracePoint, b: _TracePoint):
         """The point between accepted points ``a`` (class margin >= 0) and
         ``b`` (< 0) where the margin of class ``cls`` is zero (module
-        docstring): returns ``(lambda, binding element)``.  Raises
+        docstring): returns ``(lambda, binding label)``.  Raises
         ConvergenceError when the held element keeps changing, or when the
         solution lies outside [a.lam, b.lam] or further than MAX_VM_STEP
         from ``a``."""
@@ -362,7 +352,10 @@ class _Tracer:
                 f"{cls} crossing solved at lambda {lam:.6g}, off its bracket "
                 f"[{a.lam:.6g}, {b.lam:.6g}] or its branch"
             )
-        return lam, element
+        if cls == "thermal":
+            return lam, element
+        side, (bus, phase) = element
+        return lam, f"{bus}.{phase}:{side}"
 
     def _solve_at_limit(self, curve: pf.Curve, z, element, state):
         """Solve from ``z`` with ``element`` held at its limit: a voltage
@@ -486,19 +479,14 @@ class _Tracer:
             state, lam_collapse = fold
             if state is not points[-1].state:
                 self._accept(lam_collapse, state)
-        lam_cross = self.lam_cross
-        lam_v = lam_cross["voltage"] if lam_cross["voltage"] is not None else lam_collapse
-        lam_t = lam_cross["thermal"] if lam_cross["thermal"] is not None else lam_collapse
-        lambdas = {"voltage": lam_v, "thermal": lam_t, "collapse": lam_collapse}
+        unbound = (lam_collapse, None)  # a class never crossed ends at the fold
+        lambdas = {c: self.crossings.get(c, unbound)[0] for c in CLASSES}
         scale = self.variation.load_increase_kw / 1000.0
-        adc = {k: v * scale for k, v in lambdas.items()}
-        overall_cls = min(_CLASSES, key=lambda c: lambdas[c])
         return AdcResult(
             lambdas=lambdas,
-            adc_mw=adc,
-            overall_mw=adc[overall_cls],
-            binding_class=overall_cls,
-            binding_element=self.binding,
+            adc_mw={c: lam * scale for c, lam in lambdas.items()},
+            binding_class=min(CLASSES, key=lambdas.get),
+            binding_element={c: self.crossings.get(c, unbound)[1] for c in CLASSES},
             capped=fold is None,
             n_solves=self.n_solves,
             n_newton=self.n_newton,

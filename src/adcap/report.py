@@ -16,7 +16,7 @@ import numpy as np
 
 from . import assessment, chaos, continuation, powerflow, stochastic
 
-_CLASS_ORDER = ("voltage", "thermal", "collapse", "overall")
+_CLASS_ORDER = continuation.CLASSES + ("overall",)
 CDF_BLOCK_ROWS = 4096  # rows per block of a CDF file
 
 
@@ -72,7 +72,7 @@ class AdcReport:
         d = self.deterministic
         lines.append("| class | lambda | ADC (MW) | binding |")
         lines.append("|---|---|---|---|")
-        for cls in ("voltage", "thermal", "collapse"):
+        for cls in continuation.CLASSES:
             lines.append(
                 f"| {cls} | {d['lambdas'][cls]:.4f} | {d['adc_mw'][cls]:.4f} "
                 f"| {d['binding'].get(cls) or '-'} |"
@@ -216,14 +216,11 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     mean_var = stochastic.assemble_variation(registry.mean_inputs(), registry)
     det = continuation.trace_adc(case, mean_var, memo=memo)
     deterministic = {
-        "lambdas": {k: det.lambdas[k] for k in ("voltage", "thermal", "collapse")},
-        "adc_mw": {k: det.adc_mw[k] for k in ("voltage", "thermal", "collapse")},
-        "overall_mw": det.overall_mw,
+        "lambdas": {k: det.lambdas[k] for k in continuation.CLASSES},
+        "adc_mw": {k: det.adc_mw[k] for k in continuation.CLASSES},
+        "overall_mw": det.adc_mw[det.binding_class],
         "binding_class": det.binding_class,
-        "binding": {
-            k: continuation.binding_label(det.binding_element[k])
-            for k in ("voltage", "thermal")
-        },
+        "binding": {k: det.binding_element[k] for k in ("voltage", "thermal")},
         "capped": det.capped,
     }
 

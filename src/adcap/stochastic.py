@@ -4,7 +4,9 @@ marginals, and assembly of per-(bus, phase) variation directions.
 Wind speed, solar radiation and load forecast errors are modelled as normal
 marginals around the forecast value.  Physical draws are clamped at zero
 (speeds, radiations and demands cannot be negative); the clamp is part of the
-input model, not a resampling step, so sample counts stay exact.
+input model, not a resampling step, so sample counts stay exact.  A wind or
+solar unit's rating must be positive, so it only injects: load growth is
+the negative part of the injections.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class WindTurbine:
             raise ConfigurationError(
                 f"wind at '{self.bus}': require v_cut_in < v_rated < v_cut_out"
             )
+        if not self.p_rated_kw > 0.0:
+            raise ConfigurationError(f"wind at '{self.bus}': p_rated_kw must be positive")
         if not (0.0 < self.power_factor <= 1.0):
             raise ConfigurationError(f"wind at '{self.bus}': bad power factor")
 
@@ -83,6 +87,8 @@ class SolarUnit:
             raise ConfigurationError(
                 f"solar at '{self.bus}': require 0 < r_certain < r_standard"
             )
+        if not self.p_rated_kw > 0.0:
+            raise ConfigurationError(f"solar at '{self.bus}': p_rated_kw must be positive")
 
     def injection(self, r) -> tuple[float, float]:
         """(kW, kvar) at radiation ``r``, at unity power factor."""

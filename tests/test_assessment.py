@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adcap import assessment, chaos, continuation
+from adcap import assessment, chaos, continuation, stochastic
 from adcap.assessment import (
     AssessmentConfig,
     MethodResult,
@@ -552,8 +552,6 @@ def test_cli_unexpected_error_in_one_realization_exits_3_with_one_line(
 ):
     # a fault that is not a per-trace failure ends the run with one line:
     # raised in this process, raised in a pool worker, or a worker that dies
-    from adcap import stochastic
-
     scenario = _small_scenario()
     fp, sp = _write_inputs(tmp_path, two_bus_doc(v_min=0.90), scenario)
     registry = build_registry(load_feeder(two_bus_doc(v_min=0.90)), scenario)
@@ -582,6 +580,42 @@ def test_cli_unexpected_error_in_one_realization_exits_3_with_one_line(
         assert err == "internal error: KeyError: 'injected'\n"
 
 
+def test_cli_convergence_error_in_one_realization_is_one_counted_failed_trace(
+    tmp_path, capsys, monkeypatch
+):
+    # a per-trace failure in one realization fails that trace only: the
+    # other traces and exit 0 hold, and the report does not depend on the
+    # worker count
+    from adcap.errors import ConvergenceError
+
+    scenario = _small_scenario()
+    fp, sp = _write_inputs(tmp_path, two_bus_doc(v_min=0.90), scenario)
+    registry = build_registry(load_feeder(two_bus_doc(v_min=0.90)), scenario)
+    target = stochastic.assemble_variation(stochastic.sample_inputs(
+        registry.distributions(), 4, [0, assessment._STREAM_MCS])[2], registry)
+    trace = continuation.trace_adc
+
+    def faulty(case, variation, memo=None):
+        if variation == target:
+            raise ConvergenceError("injected")
+        return trace(case, variation, memo=memo)
+
+    monkeypatch.setattr(continuation, "trace_adc", faulty)
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        rc = cli_main([
+            "run", "--feeder", str(fp), "--scenario", str(sp), "--method", "mcs",
+            "--samples", "4", "--workers", workers, "--out", str(out),
+        ])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        mcs = json.loads((out / "report.json").read_text())["methods"]["mcs"]
+        assert mcs["failures"] == 1 and mcs["eval_count"] == 4
+        assert mcs["failure_counts"] == {"ConvergenceError": 1}
+        texts.append((out / "report.json").read_text())
+    assert texts[1] == texts[0].replace('"workers": 1', '"workers": 2')
+
+
 def test_cli_no_free_magnitude_exits_3_with_one_line(tmp_path, capsys):
     # every non-slack magnitude is voltage-controlled, so the continuation
     # cannot pin one to pass the fold
@@ -606,11 +640,20 @@ def _wind_without_mean_speed():
     return scenario
 
 
-def _solar_on_phases(phases):
+def _solar_on_phases(phases, p_rated_kw=50.0):
     scenario = _small_scenario()
     scenario["solar"] = [{
-        "bus": "r", "phases": phases, "p_rated_kw": 50.0, "r_certain": 150.0,
+        "bus": "r", "phases": phases, "p_rated_kw": p_rated_kw, "r_certain": 150.0,
         "r_standard": 1000.0, "mean_radiation": 500.0, "std_radiation": 25.0,
+    }]
+    return scenario
+
+
+def _wind_rated_at(p_rated_kw):
+    scenario = _small_scenario()
+    scenario["wind"] = [{
+        "bus": "r", "phases": "a", "p_rated_kw": p_rated_kw, "v_cut_in": 3.0,
+        "v_rated": 12.0, "v_cut_out": 25.0, "mean_speed": 10.0, "std_speed": 1.0,
     }]
     return scenario
 
@@ -676,6 +719,10 @@ def _slack_only():
          "generator 'g': pv generator on pq bus 'r'", {}),
         (_pv_generator_set_at(1.05), _small_scenario(),
          "generator 'g': v0_pu 1.05 differs from bus 'r' v0_pu 1.0", {}),
+        (two_bus_doc(v_min=0.90), _wind_rated_at(-100.0),
+         "wind at 'r': p_rated_kw must be positive", {}),
+        (two_bus_doc(v_min=0.90), _solar_on_phases("a", p_rated_kw=-50.0),
+         "solar at 'r': p_rated_kw must be positive", {}),
         *[(two_bus_doc(v_min=0.90), {}, "scenario: no wind, solar or stochastic load",
            {"--method": method}) for method in ("mcs", "pce", "spce", "all")],
     ],
@@ -686,7 +733,7 @@ def _slack_only():
         "slack-bus-only", "sparse-terms-above-basis", "sparse-terms-zero",
         "sparse-terms-negative", "samples-not-int", "scenario-missing", "out-under-a-file",
         "seed-negative", "solar-phase-absent-at-bus", "pv-generator-on-pq-bus",
-        "pv-generator-set-point-off-bus",
+        "pv-generator-set-point-off-bus", "wind-rated-negative", "solar-rated-negative",
         "empty-scenario-mcs", "empty-scenario-pce", "empty-scenario-spce", "empty-scenario-all",
     ],
 )
@@ -737,6 +784,42 @@ def test_sparse_terms_checked_against_the_basis_size():
     for terms in (0, -3, k_full + 1, "all"):
         with pytest.raises(ConfigurationError, match=f"basis size {k_full}, got {terms}"):
             AssessmentConfig(sparse_terms=terms).check_dimension(12)
+
+
+def test_report_delta_of_a_tree_against_itself_is_zero():
+    # scripts/report_delta.py compares every refactor's outputs; pin its output
+    src = str(REPO / "src")
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "report_delta.py"), src, src, "--samples", "2"],
+        check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
+    assert out.splitlines() == [
+        f"{config}: 0 of {files} files differ" for config, files in [
+            ("--method all --sparse-terms 31 --workers 1", 16),
+            ("--method all --sparse-terms 31 --workers 2", 16),
+            ("--method all --sparse-terms auto --workers 1", 16),
+            ("--method all --sparse-terms auto --workers 2", 16),
+            ("--method spce --sparse-terms 31", 7),
+            ("--method pce", 7),
+        ]
+    ]
+
+
+def test_report_delta_names_each_differing_file_and_skips_wall_clock_lines(tmp_path):
+    import runpy
+
+    script = runpy.run_path(str(REPO / "scripts" / "report_delta.py"))
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d, wall, cdf in ((old, "1.0", "1,0.5\n"), (new, "2.5", "1,0.25\n")):
+        d.mkdir()
+        (d / "report.md").write_text(f"# r\n- wall clock: {wall} s\n| a |\n")
+        (d / "report.json").write_text("{}\n")
+        (d / "cdf_voltage_mcs.csv").write_text(cdf)
+    (new / "pv_curve.csv").write_text("lambda\n")
+    assert script["differing_files"](old, new) == ["cdf_voltage_mcs.csv", "pv_curve.csv"]
+    (new / "report.md").write_text("# r\n- wall clock: 2.5 s\n| b |\n")
+    assert "report.md" in script["differing_files"](old, new)
+    assert script["differing_files"](old, old) == []
 
 
 def test_cli_and_report_import_without_scipy():

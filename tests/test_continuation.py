@@ -150,7 +150,7 @@ def test_two_bus_voltage_crossing_matches_quadratic():
     lam_v = (-bb + math.sqrt(bb * bb - 4 * aa * cc)) / (2 * aa)
     res = trace_adc(case, var)
     assert res.lambdas["voltage"] == pytest.approx(lam_v, rel=1e-4)
-    assert res.binding_element["voltage"] == ("lower", ("r", "a"))
+    assert res.binding_element["voltage"] == "r.a:lower"
     assert res.binding_class == "voltage"
     assert res.lambdas["voltage"] < res.lambdas["collapse"]
 
@@ -236,7 +236,7 @@ def test_bundled_crossing_sits_on_margin(case, model, registry):
     st = solve(case, lam_v, case.direction_arrays(var))
     i = case.index[("611", "c")]
     assert st.vm[i] == pytest.approx(0.90, abs=5e-6)
-    assert res.binding_element["voltage"] == ("lower", ("611", "c"))
+    assert res.binding_element["voltage"] == "611.c:lower"
 
 
 def test_bundled_nose_agrees_with_fold_oracle(case, registry):

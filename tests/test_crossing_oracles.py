@@ -40,11 +40,12 @@ def _class_margin(status, cls):
 
 
 def _binding(status, cls):
+    """Report label of the element binding class ``cls`` in ``status``."""
     if cls == "thermal":
         return status.thermal_branch
     if status.v_lower_margin <= status.v_upper_margin:
-        return ("lower", status.v_lower_node)
-    return ("upper", status.v_upper_node)
+        return "{}.{}:lower".format(*status.v_lower_node)
+    return "{}.{}:upper".format(*status.v_upper_node)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +140,7 @@ def test_voltage_crossing_when_the_binding_node_changes_inside_the_bracket():
     lam_a, lam_b = (p_cross - 1.0) / pa, p_cross / pb
     assert lam_a < lam_b
     assert res.lambdas["voltage"] == pytest.approx(lam_a, abs=1e-7)
-    assert res.binding_element["voltage"] == ("lower", ("r", "a"))
+    assert res.binding_element["voltage"] == "r.a:lower"
 
     # the accepted point past the crossing has phase b furthest below v_min
     lams = [p.lam for p in res.curve]
