@@ -12,14 +12,14 @@ trace, are fitted independently, and an "overall" response is formed as the
 per-realization minimum across classes (for surrogates: minimum of the class
 surrogates evaluated on one shared standard-normal block).
 
-Execution: every method maps one guarded per-input trace over its inputs,
-with builtin ``map`` in this process (one worker) or ``pool.map`` over a
-process pool of at most one worker per CPU, whose workers receive the trace
-context once, when the pool starts.  A run opens at most one pool and
-shares it between its methods.  ``pool.map`` keeps input order, so the
-results do not depend on the worker count.  PCE and SPCE trace through the
-context's run-scoped trace memo (``continuation.trace_adc``), so a design
-point traced earlier in the run is not traced again; in a pool each worker
+Execution: a run opens ``trace_pool`` once and passes the trace function it
+yields to every method.  That one place decides how the run traces: in this
+process at one worker, or over a process pool of at most one worker per
+CPU, whose workers receive the trace context once, when the pool starts.
+Either way the traces come back in input order, so the results do not
+depend on the worker count.  PCE and SPCE trace through the context's
+run-scoped trace memo (``continuation.trace_adc``), so a design point
+traced earlier in the run is not traced again; in a pool each worker
 memoises into its own copy.  Monte Carlo draws never repeat, so MCS traces
 bypass the memo.
 
@@ -33,7 +33,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -142,60 +142,47 @@ def _init_worker(ctx):
     _WORKER_CTX = ctx
 
 
-def _pool_size(workers: int) -> int:
-    """The processes a run traces over for ``--workers``: at most the CPU
-    count, since a process pool starts every worker at its first task."""
-    return min(workers, os.cpu_count() or 1)
-
-
+@contextmanager
 def trace_pool(ctx, workers: int):
-    """Context manager yielding a process pool of ``_pool_size(workers)``
-    processes that hold ``ctx``, or None for a single one (trace in this
-    process)."""
-    size = _pool_size(workers)
+    """Context manager yielding ``trace(inputs, memoise)``: the guarded
+    traces of ``inputs`` (:func:`_guarded_trace`) in input order, over
+    ``min(workers, CPU count)`` processes, since a pool starts every worker
+    at its first task.  At one process it traces here with ``ctx``; else a
+    process pool, which closes on exit, hands ``ctx`` to each worker once."""
+    size = min(workers, os.cpu_count() or 1)
     if size == 1:
-        return nullcontext()
-    return ProcessPoolExecutor(
-        max_workers=size, initializer=_init_worker, initargs=(ctx,)
-    )
+        yield lambda inputs, memoise: [_guarded_trace(ctx, memoise, u) for u in inputs]
+        return
+    with ProcessPoolExecutor(max_workers=size, initializer=_init_worker, initargs=(ctx,)) as pool:
+        yield lambda inputs, memoise: list(pool.map(
+            partial(_guarded_trace, None, memoise), inputs,
+            chunksize=max(1, len(inputs) // (size * 8)),
+        ))
 
 
 def _guarded_trace(ctx, memoise, u):
     """Trace one input realization, through the context's memo when
     ``memoise`` is set.
 
-    Returns ``(True, row, "")``, or ``(False, None, reason)`` when a
-    numerical failure stops the trace or the realization's direction is
-    zero (every stochastic input clamped at zero, no constant entry).
-    ``ctx`` is None in a pool worker, which uses the context the pool gave
-    it.
+    Returns ``(row, "")``, or ``(None, reason)`` when a numerical failure
+    stops the trace or the realization's direction is zero (every
+    stochastic input clamped at zero, no constant entry).  ``ctx`` is None
+    in a pool worker, which uses the context the pool gave it.
     """
     case, registry, memo = _WORKER_CTX if ctx is None else ctx
     variation = stochastic.assemble_variation(u, registry)
     try:
         res = continuation.trace_adc(case, variation, memo=memo if memoise else None)
     except (ConvergenceError, SingularJacobianError, ZeroDirectionError) as exc:
-        return False, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
     row = (
-        res.adc_mw["voltage"],
-        res.adc_mw["thermal"],
-        res.adc_mw["collapse"],
+        *(res.adc_mw[cls] for cls in continuation.CLASSES),
         res.binding_class,
         res.binding_element["voltage"],
         res.binding_element["thermal"],
         res.capped,
     )
-    return True, row, ""
-
-
-def _trace_inputs(ctx, inputs, pool, workers, memoise):
-    """Guarded traces of ``inputs``, in input order: in this process when
-    ``pool`` is None, otherwise over the pool that :func:`trace_pool`
-    opened for ``workers``."""
-    if pool is None:
-        return list(map(partial(_guarded_trace, ctx, memoise), inputs))
-    chunk = max(1, len(inputs) // (_pool_size(workers) * 8))
-    return list(pool.map(partial(_guarded_trace, None, memoise), inputs, chunksize=chunk))
+    return row, ""
 
 
 # -- aggregation helpers ---------------------------------------------------------
@@ -212,20 +199,19 @@ def _aggregate_samples(rows):
     }
 
 
-def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
+def run_mcs(registry, config: AssessmentConfig, trace) -> MethodResult:
     """Monte Carlo assessment: one continuation trace per input realization,
-    over ``pool`` (see :func:`trace_pool`) when given."""
-    registry = ctx[1]
+    by ``trace`` (see :func:`trace_pool`)."""
     t0 = time.perf_counter()
     inputs = stochastic.sample_inputs(
         registry.distributions(),
         config.mcs_samples,
         [config.seed, _STREAM_MCS],
     )
-    raw = _trace_inputs(ctx, inputs, pool, config.workers, memoise=False)
+    raw = trace(inputs, False)
 
-    ok = [payload for okflag, payload, _ in raw if okflag]
-    reasons = [err for okflag, _, err in raw if not okflag]
+    ok = [row for row, _ in raw if row is not None]
+    reasons = [err for row, err in raw if row is None]
     if not ok:
         raise ConvergenceError("every Monte Carlo trace failed")
     samples, freq = _aggregate_samples(ok)
@@ -245,11 +231,10 @@ def run_mcs(ctx, config: AssessmentConfig, pool=None) -> MethodResult:
     )
 
 
-def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> MethodResult:
+def run_pce(registry, config: AssessmentConfig, design, sparse: bool, trace) -> MethodResult:
     """Collocation + chaos-expansion assessment (full or sparse) on the
-    first rows of the run's full ``design``, traced over ``pool`` (see
-    :func:`trace_pool`) when given."""
-    registry = ctx[1]
+    first rows of the run's full ``design``, traced by ``trace`` (see
+    :func:`trace_pool`)."""
     t0 = time.perf_counter()
     n = registry.dimension
     k_full = len(design.indices)
@@ -260,8 +245,8 @@ def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> M
         design = replace(design, points=design.points[:target], matrix=design.matrix[:target])
     inputs = stochastic.physical_inputs(design.points, registry.distributions())
 
-    raw = _trace_inputs(ctx, inputs, pool, config.workers, memoise=True)
-    bad = [(i, err) for i, (okflag, _, err) in enumerate(raw) if not okflag]
+    raw = trace(inputs, True)
+    bad = [(i, err) for i, (row, err) in enumerate(raw) if row is None]
     if bad:
         i0, err0 = bad[0]
         raise ConvergenceError(
@@ -269,7 +254,7 @@ def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> M
             "the expansion cannot be fitted from an incomplete design"
         )
     # responses and binding evidence from the design traces themselves
-    samples, freq = _aggregate_samples([payload for _, payload, _ in raw])
+    samples, freq = _aggregate_samples([row for row, _ in raw])
     models = {
         cls: chaos.fit_sparse(design, samples[cls], target)
         if sparse
@@ -288,8 +273,9 @@ def run_pce(ctx, config: AssessmentConfig, design, sparse: bool, pool=None) -> M
         cls: chaos.surrogate_stats_at(model, y)
         for (cls, model), y in zip(models.items(), values)
     }
-    overall = np.minimum(classes["voltage"].samples, classes["thermal"].samples)
-    np.minimum(overall, classes["collapse"].samples, out=overall)
+    overall = np.minimum(*(classes[cls].samples for cls in continuation.CLASSES[:2]))
+    for cls in continuation.CLASSES[2:]:
+        np.minimum(overall, classes[cls].samples, out=overall)
     classes["overall"] = chaos.sample_moments(overall)
 
     method = "spce" if sparse else "pce"

@@ -96,7 +96,7 @@ def main(argv=None) -> int:
             out_dir=Path(args.out),
             dump_trace=args.dump_trace,
         )
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         print(f"error: cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (FeederFormatError, TopologyError, ConfigurationError) as exc:

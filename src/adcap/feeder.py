@@ -143,7 +143,8 @@ def _get(obj, key, context, types=None, default=_REQUIRED):
             raise FeederFormatError(f"{context}: missing field '{key}'")
         return default
     val = obj[key]
-    if types is not None and not isinstance(val, types):
+    # no typed field takes a boolean, though bool subclasses int
+    if types is not None and (isinstance(val, bool) or not isinstance(val, types)):
         raise FeederFormatError(f"{context}: field '{key}' has wrong type")
     return val
 
@@ -185,6 +186,10 @@ def _parse_matrix(entry, key, k, context):
         raise FeederFormatError(f"{context}: '{key}' must be a matrix of numbers") from None
     if m.shape != (k, k):
         raise FeederFormatError(f"{context}: '{key}' must be {k}x{k}")
+    _require(
+        all(isinstance(v, (int, float)) and not isinstance(v, bool) for row in raw for v in row),
+        f"{context}: '{key}' must be a matrix of numbers",
+    )
     if not np.allclose(m, m.T, atol=1e-12):
         raise FeederFormatError(f"{context}: '{key}' must be symmetric")
     return m
@@ -343,6 +348,10 @@ def load_feeder(document) -> FeederModel:
     limits = OperatingLimits(vmin, vmax)
 
     model = FeederModel(name, buses, branches, loads, generators, limits)
+    pv_phases = {(g.bus, ph) for g in generators if g.gen_type == "pv" for ph in g.phases}
+    for bid, ph in model.nodes:
+        _require(model.bus(bid).bus_type != "pv" or (bid, ph) in pv_phases,
+                 f"bus '{bid}': pv phase '{ph}' has no pv generator")
     _check_connected(model)
     return model
 

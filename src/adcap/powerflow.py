@@ -142,8 +142,8 @@ class NetworkCase:
             i = self.index[(load.bus, load.phase)]
             self.p0[i] -= load.p_kw / 1000.0
             self.q0[i] -= load.q_kvar / 1000.0
-        self.q_min = np.full(n, -np.inf)
-        self.q_max = np.full(n, np.inf)
+        self.q_min = np.zeros(n)  # summed over the pv generators of each node
+        self.q_max = np.zeros(n)
         for g in model.generators:
             share = 1.0 / len(g.phases)
             for ph in g.phases:
@@ -152,10 +152,8 @@ class NetworkCase:
                 if g.gen_type == "pq":
                     self.q0[i] += g.q_kvar * share / 1000.0
                 else:
-                    lo = g.q_min_kvar * share / 1000.0
-                    hi = g.q_max_kvar * share / 1000.0
-                    self.q_min[i] = lo if not np.isfinite(self.q_min[i]) else self.q_min[i] + lo
-                    self.q_max[i] = hi if not np.isfinite(self.q_max[i]) else self.q_max[i] + hi
+                    self.q_min[i] += g.q_min_kvar * share / 1000.0
+                    self.q_max[i] += g.q_max_kvar * share / 1000.0
 
         self.pv_nodes = [i for i in range(n) if self.pv_mask[i]]
 

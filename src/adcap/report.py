@@ -227,13 +227,13 @@ def run_assessment(model, scenario: dict, config: assessment.AssessmentConfig) -
     k_full = chaos.basis_size(registry.dimension, chaos.ORDER)  # PCE and SPCE share one design
     design = chaos.collocation_design(registry.dimension, k_full) if config.method != "mcs" else None
     results = {}
-    with assessment.trace_pool(ctx, config.workers) as pool:
+    with assessment.trace_pool(ctx, config.workers) as trace:
         for method in config.methods():
             if method == "mcs":
-                results["mcs"] = assessment.run_mcs(ctx, config, pool)
+                results["mcs"] = assessment.run_mcs(registry, config, trace)
             else:
                 results[method] = assessment.run_pce(
-                    ctx, config, design, method == "spce", pool
+                    registry, config, design, method == "spce", trace
                 )
 
     return AdcReport(

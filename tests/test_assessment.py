@@ -58,6 +58,18 @@ def _design(ctx):
     return chaos.collocation_design(n, chaos.basis_size(n, chaos.ORDER))
 
 
+def _mcs(ctx, config):
+    """run_mcs on ``ctx``, traced in this process."""
+    with assessment.trace_pool(ctx, 1) as trace:
+        return run_mcs(ctx[1], config, trace)
+
+
+def _pce(ctx, config, sparse):
+    """run_pce on ``ctx`` and its full design, traced in this process."""
+    with assessment.trace_pool(ctx, 1) as trace:
+        return run_pce(ctx[1], config, _design(ctx), sparse, trace)
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigurationError):
         AssessmentConfig(method="bootstrap")
@@ -137,9 +149,9 @@ def test_trace_memo_traces_each_direction_once_per_run(model, scenario_doc, monk
 def test_mcs_eval_count_and_reproducibility():
     cfg = AssessmentConfig(method="mcs", mcs_samples=25, seed=3)
     ctx, _ = _small_ctx()
-    r1 = run_mcs(ctx, cfg)
+    r1 = _mcs(ctx, cfg)
     ctx2, _ = _small_ctx()
-    r2 = run_mcs(ctx2, cfg)
+    r2 = _mcs(ctx2, cfg)
     assert r1.eval_count == 25
     assert r1.failures == 0 and not r1.unreliable
     for cls in ("voltage", "thermal", "collapse", "overall"):
@@ -156,8 +168,8 @@ def test_mcs_eval_count_and_reproducibility():
 
 def test_mcs_seed_changes_samples():
     ctx, _ = _small_ctx()
-    a = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=20, seed=0))
-    b = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=20, seed=1))
+    a = _mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=20, seed=0))
+    b = _mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=20, seed=1))
     assert not np.array_equal(
         a.classes["overall"].samples, b.classes["overall"].samples
     )
@@ -165,7 +177,7 @@ def test_mcs_seed_changes_samples():
 
 def test_mcs_binding_tallies_cover_all_traces():
     ctx, _ = _small_ctx()
-    res = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=15, seed=2))
+    res = _mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=15, seed=2))
     assert sum(res.binding_freq["overall_class"].values()) == 15
     assert sum(res.binding_freq["voltage"].values()) == 15
     assert set(res.binding_freq["voltage"]) == {"r.a:lower"}
@@ -176,7 +188,7 @@ def test_pce_full_design_trace_count():
     # one random input at order 2: basis size comb(3, 2) = 3
     ctx, _ = _small_ctx()
     cfg = AssessmentConfig(method="pce", surrogate_samples=256, seed=0)
-    res = run_pce(ctx, cfg, _design(ctx), sparse=False)
+    res = _pce(ctx, cfg, sparse=False)
     assert res.eval_count == 3
     assert res.diagnostics["basis_size"] == 3
     assert res.diagnostics["design_rows"] == 3
@@ -188,12 +200,12 @@ def test_spce_trace_count_follows_term_budget():
     cfg = AssessmentConfig(
         method="spce", surrogate_samples=256, sparse_terms=2, seed=0
     )
-    res = run_pce(ctx, cfg, _design(ctx), sparse=True)
+    res = _pce(ctx, cfg, sparse=True)
     assert res.eval_count == 2
     assert all(t <= 2 for t in res.diagnostics["terms"].values())
 
     auto = AssessmentConfig(method="spce", surrogate_samples=256, seed=0)
-    res_auto = run_pce(ctx, auto, _design(ctx), sparse=True)
+    res_auto = _pce(ctx, auto, sparse=True)
     assert res_auto.eval_count == 3  # auto rule needs the full-rank design
 
 
@@ -207,9 +219,9 @@ def test_pce_surrogate_tracks_mcs_on_smooth_response():
         "mean_speed": 10.0, "std_speed": 1.5, "power_factor": 0.85,
     }]
     ctx, _ = _small_ctx(scenario=scenario)
-    mcs = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=300, seed=0))
+    mcs = _mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=300, seed=0))
     pce_cfg = AssessmentConfig(method="pce", surrogate_samples=4000, seed=0)
-    pce = run_pce(ctx, pce_cfg, _design(ctx), sparse=False)
+    pce = _pce(ctx, pce_cfg, sparse=False)
     assert pce.eval_count == 6  # comb(2 + 2, 2)
     for cls in ("voltage", "thermal", "collapse"):
         bm = mcs.classes[cls].mean
@@ -223,7 +235,7 @@ def test_pce_surrogate_tracks_mcs_on_smooth_response():
     # every method reports exactly the four classes, and so does every
     # comparison pair, full and sparse alike
     spce_cfg = AssessmentConfig(method="spce", surrogate_samples=4000, sparse_terms=4, seed=0)
-    spce = run_pce(ctx, spce_cfg, _design(ctx), sparse=True)
+    spce = _pce(ctx, spce_cfg, sparse=True)
     results = {"mcs": mcs, "pce": pce, "spce": spce}
     classes = {"voltage", "thermal", "collapse", "overall"}
     for res in results.values():
@@ -238,12 +250,12 @@ def test_pce_surrogate_tracks_mcs_on_smooth_response():
 
 def test_zero_spread_inputs_give_zero_variance():
     ctx, _ = _small_ctx(scenario=_small_scenario(std_kw=0.0))
-    mcs = run_mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=12, seed=0))
+    mcs = _mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=12, seed=0))
     for cls in ("voltage", "thermal", "collapse", "overall"):
         # identical traces; only mean-rounding noise survives
         assert mcs.classes[cls].variance < 1e-30
     pce_cfg = AssessmentConfig(method="pce", surrogate_samples=64, seed=0)
-    pce = run_pce(ctx, pce_cfg, _design(ctx), sparse=False)
+    pce = _pce(ctx, pce_cfg, sparse=False)
     for cls in ("voltage", "thermal", "collapse"):
         assert pce.classes[cls].analytic_variance < 1e-18
         assert pce.classes[cls].variance < 1e-18
@@ -301,6 +313,12 @@ def test_pool_capped_at_cpu_count(monkeypatch):
         def __init__(self, max_workers, initializer, initargs):
             opened.append(("workers", max_workers))
 
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
         def map(self, fn, inputs, chunksize):
             opened.append(("chunk", chunksize))
             return []
@@ -308,13 +326,16 @@ def test_pool_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(assessment, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     ctx, _ = _small_ctx()
-    pool = assessment.trace_pool(ctx, 5000)
-    assessment._trace_inputs(ctx, list(range(240)), pool, 5000, memoise=False)
+    with assessment.trace_pool(ctx, 5000) as trace:
+        trace(list(range(240)), False)
     assert opened == [("workers", 3), ("chunk", 10)]  # 240 // (3 * 8)
-    assessment.trace_pool(ctx, 2)
-    assert opened[-1] == ("workers", 2)
+    with assessment.trace_pool(ctx, 2) as trace:
+        trace(list(range(240)), False)
+    assert opened[-2:] == [("workers", 2), ("chunk", 15)]  # 240 // (2 * 8)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert not isinstance(assessment.trace_pool(ctx, 5000), FakePool)
+    with assessment.trace_pool(ctx, 5000) as trace:
+        assert trace([], False) == []
+    assert len(opened) == 4  # no pool opened on one CPU
 
 
 def test_ks_distance_matches_scipy():
@@ -670,10 +691,20 @@ def _pv_generator_set_at(v0_pu):
     return doc
 
 
-def _transformer_with_tap(tap):
+def _line_with(**fields):
     doc = two_bus_doc(v_min=0.90)
-    doc["branches"][0].update(kind="transformer", tap={"a": tap})
+    doc["branches"][0].update(fields)
     return doc
+
+
+def _pv_bus_without_generator():
+    doc = pv_two_bus_doc()
+    doc["generators"] = []
+    return doc
+
+
+def _transformer_with_tap(tap):
+    return _line_with(kind="transformer", tap={"a": tap})
 
 
 def _slack_only():
@@ -725,6 +756,16 @@ def _slack_only():
          "solar at 'r': p_rated_kw must be positive", {}),
         *[(two_bus_doc(v_min=0.90), {}, "scenario: no wind, solar or stochastic load",
            {"--method": method}) for method in ("mcs", "pce", "spce", "all")],
+        (_line_with(ampacity_a=True), _small_scenario(),
+         "branch 'ln': field 'ampacity_a' has wrong type", {}),
+        (two_bus_doc(v_min=0.90), _small_scenario(mean_kw=True),
+         "field 'mean_kw' has wrong type", {}),
+        (_line_with(r_ohm=[["0.1"]]), _small_scenario(),
+         "branch 'ln': 'r_ohm' must be a matrix of numbers", {}),
+        (_line_with(r_ohm=[[True]]), _small_scenario(),
+         "branch 'ln': 'r_ohm' must be a matrix of numbers", {}),
+        (_pv_bus_without_generator(), _small_scenario(),
+         "bus 'r': pv phase 'a' has no pv generator", {}),
     ],
     ids=[
         "singular-impedance", "coupled-delta-wye", "wind-without-mean-speed", "nan-std",
@@ -735,6 +776,8 @@ def _slack_only():
         "seed-negative", "solar-phase-absent-at-bus", "pv-generator-on-pq-bus",
         "pv-generator-set-point-off-bus", "wind-rated-negative", "solar-rated-negative",
         "empty-scenario-mcs", "empty-scenario-pce", "empty-scenario-spce", "empty-scenario-all",
+        "boolean-ampacity", "boolean-mean-kw", "string-matrix-entry", "boolean-matrix-entry",
+        "pv-bus-without-generator",
     ],
 )
 def test_cli_bad_input_exits_1_with_one_line(
@@ -755,6 +798,26 @@ def test_cli_bad_input_exits_1_with_one_line(
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
     assert not ran
+
+
+@pytest.mark.parametrize("flag", ["--feeder", "--scenario"])
+@pytest.mark.parametrize(
+    "raw, message",
+    [(bytes(range(56, 256)), "can't decode byte"),
+     (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded")],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_cli_unreadable_input_file_exits_1_with_one_line(tmp_path, capsys, flag, raw, message):
+    fp, sp = _write_inputs(tmp_path, two_bus_doc(v_min=0.90), _small_scenario())
+    {"--feeder": fp, "--scenario": sp}[flag].write_bytes(raw)
+    rc = cli_main([
+        "run", "--feeder", str(fp), "--scenario", str(sp),
+        "--method", "mcs", "--samples", "4", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot read inputs: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("terms", ["16", "19", "37", "45", "61", "90"])
