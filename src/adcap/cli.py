@@ -83,9 +83,9 @@ def _parse_sparse_terms(raw):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        feeder_text = Path(args.feeder).read_text()
+        feeder = json.loads(Path(args.feeder).read_text())
         scenario = json.loads(Path(args.scenario).read_text())
-        model = load_feeder(feeder_text)
+        model = load_feeder(feeder)
         config = assessment.AssessmentConfig(
             method=args.method,
             mcs_samples=args.samples,

@@ -4,38 +4,54 @@ of delivery margins.
 The driver marches in the load-growth parameter lambda: every step is a
 power-flow solve at a pinned lambda (``powerflow.solve``) that starts from
 the secant through the last two accepted points, or from the tangent while
-the march holds one.  A rejected step is retried at half the length, and a
-step grows again after three easy corrections.  The march stops at the
-first of three signs of the nose: a secant along which some magnitude moves
-further than lambda; the first step that fails or is rejected while the
-march holds two points, which is most often the step past the nose; or a
-step that fails down to the step floor STEP_MIN.  The fold is solved from
+the march holds one.  The first step is STEP0 long, a rejected step is
+retried at half the length, and the step doubles, up to STEP_MAX, after
+GROW_AFTER (one) consecutive corrections of at most EASY_ITERS iterations:
+the margins of a trace lie a few tenths apart in lambda, so a short march
+of long steps brackets them, and each crossing is solved directly (below),
+not by shortening the steps.  A step is accepted only at nonnegative lambda and
+within MAX_VM_STEP in every magnitude of the point it started from;
+further away it has slid onto the lower branch.  The march stops at the
+first of three signs of the nose: a secant along which some magnitude
+moves further than lambda; the first step that fails or is rejected while
+the march holds two points, which is most often the step past the nose; or
+a step that fails down to the step floor STEP_MIN.  The fold is solved from
 there.  Only at the first failed step may that solve fail: the march then
 halves on as before, and waits for one of the other two signs.
 
 The collapse point is solved directly.  At the fold lambda is
 stationary along the curve, so with eta the free voltage magnitude that
 moved most over the last step, the fold is the root of s(eta) = d lambda /
-d eta, the lambda entry of the tangent with eta's entry 1 (``tangent``).  A
-secant on s starts from the last two points; each iterate is one solve of
-the power flow's augmented system (``powerflow.Curve``) with eta pinned and
+d eta, the lambda entry of the tangent with eta's entry 1 (``tangent``).
+Eta is always a magnitude of the Newton system, which holds only the nodes
+its Kron reduction keeps (``powerflow.NetworkCase.reduction``).  A secant
+on s starts from the last two points; each iterate is one solve of the
+power flow's augmented system (``powerflow.Curve``) with eta pinned and
 lambda free, by its one Newton loop (``powerflow.correct``), from the chord
 through the two latest points, followed by one tangent solve on the
-augmented Jacobian there.  It stops once the quadratic estimate of the
-lambda still to gain is at most TOL times lambda.  A march of one point
-takes its first iterate where its pending step would have started.
+augmented Jacobian there.  An iterate is judged like a march step, but from
+the chord it corrects from, not from the last point: the fold can lie
+further than MAX_VM_STEP from the last point when the step past the nose
+was long.  The secant stops once the quadratic estimate of the lambda
+still to gain is at most TOL times lambda.  A march of one point takes its
+first iterate where its pending step would have started.
 
 A limit crossing (voltage band, branch ampacity) is bracketed between two
 accepted points, the fold included, and solved directly by the same
 corrector, from the chord at the margin's linear zero: the element binding
 at the violated end is held at its limit and lambda floats.  A voltage
-crossing pins that node's magnitude at the band edge; a thermal crossing
-pins nothing and adds the equation "loading of the branch's most loaded
-rated row = 1" (``Curve``'s ``loading_row``).  If another element of the
-class lies further out at the solution, it is held instead (at most
-MAX_REPINS times).  A crossing not solved inside its bracket fails the
-trace.  Violations that first appear past the fold are ignored: every
-margin is evaluated on the upper branch only.
+crossing at a node the reduction keeps pins that node's magnitude at the
+band edge; at an eliminated node, and for a thermal crossing, nothing is
+pinned and ``Curve`` adds one bordered limit row: |V| of the node's
+recovered voltage at the band edge, or the current of the branch's most
+loaded rated row at its ampacity.  Crossings converge to CROSSING_TOL
+(1e-11), three orders below the march's ``powerflow.TOL``, so a crossing's
+lambda does not depend, at that level, on where it was started from.  If
+another element of the class lies further out than CROSSING_TOL at the
+solution, it is held instead (at most MAX_REPINS times).  A crossing not
+solved inside its bracket fails the trace.  Violations that first appear
+past the fold are ignored: every margin is evaluated on the upper branch
+only.
 
 A trace decides its result once (``AdcResult``): per class its lambda, MW
 margin and binding label, the class of the overall margin, and its curve,
@@ -45,10 +61,10 @@ A run's trace memo (``trace_adc``) returns a stored result, curve included,
 and never traces a stored direction again.
 
 Every setting is a module constant, not an option: the step control,
-lambda cap, point budget and re-pin cap below (STEP0 ... MAX_VM_STEP), and
-the Newton tolerance, iteration budget and magnitude floor of the shared
-loop (``powerflow.TOL``, ``MAX_ITER``, ``VM_FLOOR``), which also bound the
-fold secant.
+lambda cap, point budget, re-pin cap and crossing tolerance below (STEP0
+... CROSSING_TOL), and the Newton tolerance, iteration budget and magnitude
+floor of the shared loop (``powerflow.TOL``, ``MAX_ITER``, ``VM_FLOOR``),
+which also bound the fold secant.
 """
 
 from __future__ import annotations
@@ -71,10 +87,10 @@ CLASSES = ("voltage", "thermal", "collapse")  # the margin classes of a trace, i
 
 # Step control: the first lambda step, its bounds, and doubling after
 # GROW_AFTER consecutive corrections of at most EASY_ITERS Newton iterations
-STEP0 = 0.1
+STEP0 = 0.25
 STEP_MAX = 0.5
 STEP_MIN = 1e-4
-GROW_AFTER = 3
+GROW_AFTER = 1
 EASY_ITERS = 3
 LAMBDA_CAP = 20.0  # a trace passing this lambda stops there, flagged capped
 MAX_POINTS = 600  # step attempts per trace, rejected ones included
@@ -83,6 +99,9 @@ MAX_REPINS = 3  # times one crossing is solved again with another element held
 # corrector that moved further has almost certainly slid onto the lower
 # branch, so the step is rejected like a corrector failure
 MAX_VM_STEP = 0.15
+# mismatch max-norm a limit crossing converges to, below the march's
+# powerflow.TOL, so a crossing's lambda does not depend on where it started
+CROSSING_TOL = 1e-11
 
 
 @dataclass
@@ -237,15 +256,15 @@ class _Tracer:
         self.n_newton += state.newton_total - warm.newton_total
         return state
 
-    def _solve_local(self, curve: pf.Curve, z, pin_node):
-        """Correction from ``z`` with lambda free and the magnitude at
-        ``pin_node`` pinned (nothing pinned for None, on a curve with a
-        loading row), switching reactive limits by the power-flow rule;
-        returns ``(state, lambda)``."""
+    def _solve_local(self, curve: pf.Curve, z, pin_node, tol=pf.TOL):
+        """Correction from ``z`` to the mismatch max-norm ``tol`` with lambda
+        free and the magnitude at ``pin_node`` pinned (nothing pinned for
+        None, on a curve with a limit row), switching reactive limits by
+        the power-flow rule; returns ``(state, lambda)``."""
         while True:  # each round switches one more PV phase, so this ends
             pin = None if pin_node is None else curve.vm_coord(pin_node)
             try:
-                z, iters, norm = correct(curve.linearize, z, pin)
+                z, iters, norm = correct(curve.linearize, z, pin, tol=tol)
             except ConvergenceError as exc:
                 self.n_newton += exc.iterations
                 raise
@@ -258,14 +277,14 @@ class _Tracer:
             z = curve.pack(state, z[-1])
 
     def _pin(self):
-        """The fold's coordinate eta: the free magnitude of the last point's
-        switch set that moved most since the point before (the first free
-        one at the base point).  Raises ConvergenceError when every
-        magnitude is held."""
+        """The fold's coordinate eta: the free kept magnitude of the last
+        point's switch set that moved most since the point before (the
+        first free one at the base point).  Raises ConvergenceError when
+        every magnitude is held."""
         points = self.points
         last = points[-1].state
         dvm = last.vm - points[-2].state.vm if len(points) > 1 else -np.ones(self.case.n)
-        free = self.case.partition(last.q_switched)[1]
+        free = self.case.reduction(self.direction).partition(last.q_switched)[1]
         if not free.size:
             raise ConvergenceError(
                 "the fold has no free voltage magnitude to pin"
@@ -289,10 +308,11 @@ class _Tracer:
         return curve, predict_tangent(jac, z, h, curve.lam_coord)
 
     @staticmethod
-    def _sane(lam, state, ref) -> bool:
+    def _sane(lam, state, ref_vm) -> bool:
         """A converged step is kept only at nonnegative lambda and within
-        MAX_VM_STEP of ``ref``; further away it has slid onto the lower branch."""
-        return lam >= 0.0 and float(np.max(np.abs(state.vm - ref.vm))) <= MAX_VM_STEP
+        MAX_VM_STEP of the magnitudes ``ref_vm``; further away it has slid
+        onto the lower branch."""
+        return lam >= 0.0 and float(np.max(np.abs(state.vm - ref_vm))) <= MAX_VM_STEP
 
     # margin bookkeeping -------------------------------------------------------
 
@@ -340,14 +360,14 @@ class _Tracer:
             element = self._binding(status, cls)
             state, lam = self._solve_at_limit(curve, z, element, state)
             status = check_limits(self.case, state)
-            # the held element sits on its limit to the Newton tolerance
-            if self._margins(status)[cls] >= -pf.TOL:
+            # the held element sits on its limit to the crossing tolerance
+            if self._margins(status)[cls] >= -CROSSING_TOL:
                 break
             curve = pf.Curve(self.case, self.direction, state.q_switched)
             z = curve.pack(state, lam)
         else:
             raise ConvergenceError(f"{cls} crossing moved on after {MAX_REPINS} re-pins")
-        if not (min(a.lam, b.lam) <= lam <= max(a.lam, b.lam) and self._sane(lam, state, a.state)):
+        if not (min(a.lam, b.lam) <= lam <= max(a.lam, b.lam) and self._sane(lam, state, a.state.vm)):
             raise ConvergenceError(
                 f"{cls} crossing solved at lambda {lam:.6g}, off its bracket "
                 f"[{a.lam:.6g}, {b.lam:.6g}] or its branch"
@@ -358,24 +378,32 @@ class _Tracer:
         return lam, f"{bus}.{phase}:{side}"
 
     def _solve_at_limit(self, curve: pf.Curve, z, element, state):
-        """Solve from ``z`` with ``element`` held at its limit: a voltage
-        element ``(side, node)`` by pinning the magnitude at its band edge, a
-        branch id by the loading equation of the branch's rated row carrying
-        the most current in ``state``."""
+        """Solve from ``z`` to CROSSING_TOL with ``element`` held at its
+        limit: a voltage element ``(side, node)`` at its band edge, by
+        pinning a kept node's magnitude or by the limit row of an eliminated
+        node's voltage; a branch id by the limit row of the branch's rated
+        row carrying the most current in ``state``, at its ampacity."""
         case = self.case
         if isinstance(element, str):
             k = case.branch_ids.index(element)
             bounds = np.append(case.rated_starts, case.n_rated_rows)
             start, stop = bounds[k], bounds[k + 1]
             row = start + int(np.argmax(pf.branch_flows(case, state).amps[start:stop]))
-            bordered = pf.Curve(case, self.direction, curve.q_switched, loading_row=row)
-            return self._solve_local(bordered, z, None)
-        side, node = element
-        limits = case.model.limits
-        i = case.index[node]
-        z = z.copy()
-        z[curve.vm_coord(i)] = limits.v_min_pu if side == "lower" else limits.v_max_pu
-        return self._solve_local(curve, z, i)
+            limit = case.branch_current[row] * (case.branch_i_base[row] / case.ampacity[k]), 1.0
+        else:
+            side, node = element
+            limits = case.model.limits
+            edge = limits.v_min_pu if side == "lower" else limits.v_max_pu
+            i = case.index[node]
+            if i in curve.idx_q:
+                z = z.copy()
+                z[curve.vm_coord(i)] = edge
+                return self._solve_local(curve, z, i, CROSSING_TOL)
+            unit = np.zeros(case.n, dtype=complex)  # an eliminated node's voltage
+            unit[i] = 1.0
+            limit = unit, edge
+        bordered = pf.Curve(case, self.direction, curve.q_switched, limit=limit)
+        return self._solve_local(bordered, z, None, CROSSING_TOL)
 
     # the fold ---------------------------------------------------------------------
 
@@ -406,8 +434,11 @@ class _Tracer:
                 if abs(0.5 * s_b * step) <= pf.TOL * lam_b:
                     break
                 z = predict_secant(za, zb, step, pin)
+            # judged from its own start: the fold may lie further than
+            # MAX_VM_STEP from the last point, but not from the chord there
+            start_vm = curve.unpack(z)[0]
             state, lam = self._solve_local(curve, z, pin_node)
-            if not self._sane(lam, state, pts[-1][0]):
+            if not self._sane(lam, state, start_vm):
                 raise ConvergenceError(f"fold iterate at lambda {lam:.6g} left the branch")
             curve = pf.Curve(self.case, self.direction, state.q_switched)
             pts = [pts[-1], (state, lam, self._slope(curve, state, pin_node))]
@@ -440,7 +471,7 @@ class _Tracer:
                 new_state = None
             except SingularJacobianError:
                 new_state = None
-            if new_state is None or not self._sane(lam_new, new_state, prev.state):
+            if new_state is None or not self._sane(lam_new, new_state, prev.state.vm):
                 h *= 0.5
                 easy = 0
                 if h < STEP_MIN:  # the corrector cannot advance in lambda

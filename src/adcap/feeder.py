@@ -200,7 +200,7 @@ def load_feeder(document) -> FeederModel:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise FeederFormatError(f"document is not valid JSON: {exc}") from exc
     else:
         doc = document

@@ -68,33 +68,49 @@ def mismatch(case, state, lam=0.0, direction=None):
 
 
 def jacobian(case, state):
-    """d(mismatch)/dx of a state, rows [P; Q], columns [theta; vm], from the
-    program's own Jacobian with lambda pinned."""
-    curve = powerflow.Curve(case, None, state.q_switched)
+    """d(mismatch)/dx of a state over the whole network, rows [P; Q],
+    columns [theta; vm], from the program's own Jacobian with lambda
+    pinned: a direction that touches every node eliminates none."""
+    everywhere = (np.ones(case.n), np.zeros(case.n))
+    curve = powerflow.Curve(case, everywhere, state.q_switched)
     return curve.jacobian(state.vm, state.theta, curve.lam_coord)
 
 
-def dense_jacobian(case, vm, theta, rows, cols):
-    """d(mismatch)/dx from the docstring's identities over the whole dense Y,
+def dense_jacobian(y, vm, theta, rows, cols):
+    """d(mismatch)/dx from the docstring's identities over the whole dense
+    admittance matrix ``y`` (a case's, or a reduction's over its kept
+    nodes),
 
         dS/dtheta = j diag(V) conj(diag(I) - Y diag(V))
         dS/d|V|   = diag(V/|V|) conj(diag(I)) + diag(V) conj(Y diag(V/|V|)),
 
     with rows [P over rows[0]; Q over rows[1]] and columns [theta over
-    cols[0]; |V| over cols[1]]."""
+    cols[0]; |V| over cols[1]], as positions in ``y``."""
     v = vm * np.exp(1j * theta)
-    i_bus = case.y @ v
-    a = -(case.y * v[None, :])
-    a[np.diag_indices(case.n)] += i_bus
+    i_bus = y @ v
+    a = -(y * v[None, :])
+    a[np.diag_indices(len(v))] += i_bus
     ds_dth = 1j * v[:, None] * np.conj(a)
     vnorm = v / vm
-    ds_dvm = v[:, None] * np.conj(case.y * vnorm[None, :])
-    ds_dvm[np.diag_indices(case.n)] += vnorm * np.conj(i_bus)
+    ds_dvm = v[:, None] * np.conj(y * vnorm[None, :])
+    ds_dvm[np.diag_indices(len(v))] += vnorm * np.conj(i_bus)
     (rp, rq), (cp, cq) = rows, cols
     return -np.block([
         [ds_dth.real[np.ix_(rp, cp)], ds_dvm.real[np.ix_(rp, cq)]],
         [ds_dth.imag[np.ix_(rq, cp)], ds_dvm.imag[np.ix_(rq, cq)]],
     ])
+
+
+def solve_tight(case, lam, direction, tol=1e-12):
+    """``powerflow.solve`` at ``lam``, whose Newton loop stops at
+    ``powerflow.TOL``, run on to the mismatch max-norm ``tol`` in its last
+    switch set."""
+    state = powerflow.solve(case, lam, direction)
+    curve = powerflow.Curve(case, direction, state.q_switched)
+    z, iters, norm = powerflow.correct(
+        curve.linearize, curve.pack(state, lam), curve.lam_coord, tol=tol
+    )
+    return curve.state(z, iters, norm)
 
 
 def fold_lambda(case, direction, lam_below, eta_tol=1e-7):

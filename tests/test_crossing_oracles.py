@@ -22,12 +22,12 @@ from adcap.stochastic import (
 )
 
 from conftest import two_bus_doc
-from oracles import fold_lambda
+from oracles import fold_lambda, solve_tight
 
 N_MCS = 100
 BISECT_TOL = 1e-10  # width of the final bisection bracket in lambda
 ORACLE_TOL = 5e-6  # |trace lambda - bisection lambda|
-MARGIN_TOL = 1e-7  # |class margin| of the state solved at the reported lambda
+MARGIN_TOL = 1e-10  # |class margin| of the state solved at the reported lambda
 # |trace collapse lambda / oracle lambda - 1|; near the fold the Newton
 # tolerance holds lambda to about 3e-8
 FOLD_TOL = 1e-7
@@ -100,7 +100,7 @@ def test_crossings_agree_with_bisection_oracle(case, traced):
 
 def test_crossing_states_sit_on_their_margin(case, traced):
     for cls, d, res in _crossings(traced):
-        status = check_limits(case, solve(case, res.lambdas[cls], d))
+        status = check_limits(case, solve_tight(case, res.lambdas[cls], d))
         assert abs(_class_margin(status, cls)) <= MARGIN_TOL, cls
         assert _binding(status, cls) == res.binding_element[cls]
 

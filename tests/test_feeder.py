@@ -168,6 +168,11 @@ def test_transformer_block_consistency(r, x, tap):
     assert yft[0, 0] == pytest.approx(-tap * ys, rel=1e-12)
 
 
+def test_json_nested_too_deep_is_a_format_error():
+    with pytest.raises(FeederFormatError, match="not valid JSON: maximum recursion depth"):
+        load_feeder("[" * 100_000 + "]" * 100_000)
+
+
 def test_json_string_input(feeder_doc):
     model = load_feeder(json.dumps(feeder_doc))
     assert model.name == feeder_doc["name"]

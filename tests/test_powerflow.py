@@ -108,8 +108,20 @@ def test_switched_and_augmented_jacobians_match_finite_differences(feeder_doc, r
         _, jac_thunk = curve.linearize(z.copy(), p)
         if p is not None:
             assert np.array_equal(jac_thunk(), jac)
+    # the Kron-reduced Jacobian is the Schur complement of the whole
+    # network's, taken at the recovered state, where the eliminated nodes'
+    # power balance holds by construction
     state = PowerFlowState(vm, theta, dict(curve.q_switched))
-    assert np.array_equal(jacobian(case, state), curve.jacobian(vm, theta, curve.lam_coord))
+    full_p, full_q = case.partition(curve.q_switched)
+    held = np.concatenate([curve.net.local[full_p], curve.net.local[full_q]]) >= 0
+    k, e = np.flatnonzero(held), np.flatnonzero(~held)
+    assert len(e) == 2 * len(curve.net.elim) > 0
+    full = jacobian(case, state)
+    schur = full[np.ix_(k, k)] - full[np.ix_(k, e)] @ np.linalg.solve(
+        full[np.ix_(e, e)], full[np.ix_(e, k)]
+    )
+    jac = curve.jacobian(vm, theta, curve.lam_coord)
+    assert np.max(np.abs(schur - jac)) <= 1e-10 * np.abs(jac).max()
 
 
 def test_correct_gives_up_when_the_mismatch_rises():
@@ -161,17 +173,42 @@ def test_no_load_flat_profile():
     assert np.allclose(state.theta, state.theta[0], atol=1e-10)
 
 
-def test_two_bus_closed_form_voltage():
+def _two_bus_closed_form_vm(doc, p, q, x):
     # E^2 y = y^2 + 2 lam Q x y + x^2(P^2+Q^2) with y = V^2 solves the
     # receiving-end voltage of a lossless two-bus link exactly
-    p, q, x = 400.0, 150.0, 0.3
-    doc = two_bus_doc(p_kw=p, q_kvar=q, x_ohm=x)
     case = NetworkCase(load_feeder(doc))
     state = solve(case)
     pp, qq = p / 1000.0, q / 1000.0
     coeffs = [1.0, 2 * qq * x - 1.0, x * x * (pp * pp + qq * qq)]
     y = max(np.roots(coeffs))  # upper branch
     assert state.vm[case.index[("r", "a")]] == pytest.approx(np.sqrt(y), rel=1e-9)
+    return case
+
+
+def test_two_bus_closed_form_voltage():
+    p, q, x = 400.0, 150.0, 0.3
+    _two_bus_closed_form_vm(two_bus_doc(p_kw=p, q_kvar=q, x_ohm=x), p, q, x)
+
+
+@pytest.mark.parametrize("x_mid, n_elim", [
+    (0.01, 2),  # two unloaded buses, which every solve eliminates
+    (1e-9, 0),  # ... joined so tightly that their block of Y is ill-conditioned
+])
+def test_two_bus_closed_form_voltage_through_unloaded_buses(x_mid, n_elim):
+    # the link of test_two_bus_closed_form_voltage split in three, with the
+    # same total reactance
+    p, q, x = 400.0, 150.0, 0.3
+    doc = two_bus_doc(p_kw=p, q_kvar=q, x_ohm=x)
+    [link] = doc["branches"]
+    doc["buses"] += [dict(doc["buses"][1], id=bus) for bus in ("m1", "m2")]
+    doc["branches"] = [
+        dict(link, id=f"ln{k}", x_ohm=[[xk]], **{"from": a, "to": b})
+        for k, (a, b, xk) in enumerate(
+            [("s", "m1", x / 2), ("m1", "m2", x_mid), ("m2", "r", x / 2 - x_mid)]
+        )
+    ]
+    case = _two_bus_closed_form_vm(doc, p, q, x)
+    assert len(case.reduction(None).elim) == n_elim
 
 
 def test_newton_iteration_count_reasonable(case):
@@ -225,7 +262,7 @@ def test_pv_bus_switches_to_pq_at_limit():
     # the delivered reactive power sits exactly at the limit
     from adcap.powerflow import _complex_power
 
-    _, _, s = _complex_power(case, state.vm, state.theta)
+    _, _, s = _complex_power(case.y, state.vm, state.theta)
     assert s.imag[i] - case.q0[i] == pytest.approx(50.0 / 1000.0, abs=1e-8)
 
 
@@ -287,13 +324,18 @@ def test_branch_flows_match_the_per_branch_loop(case, registry):
 
 
 def _dense_reference(curve, vm, theta, pin):
-    """oracles.dense_jacobian over the columns left once ``pin`` is removed."""
-    cols_p, cols_q = curve.idx_p, curve.idx_q
+    """oracles.dense_jacobian over the curve's reduced Y at its kept nodes,
+    over the columns left once ``pin`` is removed."""
+    net = curve.net
+    rows_p, rows_q = net.local[curve.idx_p], net.local[curve.idx_q]
+    cols_p, cols_q = rows_p, rows_q
     if pin is not None and pin < curve.n_p:
         cols_p = np.delete(cols_p, pin)
     elif pin is not None and pin < curve.lam_coord:
         cols_q = np.delete(cols_q, pin - curve.n_p)
-    return dense_jacobian(curve.case, vm, theta, (curve.idx_p, curve.idx_q), (cols_p, cols_q))
+    return dense_jacobian(
+        net.y, vm[net.kept], theta[net.kept], (rows_p, rows_q), (cols_p, cols_q)
+    )
 
 
 def test_jacobian_equals_the_dense_identities(case, feeder_doc, registry):
@@ -330,18 +372,20 @@ def test_jacobian_equals_the_dense_identities(case, feeder_doc, registry):
 
 
 def test_loading_row_equation_and_its_jacobian(case, registry):
-    """A curve with a loading row appends (amps / ampacity)^2 - 1 of that
-    row to the mismatch, and its Jacobian row below the augmented Jacobian
-    agrees with central differences over z (lambda column zero)."""
+    """A curve with the limit row of a rated branch-current row at its
+    ampacity appends (amps / ampacity)^2 - 1 of that row to the mismatch,
+    and its Jacobian row below the augmented Jacobian agrees with central
+    differences over z (lambda column zero)."""
     direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
     rng = np.random.default_rng(11)
     starts = list(case.rated_starts) + [case.n_rated_rows]
     rows = [0, starts[1] - 1, case.n_rated_rows - 1]  # from end, to end, last rated row
     for row in rows:
-        curve = Curve(case, direction, {}, loading_row=row)
+        k = np.searchsorted(case.rated_starts, row, "right") - 1
+        w = case.branch_current[row] * (case.branch_i_base[row] / case.ampacity[k])
+        curve = Curve(case, direction, {}, limit=(w, 1.0))
         z = curve.pack(_perturbed_state(case, 0.05, rng), 0.5)
         g, jac = curve.linearize(z.copy(), None)
-        k = np.searchsorted(case.rated_starts, row, "right") - 1
         amps = branch_flows(case, curve.state(z)).amps[row]
         assert g[-1] == pytest.approx((amps / case.ampacity[k]) ** 2 - 1.0, rel=1e-12, abs=1e-14)
         j = jac()
@@ -357,6 +401,39 @@ def test_loading_row_equation_and_its_jacobian(case, registry):
             fd[c] = (curve.linearize(zp, None)[0][-1] - curve.linearize(zm, None)[0][-1]) / (2 * h)
         assert j[-1, -1] == 0.0
         assert np.max(np.abs(j[-1] - fd)) <= 1e-6 * np.abs(fd).max()
+
+
+def test_reduced_solve_balances_every_node_of_the_whole_network(case, registry):
+    """Along the bundled direction the Newton system is Y Kron-reduced by
+    the ten nodes without load, generator or direction entry; the full
+    state recovered from a solve balances the whole network's power at
+    every node, the eliminated ones included."""
+    d = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    net = case.reduction(d)
+    assert sorted(case.nodes[i] for i in net.elim) == [
+        ("633", "a"), ("633", "b"), ("633", "c"), ("645", "c"), ("646", "c"),
+        ("684", "a"), ("684", "c"), ("rg60", "a"), ("rg60", "b"), ("rg60", "c"),
+    ]
+    state = solve(case, 0.5, d)
+    g = mismatch(case, state, 0.5, d)
+    assert len(g) == 2 * len(case.monitored)
+    assert np.max(np.abs(g)) < 1e-8
+
+
+def test_limit_row_holds_an_eliminated_magnitude_at_its_target(case, registry):
+    """The limit row |V|^2 = c^2 of an eliminated node's recovered voltage
+    (684.c along the bundled direction) is solved with lambda free."""
+    d = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    i = case.index[("684", "c")]
+    assert i in case.reduction(d).elim
+    state = solve(case, 0.5, d)
+    target = state.vm[i] - 0.01
+    unit = np.zeros(case.n, dtype=complex)
+    unit[i] = 1.0
+    curve = Curve(case, d, {}, limit=(unit, target))
+    z, _, _ = correct(curve.linearize, curve.pack(state, 0.5), None, tol=1e-11)
+    assert abs(curve.state(z).vm[i] - target) <= 1e-10
+    assert z[-1] > 0.5
 
 
 def test_correct_with_nothing_pinned_solves_a_square_system():
