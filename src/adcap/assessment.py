@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -153,6 +152,8 @@ def trace_pool(ctx, workers: int):
     if size == 1:
         yield lambda inputs, memoise: [_guarded_trace(ctx, memoise, u) for u in inputs]
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
     with ProcessPoolExecutor(max_workers=size, initializer=_init_worker, initargs=(ctx,)) as pool:
         yield lambda inputs, memoise: list(pool.map(
             partial(_guarded_trace, None, memoise), inputs,

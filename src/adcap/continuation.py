@@ -4,9 +4,13 @@ of delivery margins.
 The driver marches in the load-growth parameter lambda: every step is a
 power-flow solve at a pinned lambda (``powerflow.solve``) that starts from
 the secant through the last two accepted points, or from the tangent while
-the march holds one.  The first step is STEP0 long, a rejected step is
-retried at half the length, and the step doubles, up to STEP_MAX, after
-GROW_AFTER (one) consecutive corrections of at most EASY_ITERS iterations:
+the march holds one.  A trace builds one ``powerflow.Curve`` per switch set
+on the one reduction of its direction, and every step, crossing and fold
+iterate in that set solves on it; a step hands ``powerflow.solve`` that
+curve and its packed prediction.  The first step is STEP0 long, a
+rejected step is retried at half the length, and the step doubles, up to
+STEP_MAX, after GROW_AFTER (one) consecutive corrections of at most
+EASY_ITERS iterations:
 the margins of a trace lie a few tenths apart in lambda, so a short march
 of long steps brackets them, and each crossing is solved directly (below),
 not by shortening the steps.  A step is accepted only at nonnegative lambda and
@@ -153,10 +157,10 @@ def check_limits(case: pf.NetworkCase, state: pf.PowerFlowState) -> LimitStatus:
     """
     limits = case.model.limits
     vm = state.vm[case.monitored]
-    i_lo = int(np.argmin(vm - limits.v_min_pu))
-    i_hi = int(np.argmin(limits.v_max_pu - vm))
+    i_lo = int((vm - limits.v_min_pu).argmin())
+    i_hi = int((limits.v_max_pu - vm).argmin())
     loading = pf.branch_flows(case, state).loading
-    i_th = int(np.argmax(loading))
+    i_th = int(loading.argmax())
     return LimitStatus(
         float(vm[i_lo] - limits.v_min_pu),
         float(limits.v_max_pu - vm[i_hi]),
@@ -201,27 +205,23 @@ def predict_secant(z_prev: np.ndarray, z_curr: np.ndarray, h: float, param_index
     return z_curr + d * (h / d[param_index])
 
 
-def tangent(jac_aug: np.ndarray, param_index: int) -> np.ndarray:
-    """The tangent t of the curve from the augmented Jacobian
-    [dg/dx | dg/dlam]: J_aug t = 0 with t[param_index] = 1.  Raises
-    SingularJacobianError when that bordered system is singular."""
-    m, n1 = jac_aug.shape
-    if n1 != m + 1:
-        raise ValueError("augmented jacobian must be m x (m+1)")
-    sq = np.vstack([jac_aug, np.zeros((1, n1))])
-    sq[m, param_index] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
+def tangent(bordered: np.ndarray) -> np.ndarray:
+    """The tangent t of the curve from its bordered matrix: the augmented
+    Jacobian [dg/dx | dg/dlam] over the unit row of one coordinate k
+    (``powerflow.Curve.jacobian`` with ``unit=k``), so J_aug t = 0 with
+    t[k] = 1.  Raises SingularJacobianError when that system is singular."""
+    rhs = np.zeros(len(bordered))
+    rhs[-1] = 1.0
     try:
-        return np.linalg.solve(sq, rhs)
+        return np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         raise SingularJacobianError("bordered tangent system is singular") from None
 
 
-def predict_tangent(jac_aug: np.ndarray, z_curr: np.ndarray, h: float, param_index: int) -> np.ndarray:
-    """First-step predictor: z + h t, t the :func:`tangent` with
-    t[param_index] = 1."""
-    return z_curr + h * tangent(jac_aug, param_index)
+def predict_tangent(bordered: np.ndarray, z_curr: np.ndarray, h: float) -> np.ndarray:
+    """First-step predictor: z + h t, t the :func:`tangent` of the bordered
+    matrix, whose unit row is the coordinate that moves by h."""
+    return z_curr + h * tangent(bordered)
 
 
 @dataclass
@@ -240,20 +240,34 @@ class _Tracer:
         self.case = case
         self.variation = variation
         self.direction = case.direction_arrays(variation)
+        self.net = case.reduction(self.direction)
+        self._curves = {}  # switch set -> its curve (``_curve``)
         self.n_solves = 0
         self.n_newton = 0
         self.points: list[_TracePoint] = []
         self.crossings = {}  # class -> (lambda, binding label) of each limit crossed
+
+    def _curve(self, q_switched) -> pf.Curve:
+        """The trace's curve of a switch set, built at its first use."""
+        key = frozenset(q_switched.items())
+        curve = self._curves.get(key)
+        if curve is None:
+            curve = self._curves[key] = pf.Curve(
+                self.case, self.direction, q_switched, net=self.net
+            )
+        return curve
 
     # corrector entry points ---------------------------------------------------
     # ``abort_on_rise`` (see ``powerflow.correct``) is set for the steps of
     # the march, which retry a failure shorter; limit crossings and the fold
     # secant read a failure as "no solution there" and keep the budget.
 
-    def _solve_natural(self, lam, warm) -> pf.PowerFlowState:
-        state = pf.solve(self.case, lam, self.direction, initial=warm, abort_on_rise=True)
+    def _solve_natural(self, lam, curve: pf.Curve, z) -> pf.PowerFlowState:
+        state = pf.solve(
+            self.case, lam, self.direction, start=(curve, z), abort_on_rise=True
+        )
         self.n_solves += 1
-        self.n_newton += state.newton_total - warm.newton_total
+        self.n_newton += state.newton_total
         return state
 
     def _solve_local(self, curve: pf.Curve, z, pin_node, tol=pf.TOL):
@@ -269,11 +283,14 @@ class _Tracer:
                 self.n_newton += exc.iterations
                 raise
             self.n_newton += iters
-            state, next_curve = curve.settle(z, iters, norm)
-            if next_curve is None:
+            state, switched = curve.settle(z, iters, norm)
+            if switched is None:
                 self.n_solves += 1
                 return state, float(z[-1])
-            curve = next_curve
+            if curve.limit is None:
+                curve = self._curve(switched)
+            else:
+                curve = pf.Curve(self.case, self.direction, switched, curve.limit, self.net)
             z = curve.pack(state, z[-1])
 
     def _pin(self):
@@ -284,12 +301,12 @@ class _Tracer:
         points = self.points
         last = points[-1].state
         dvm = last.vm - points[-2].state.vm if len(points) > 1 else -np.ones(self.case.n)
-        free = self.case.reduction(self.direction).partition(last.q_switched)[1]
+        free = self._curve(last.q_switched).idx_q
         if not free.size:
             raise ConvergenceError(
                 "the fold has no free voltage magnitude to pin"
             )
-        return int(free[np.argmax(np.abs(dvm[free]))])
+        return int(free[np.abs(dvm[free]).argmax()])
 
     def _predict(self, h):
         """Start of the step that raises lambda by h from the last point, in
@@ -297,22 +314,22 @@ class _Tracer:
         points, or the tangent while the march holds one.  Returns
         ``(curve, z)``."""
         last = self.points[-1]
-        curve = pf.Curve(self.case, self.direction, last.state.q_switched)
+        curve = self._curve(last.state.q_switched)
         z = curve.pack(last.state, last.lam)
         if len(self.points) >= 2:
             before = self.points[-2]
             return curve, predict_secant(
                 curve.pack(before.state, before.lam), z, h, curve.lam_coord
             )
-        jac = curve.jacobian(last.state.vm, last.state.theta)
-        return curve, predict_tangent(jac, z, h, curve.lam_coord)
+        bordered = curve.jacobian(last.state.vm, last.state.theta, unit=curve.lam_coord)
+        return curve, predict_tangent(bordered, z, h)
 
     @staticmethod
     def _sane(lam, state, ref_vm) -> bool:
         """A converged step is kept only at nonnegative lambda and within
         MAX_VM_STEP of the magnitudes ``ref_vm``; further away it has slid
         onto the lower branch."""
-        return lam >= 0.0 and float(np.max(np.abs(state.vm - ref_vm))) <= MAX_VM_STEP
+        return lam >= 0.0 and float(np.abs(state.vm - ref_vm).max()) <= MAX_VM_STEP
 
     # margin bookkeeping -------------------------------------------------------
 
@@ -353,7 +370,7 @@ class _Tracer:
         from ``a``."""
         fa, fb = self._margins(a.status)[cls], self._margins(b.status)[cls]
         t = fa / (fa - fb)
-        curve = pf.Curve(self.case, self.direction, b.state.q_switched)
+        curve = self._curve(b.state.q_switched)
         z = (1.0 - t) * curve.pack(a.state, a.lam) + t * curve.pack(b.state, b.lam)
         state, status = b.state, b.status
         for _ in range(MAX_REPINS + 1):
@@ -363,7 +380,7 @@ class _Tracer:
             # the held element sits on its limit to the crossing tolerance
             if self._margins(status)[cls] >= -CROSSING_TOL:
                 break
-            curve = pf.Curve(self.case, self.direction, state.q_switched)
+            curve = self._curve(state.q_switched)
             z = curve.pack(state, lam)
         else:
             raise ConvergenceError(f"{cls} crossing moved on after {MAX_REPINS} re-pins")
@@ -388,21 +405,22 @@ class _Tracer:
             k = case.branch_ids.index(element)
             bounds = np.append(case.rated_starts, case.n_rated_rows)
             start, stop = bounds[k], bounds[k + 1]
-            row = start + int(np.argmax(pf.branch_flows(case, state).amps[start:stop]))
+            row = start + int(pf.branch_flows(case, state).amps[start:stop].argmax())
             limit = case.branch_current[row] * (case.branch_i_base[row] / case.ampacity[k]), 1.0
         else:
             side, node = element
             limits = case.model.limits
             edge = limits.v_min_pu if side == "lower" else limits.v_max_pu
             i = case.index[node]
-            if i in curve.idx_q:
+            pin = curve.vm_coord(i)
+            if pin is not None:
                 z = z.copy()
-                z[curve.vm_coord(i)] = edge
+                z[pin] = edge
                 return self._solve_local(curve, z, i, CROSSING_TOL)
             unit = np.zeros(case.n, dtype=complex)  # an eliminated node's voltage
             unit[i] = 1.0
             limit = unit, edge
-        bordered = pf.Curve(case, self.direction, curve.q_switched, limit=limit)
+        bordered = pf.Curve(case, self.direction, curve.q_switched, limit, self.net)
         return self._solve_local(bordered, z, None, CROSSING_TOL)
 
     # the fold ---------------------------------------------------------------------
@@ -410,8 +428,8 @@ class _Tracer:
     def _slope(self, curve: pf.Curve, state, pin_node) -> float:
         """d lambda / d eta at ``state`` on ``curve``'s equations, eta the
         magnitude at ``pin_node``."""
-        jac = curve.jacobian(state.vm, state.theta)
-        return float(tangent(jac, curve.vm_coord(pin_node))[-1])
+        bordered = curve.jacobian(state.vm, state.theta, unit=curve.vm_coord(pin_node))
+        return float(tangent(bordered)[-1])
 
     def _fold(self, h):
         """Solve the fold by a secant on s(eta) = d lambda / d eta (module
@@ -440,7 +458,7 @@ class _Tracer:
             state, lam = self._solve_local(curve, z, pin_node)
             if not self._sane(lam, state, start_vm):
                 raise ConvergenceError(f"fold iterate at lambda {lam:.6g} left the branch")
-            curve = pf.Curve(self.case, self.direction, state.q_switched)
+            curve = self._curve(state.q_switched)
             pts = [pts[-1], (state, lam, self._slope(curve, state, pin_node))]
         else:
             raise ConvergenceError(f"fold not located in {pf.MAX_ITER} secant steps")
@@ -465,7 +483,7 @@ class _Tracer:
             lam_new = prev.lam + h
             curve, z = self._predict(h)
             try:
-                new_state = self._solve_natural(lam_new, curve.state(z))
+                new_state = self._solve_natural(lam_new, curve, z)
             except ConvergenceError as exc:
                 self.n_newton += exc.iterations  # summed over its switching rounds
                 new_state = None
@@ -490,7 +508,7 @@ class _Tracer:
 
             if lam_new > LAMBDA_CAP:
                 break
-            if np.max(np.abs(new_state.vm - prev.state.vm)) > lam_new - prev.lam:
+            if np.abs(new_state.vm - prev.state.vm).max() > lam_new - prev.lam:
                 # magnitudes move faster than lambda
                 fold = self._fold(h)
                 break
@@ -524,7 +542,7 @@ class _Tracer:
             curve=[
                 CurvePoint(
                     p.lam,
-                    float(np.min(p.state.vm[self.case.monitored])),
+                    float(p.state.vm[self.case.monitored].min()),
                     float(1.0 - p.status.thermal_margin),
                 )
                 for p in points

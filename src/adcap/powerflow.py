@@ -7,8 +7,9 @@ complex-voltage derivative identities
     dS/d|V|   = diag(V/|V|) conj(diag(I)) + diag(V) conj(Y diag(V/|V|))
 
 with I = Y V.  Mismatch is g(x) = S_spec(lambda) - S(x).  One residual
-(:func:`mismatch_at`) and one Jacobian builder (:func:`jacobian_at`) serve
-every caller, both from one evaluation of (V, I, S) per Newton iteration.
+(:meth:`Curve.linearize`) and one Jacobian assembly (:func:`jacobian_at`)
+serve every caller, both from one evaluation of (V, I, S) per Newton
+iteration.
 
 Every Newton system runs on a Kron reduction of Y (Doerfler & Bullo, IEEE
 TCAS-I 2013; :class:`Reduction`).  A node that carries no load, no
@@ -26,9 +27,10 @@ voltages of every solved point.
 Off the diagonal both identities vanish wherever Y does, so
 :func:`jacobian_at` evaluates them only at the reduced Y's nonzeros and
 scatters d(mismatch)/dx = -dS/dx on the unknown rows/columns by
-precomputed index maps into a zeroed matrix, so a Newton step solves J dx =
--g; a continuation step fills its spare last column with the growth
-direction.
+precomputed index maps into a copy of a template, so a Newton step solves
+J dx = -g.  The template holds what no iterate changes: the growth
+direction in the spare last column of a continuation step, and the unit
+row below the Jacobian that borders a tangent's system.
 
 Row/column ordering: active-power rows over the kept non-slack nodes (node
 order), then reactive rows over the kept PQ nodes (including PV phases
@@ -37,6 +39,19 @@ magnitudes.  The full network's node index arrays are computed once per
 switch set (:meth:`NetworkCase.partition`), a reduction's rows and the
 Jacobian's index maps once per switch set and pinned coordinate
 (:meth:`Reduction.partition`, :meth:`Reduction.jacobian_scatter`).
+
+A :class:`Curve` is one switch set's system along one direction, and a
+continuation trace builds it once per switch set.  It precomputes what its iterates share: its rows' flat positions in the
+complex power read as interleaved reals, the base injections and the
+direction on those rows and the switched reactive limits, so the residual
+is spec - S at those positions with spec = spec0 + lambda dir (the limits
+added after) evaluated once per lambda; each free magnitude's coordinate;
+and per pinned coordinate the Jacobian's maps and template.  At m = 44 a
+trace's cost is call overhead, not LAPACK: a Newton iteration takes about
+48 us (timeit), of which the residual takes 8, the Jacobian 16 and
+``np.linalg.solve`` 20, only about 12 of them in LAPACK's ``dgesv``; the
+rest is numpy's per-call work on arrays of 44 to 624 entries.  Cutting the
+cost further means fewer solves, not a faster one.
 
 Branch currents (:func:`branch_flows`) come from one product of a stacked
 branch-current matrix, one row per (branch, phase, end), with V; each
@@ -283,17 +298,6 @@ class NetworkCase:
             dq[self.index[key]] += val / 1000.0
         return dp, dq
 
-    # -- specified injections --------------------------------------------------
-
-    def spec_injections(self, lam, direction, q_switched):
-        dp, dq = direction if direction is not None else (0.0, 0.0)
-        p_spec = self.p0 + lam * dp
-        q_spec = self.q0 + lam * dq
-        for key, side in q_switched.items():
-            i = self.index[key]
-            q_spec[i] += self.q_min[i] if side == "min" else self.q_max[i]
-        return p_spec, q_spec
-
 
 class Reduction:
     """Y Kron-reduced onto a set of kept nodes (module docstring).  Every
@@ -317,6 +321,8 @@ class Reduction:
         self.local = np.full(case.n, -1)  # node index -> position among the kept
         self.local[kept] = np.arange(len(kept))
         self.recover = -np.linalg.solve(y[np.ix_(elim, elim)], y[np.ix_(elim, kept)])
+        self._ref = case.theta_ref[elim]  # the eliminated nodes' phase references
+        self._unref = np.exp(-1j * self._ref)
         self.y = y[np.ix_(kept, kept)] + y[np.ix_(kept, elim)] @ self.recover
         self.v_set = case.v_set[kept]
         self.theta_ref = case.theta_ref[kept]
@@ -337,9 +343,9 @@ class Reduction:
         full_vm, full_theta = np.empty(case.n), np.empty(case.n)
         full_vm[self.kept], full_theta[self.kept] = vm, theta
         v = self.recover @ (vm * np.exp(1j * theta))
-        ref = case.theta_ref[self.elim]
         full_vm[self.elim] = np.abs(v)
-        full_theta[self.elim] = ref + np.angle(v * np.exp(-1j * ref))
+        w = v * self._unref
+        full_theta[self.elim] = self._ref + np.arctan2(w.imag, w.real)
         return full_vm, full_theta
 
     def partition(self, q_switched: dict):
@@ -399,28 +405,25 @@ def _complex_power(y, vm, theta):
     return v, i_bus, v * np.conj(i_bus)
 
 
-def mismatch_at(s, idx_p, idx_q, p_spec, q_spec) -> np.ndarray:
-    """Power mismatch g = S_spec - S at the nodal complex power ``s``: P rows
-    over ``idx_p``, then Q rows over ``idx_q``."""
-    return np.concatenate([p_spec[idx_p] - s.real[idx_p], q_spec[idx_q] - s.imag[idx_q]])
-
-
-def jacobian_at(net: Reduction, vm, v, i_bus, scatter) -> np.ndarray:
+def jacobian_at(net: Reduction, vm, v, i_bus, layout) -> np.ndarray:
     """d(mismatch)/dx at the kept nodes' magnitudes ``vm``, complex voltages
     ``v`` and bus currents ``i_bus`` = Y v of the reduction ``net``, placed
-    by the maps ``scatter`` of :meth:`Reduction.jacobian_scatter`; its
-    direction column, if any, is left zero.  The identities are evaluated
-    at the reduced Y's nonzeros only."""
+    by ``layout`` = ``(src, dst, template)`` (built by ``Curve``): the
+    maps of :meth:`Reduction.jacobian_scatter` and a matrix holding every
+    entry no iterate changes, into a copy of which the scatter writes.  The
+    identities are evaluated at the reduced Y's nonzeros only."""
     rows, cols, y, diag = net.y_rows, net.y_cols, net.y_nonzero, net.y_diag
-    ds = np.empty((2, len(y)), dtype=complex)  # [dS/dtheta; dS/d|V|]
+    v_rows = v[rows]
+    ds = np.empty((2, len(y)), dtype=complex)
+    ds_dth, ds_dvm = ds
     a = -(y * v[cols])
     a[diag] += i_bus
-    np.multiply(1j * v[rows], np.conj(a), out=ds[0])
+    np.multiply(1j * v_rows, np.conj(a), out=ds_dth)
     vnorm = v / vm
-    np.multiply(v[rows], np.conj(y * vnorm[cols]), out=ds[1])
-    ds[1, diag] += vnorm * np.conj(i_bus)
-    src, dst, shape = scatter
-    jac = np.zeros(shape)
+    np.multiply(v_rows, np.conj(y * vnorm[cols]), out=ds_dvm)
+    ds_dvm[diag] += vnorm * np.conj(i_bus)
+    src, dst, template = layout
+    jac = template.copy()
     jac.reshape(-1)[dst] = -ds.reshape(-1).view(np.float64)[src]
     return jac
 
@@ -428,21 +431,40 @@ def jacobian_at(net: Reduction, vm, v, i_bus, scatter) -> np.ndarray:
 class Curve:
     """The power-flow equations of one switch set over the augmented
     coordinates z = [theta_p, vm_q, lambda] of the kept nodes of the
-    direction's reduction (:meth:`NetworkCase.reduction`): m mismatch rows
-    in m + 1 unknowns, made square by pinning lambda (``lam_coord``) or one
-    kept magnitude (:meth:`vm_coord`), or, given ``limit = (w, c)``, by the
-    bordered limit row |w V|^2 = c^2 for a per-node row ``w`` with nothing
-    pinned."""
+    direction's reduction (:meth:`NetworkCase.reduction`, or ``net``): m
+    mismatch rows in m + 1 unknowns, made square by pinning lambda
+    (``lam_coord``) or one kept magnitude (:meth:`vm_coord`), or, given
+    ``limit = (w, c)``, by the bordered limit row |w V|^2 = c^2 for a
+    per-node row ``w`` with nothing pinned.
 
-    def __init__(self, case, direction, q_switched, limit=None):
+    A curve precomputes what its iterates share (module docstring)."""
+
+    def __init__(self, case, direction, q_switched, limit=None, net=None):
         self.case = case
         self.direction = direction
         self.q_switched = dict(q_switched)
-        self.net = net = case.reduction(direction)
+        self.net = net = case.reduction(direction) if net is None else net
         self.idx_p, self.idx_q, self._loc_p, self._loc_q = net.partition(q_switched)
-        self.n_p = len(self.idx_p)
-        self.lam_coord = self.n_p + len(self.idx_q)
-        self._spec_at = None  # (lambda, specified injections at the kept nodes) last evaluated
+        n_p = self.n_p = len(self.idx_p)
+        self.lam_coord = n_p + len(self.idx_q)
+        # P is the real part, Q the imaginary part of the complex power
+        self._rows = np.concatenate([2 * self._loc_p, 2 * self._loc_q + 1])
+        self._vm_coords = dict(zip(self.idx_q.tolist(), range(n_p, self.lam_coord)))
+        self._spec0 = np.concatenate([case.p0[self.idx_p], case.q0[self.idx_q]])
+        dp, dq = direction if direction is not None else (np.zeros(case.n),) * 2
+        self._dir = np.concatenate([dp[self.idx_p], dq[self.idx_q]])
+        self._q_lim = None  # (rows, values) of the switched reactive limits
+        if self.q_switched:
+            nodes = [case.index[key] for key in self.q_switched]
+            self._q_lim = (
+                np.array([self._vm_coords[i] for i in nodes]),
+                np.array([
+                    case.q_min[i] if side == "min" else case.q_max[i]
+                    for i, side in zip(nodes, self.q_switched.values())
+                ]),
+            )
+        self._spec_lam = self._spec = None  # the specified injections last evaluated
+        self._layouts = {}  # (pin, unit) -> Jacobian layout
         self.limit = limit
         if limit is not None:
             w, c = limit
@@ -473,29 +495,39 @@ class Curve:
         return PowerFlowState(vm, theta, dict(self.q_switched), iterations, norm)
 
     def vm_coord(self, node_index):
-        """Position in z of the magnitude at a node index, which must be kept and free."""
-        return self.n_p + int(np.flatnonzero(self.idx_q == node_index)[0])
+        """Position in z of the magnitude at a node index; None unless that
+        node is kept and its magnitude free."""
+        return self._vm_coords.get(node_index)
 
-    def jacobian(self, vm, theta, pin=None):
+    def jacobian(self, vm, theta, pin=None, unit=None):
         """d(mismatch)/dz at the full (vm, theta) without column ``pin``:
         the power-flow Jacobian when lambda is pinned, else the augmented
         [d(mismatch)/dx | direction] with column ``pin`` removed (kept whole
-        for ``pin=None``)."""
+        for ``pin=None``).  Given the coordinate ``unit``, one more row
+        below, zero but for a 1 there: the bordered matrix of a tangent
+        with that entry 1 (``continuation.tangent``)."""
         kept = self.net.kept
-        v, i_bus, _ = _complex_power(self.net.y, vm[kept], theta[kept])
-        return self._jacobian(vm[kept], v, i_bus, pin)
+        vm = vm[kept]
+        v, i_bus, _ = _complex_power(self.net.y, vm, theta[kept])
+        return jacobian_at(self.net, vm, v, i_bus, self._layout(pin, unit))
 
-    def _jacobian(self, vm, v, i_bus, pin):
-        """:meth:`jacobian` from the kept nodes' magnitudes, complex
-        voltages v and currents Y v."""
-        jac = jacobian_at(
-            self.net, vm, v, i_bus, self.net.jacobian_scatter(self.q_switched, pin)
-        )
-        if pin != self.lam_coord:
-            dp, dq = self.direction
-            jac[: self.n_p, -1] = dp[self.idx_p]
-            jac[self.n_p:, -1] = dq[self.idx_q]
-        return jac
+    def _layout(self, pin, unit=None):
+        """``(src, dst, template)`` of :meth:`jacobian` for
+        :func:`jacobian_at`, built once per (pin, unit): the maps of
+        :meth:`Reduction.jacobian_scatter` and a zero matrix holding the
+        direction column, unless lambda is pinned, and the unit row, if
+        any."""
+        key = pin, unit
+        layout = self._layouts.get(key)
+        if layout is None:
+            src, dst, (m, width) = self.net.jacobian_scatter(self.q_switched, pin)
+            template = np.zeros((m + (unit is not None), width))
+            if pin != self.lam_coord:
+                template[:m, -1] = self._dir
+            if unit is not None:
+                template[m, unit] = 1.0
+            layout = self._layouts[key] = src, dst, template
+        return layout
 
     def linearize(self, z, pin):
         """Project the magnitudes of z onto VM_FLOOR in place, then return
@@ -505,29 +537,35 @@ class Curve:
         np.maximum(vm_q, VM_FLOOR, out=vm_q)
         vm, theta = self._kept(z)
         lam = z[-1]
-        if self._spec_at is None or self._spec_at[0] != lam:
-            # evaluated once per solve while lambda is pinned
-            p_spec, q_spec = self.case.spec_injections(lam, self.direction, self.q_switched)
-            kept = self.net.kept
-            self._spec_at = lam, (p_spec[kept], q_spec[kept])
+        if lam != self._spec_lam:  # once per solve while lambda is pinned
+            spec = self._spec0 + lam * self._dir
+            if self._q_lim is not None:
+                spec[self._q_lim[0]] += self._q_lim[1]
+            self._spec_lam, self._spec = lam, spec
         v, i_bus, s = _complex_power(self.net.y, vm, theta)
-        g = mismatch_at(s, self._loc_p, self._loc_q, *self._spec_at[1])
+        g = self._spec - s.view(np.float64)[self._rows]
         if self.limit is None:
-            return g, lambda: self._jacobian(vm, v, i_bus, pin)
+            return g, lambda: jacobian_at(self.net, vm, v, i_bus, self._layout(pin))
         i_row = self._w @ v
         g = np.append(g, i_row.real ** 2 + i_row.imag ** 2 - self._c2)
         return g, lambda: self._limit_jacobian(vm, v, i_bus, i_row)
 
     def _limit_jacobian(self, vm, v, i_bus, i_row):
         """The augmented Jacobian with the limit row below it:
-        d|I|^2/dx_j = 2 Re(conj(I) w_j dV_j/dx_j) for I = w V."""
+        d|I|^2/dx_j = 2 Re(conj(I) w_j dV_j/dx_j) for I = w V.  The row
+        takes the place of a tangent's unit row, lambda's entry zero."""
         dv = 2.0 * np.conj(i_row) * self._w * v
-        row = np.concatenate([(1j * dv).real[self._loc_p], (dv / vm).real[self._loc_q], [0.0]])
-        return np.vstack([self._jacobian(vm, v, i_bus, None), row])
+        jac = jacobian_at(self.net, vm, v, i_bus, self._layout(None, self.lam_coord))
+        border = jac[-1]
+        border[: self.n_p] = (1j * dv).real[self._loc_p]
+        border[self.n_p:-1] = (dv / vm).real[self._loc_q]
+        border[-1] = 0.0
+        return jac
 
     def settle(self, z, iterations, norm):
-        """The state at a converged z and the curve of the next switching
-        round, None once no unswitched PV phase violates its reactive limit.
+        """The state at a converged z and the switch set of the next
+        switching round, None once no unswitched PV phase violates its
+        reactive limit.
 
         The next round switches the nearest violation (module docstring).
         """
@@ -550,8 +588,7 @@ class Curve:
         if not violations:
             return state, None
         _, i, side = min(violations)
-        switched = {**self.q_switched, case.nodes[i]: side}
-        return state, Curve(case, self.direction, switched, self.limit)
+        return state, {**self.q_switched, case.nodes[i]: side}
 
 
 def correct(
@@ -575,7 +612,7 @@ def correct(
     last = math.inf
     for it in range(MAX_ITER + 1):
         g, jac = linearize(z, pin)
-        norm = float(np.max(np.abs(g))) if g.size else 0.0
+        norm = float(np.abs(g).max()) if g.size else 0.0
         if norm < tol:
             return z, it, norm
         rising = abort_on_rise and norm >= last
@@ -593,7 +630,7 @@ def correct(
             raise SingularJacobianError(
                 f"jacobian factorization failed at iteration {it}"
             ) from None
-        if not np.all(np.isfinite(dz)):
+        if not np.isfinite(dz).all():
             raise SingularJacobianError(f"non-finite newton step at iteration {it}")
         if pin is None:
             z += dz
@@ -610,19 +647,29 @@ def solve(
     *,
     initial: PowerFlowState | None = None,
     abort_on_rise: bool = False,
+    start: tuple | None = None,
 ) -> PowerFlowState:
     """Newton solve at fixed lambda with reactive-limit switching; each
     switching round is one :func:`correct` with lambda pinned.
 
     ``initial`` (default: the flat start) provides both the starting point
     and the inherited switch set; solving again from a returned state
-    performs zero extra switches.  ``abort_on_rise`` is passed to
+    performs zero extra switches.  ``start = (curve, z)`` starts instead
+    from the packed point z, its lambda entry set to ``lam``, on the curve
+    of the starting switch set: a continuation step hands over the
+    prediction it holds.  The returned ``newton_total`` adds this solve's
+    iterations to ``initial``'s.  ``abort_on_rise`` is passed to
     :func:`correct`.  A ConvergenceError counts the iterations of every
     round.
     """
-    start = initial if initial is not None else case.flat_state()
-    curve = Curve(case, direction, start.q_switched)
-    z = curve.pack(start, lam)
+    if start is None:
+        origin = initial if initial is not None else case.flat_state()
+        curve = Curve(case, direction, origin.q_switched)
+        z = curve.pack(origin, lam)
+    else:
+        curve, z = start
+        z = z.copy()
+        z[-1] = lam
     total = 0
     while True:  # each round switches one more PV phase, so this ends
         try:
@@ -631,11 +678,11 @@ def solve(
             exc.iterations += total
             raise
         total += iters
-        state, next_curve = curve.settle(z, iters, norm)
-        if next_curve is None:
-            state.newton_total = start.newton_total + total
+        state, switched = curve.settle(z, iters, norm)
+        if switched is None:
+            state.newton_total = (0 if initial is None else initial.newton_total) + total
             return state
-        curve = next_curve
+        curve = Curve(case, direction, switched, net=curve.net)
         z = curve.pack(state, lam)
 
 

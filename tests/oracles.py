@@ -58,13 +58,32 @@ def power_balance(case, state):
     return s_nodal, s_elem
 
 
+def spec_injections(case, lam, direction, q_switched):
+    """Specified injections (p, q) per node at ``lam``: the base injections
+    plus lambda times the direction (a pair of per-node arrays, or None),
+    then each switched PV phase's reactive limit added to its q."""
+    dp, dq = direction if direction is not None else (0.0, 0.0)
+    p_spec = case.p0 + lam * dp
+    q_spec = case.q0 + lam * dq
+    for key, side in q_switched.items():
+        i = case.index[key]
+        q_spec[i] += case.q_min[i] if side == "min" else case.q_max[i]
+    return p_spec, q_spec
+
+
+def mismatch_at(s, idx_p, idx_q, p_spec, q_spec):
+    """Power mismatch g = S_spec - S at the nodal complex power ``s``: P
+    rows over ``idx_p``, then Q rows over ``idx_q``."""
+    return np.concatenate([p_spec[idx_p] - s.real[idx_p], q_spec[idx_q] - s.imag[idx_q]])
+
+
 def mismatch(case, state, lam=0.0, direction=None):
     """Power mismatch g = S_spec(lambda) - S(x) of a state over the unknown
-    rows, from the program's own residual."""
-    p_spec, q_spec = case.spec_injections(lam, direction, state.q_switched)
+    rows of the whole network."""
+    p_spec, q_spec = spec_injections(case, lam, direction, state.q_switched)
     idx_p, idx_q = case.partition(state.q_switched)
     v = state.voltage()
-    return powerflow.mismatch_at(v * np.conj(case.y @ v), idx_p, idx_q, p_spec, q_spec)
+    return mismatch_at(v * np.conj(case.y @ v), idx_p, idx_q, p_spec, q_spec)
 
 
 def jacobian(case, state):
@@ -136,14 +155,15 @@ def fold_lambda(case, direction, lam_below, eta_tol=1e-7):
 
     def lam_at(eta):
         state, lam = min(solved, key=lambda p: abs(p[0].vm[node] - eta))
-        curve = powerflow.Curve(case, direction, state.q_switched)
-        while curve is not None:  # one more PV phase switched per round
+        switched = state.q_switched
+        while switched is not None:  # one more PV phase switched per round
+            curve = powerflow.Curve(case, direction, switched)
             z = curve.pack(state, lam)
             pin = curve.vm_coord(node)
             z[pin] = eta
             z, iters, norm = powerflow.correct(curve.linearize, z, pin)
             lam = float(z[-1])
-            state, curve = curve.settle(z, iters, norm)
+            state, switched = curve.settle(z, iters, norm)
         solved.append((state, lam))
         return lam
 
@@ -207,6 +227,41 @@ def basis_matrix_columns(xi, indices):
             if k:
                 a[:, col] *= table[k, :, dim]
     return a
+
+
+def lars_path(x, y, steps):
+    """Plain LARS after Efron et al. (2004), the slow way and written
+    independently of ``chaos.lars_select``.
+
+    The direction is the least-squares fit of the residual on the signed
+    active columns: moving the fit a fraction t along it scales every active
+    correlation by (1 - t).  The step stops at the first t where an inactive
+    correlation ties the shrinking active one.  Returns the entry order and,
+    per step, (active set, correlations with the residual, the unit
+    direction the fit then moves along, None at the last step).
+    """
+    mu = np.zeros(len(y))
+    active = [int(np.argmax(np.abs(x.T @ y)))]
+    history = []
+    while True:
+        r = y - mu
+        c = x.T @ r
+        if len(active) == steps:
+            history.append((list(active), c, None))
+            return active, history
+        signs = np.sign(c[active])
+        xa = x[:, active] * signs
+        d = xa @ np.linalg.lstsq(xa, r, rcond=None)[0]
+        history.append((list(active), c, d / np.linalg.norm(d)))
+        a = x.T @ d
+        big_c = np.abs(c[active]).max()
+        t_best, j_best = 1.0, None
+        for j in sorted(set(range(x.shape[1])) - set(active)):
+            for num, den in ((big_c - c[j], big_c - a[j]), (big_c + c[j], big_c + a[j])):
+                if den > 0 and 0 < num / den < t_best:
+                    t_best, j_best = num / den, j
+        mu = mu + t_best * d
+        active.append(j_best)
 
 
 def design_points_loop(dimension, n_rows):

@@ -1,5 +1,6 @@
 """Assessment pipeline: method runners, comparison table, report files, CLI."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -323,7 +324,7 @@ def test_pool_capped_at_cpu_count(monkeypatch):
             opened.append(("chunk", chunksize))
             return []
 
-    monkeypatch.setattr(assessment, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     ctx, _ = _small_ctx()
     with assessment.trace_pool(ctx, 5000) as trace:
@@ -885,12 +886,10 @@ def test_report_delta_names_each_differing_file_and_skips_wall_clock_lines(tmp_p
     assert script["differing_files"](old, old) == []
 
 
-def test_cli_and_report_import_without_scipy():
-    # scipy is a test-only dependency: the program must not load it
-    code = (
-        "import sys, adcap.cli, adcap.report; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _modules_after_cli_import(expression):
+    """``expression`` over ``sys.modules`` in a fresh interpreter that has
+    imported ``adcap.cli`` and ``adcap.report`` from this checkout."""
+    code = f"import sys, adcap.cli, adcap.report; print({expression})"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
@@ -898,7 +897,19 @@ def test_cli_and_report_import_without_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_and_report_import_without_scipy():
+    # scipy is a test-only dependency: the program must not load it
+    expression = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    assert _modules_after_cli_import(expression) == "[]"
+
+
+def test_cli_and_report_import_without_the_process_pool():
+    # only a run of more than one worker loads concurrent.futures and with it
+    # multiprocessing, so a serial run does not pay for their import
+    assert _modules_after_cli_import("'concurrent.futures' in sys.modules") == "False"
 
 
 def _declared_entry_point(name):

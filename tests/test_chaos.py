@@ -35,6 +35,7 @@ from oracles import (
     design_points_loop,
     evaluate,
     hermite_1d,
+    lars_path,
     pce_model_from_dict,
     surrogate_statistics,
 )
@@ -231,58 +232,40 @@ def test_lars_matches_sklearn_entry_order():
     assert set(order[:3]) == {3, 11, 17}
 
 
-def _lars_reference(x, y, steps):
-    """Plain LARS after Efron et al. (2004), written independently of
-    ``lars_select``.
-
-    The direction is the least-squares fit of the residual on the signed
-    active columns: moving the fit a fraction t along it scales every active
-    correlation by (1 - t).  The step stops at the first t where an inactive
-    correlation ties the shrinking active one.  Returns the entry order and,
-    per step, (active set, correlations with the residual).
-    """
-    mu = np.zeros(len(y))
-    active = [int(np.argmax(np.abs(x.T @ y)))]
-    history = []
-    while True:
-        r = y - mu
-        c = x.T @ r
-        history.append((list(active), c))
-        if len(active) == steps:
-            return active, history
-        signs = np.sign(c[active])
-        xa = x[:, active] * signs
-        d = xa @ np.linalg.lstsq(xa, r, rcond=None)[0]
-        a = x.T @ d
-        big_c = np.abs(c[active]).max()
-        t_best, j_best = 1.0, None
-        for j in sorted(set(range(x.shape[1])) - set(active)):
-            for num, den in ((big_c - c[j], big_c - a[j]), (big_c + c[j], big_c + a[j])):
-                if den > 0 and 0 < num / den < t_best:
-                    t_best, j_best = num / den, j
-        mu = mu + t_best * d
-        active.append(j_best)
+def _standardized(rng, rows, cols, terms):
+    """Centred unit-norm columns and a centred response of ``terms`` of them
+    plus noise: random data, so no two correlations tie."""
+    x = rng.standard_normal((rows, cols))
+    x -= x.mean(axis=0)
+    x /= np.linalg.norm(x, axis=0)
+    beta = np.zeros(cols)
+    beta[rng.choice(cols, terms, replace=False)] = rng.normal(0.0, 2.0, terms)
+    y = x @ beta + 0.3 * rng.standard_normal(rows)
+    return x, y - y.mean()
 
 
 def test_lars_matches_in_repo_oracle():
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((40, 15))
-        x -= x.mean(axis=0)
-        x /= np.linalg.norm(x, axis=0)
-        beta = np.zeros(15)
-        beta[rng.choice(15, 4, replace=False)] = rng.normal(0.0, 2.0, 4)
-        y = x @ beta + 0.3 * rng.standard_normal(40)
-        y -= y.mean()
-        order, history = _lars_reference(x, y, steps=10)
-        for active, c in history:
-            # equiangular: every active predictor has the same |correlation|,
-            # and no inactive one exceeds it
-            big_c = np.abs(c[active]).max()
-            assert np.allclose(np.abs(c[active]), big_c, rtol=1e-9)
-            inactive = np.setdiff1d(np.arange(15), active)
-            assert np.abs(c[inactive]).max() <= big_c * (1 + 1e-9)
-        assert lars_select(x, y, max_steps=10) == order
+    """lars_select's entry order equals the slow reference path's
+    (``oracles.lars_path``), over tall data and over data wider than it is
+    tall, like a sparse design (31 rows, 60 columns).  Along the reference,
+    at every step every active predictor has the same |correlation|, no
+    inactive one exceeds it, and the fit moves along a unit direction at
+    one positive angle to every signed active column."""
+    for rows, cols, terms in ((40, 15, 4), (31, 60, 6), (91, 90, 8)):
+        for seed in range(6):
+            x, y = _standardized(np.random.default_rng(seed), rows, cols, terms)
+            order, history = lars_path(x, y, steps=10)
+            for active, c, u in history:
+                big_c = np.abs(c[active]).max()
+                assert np.allclose(np.abs(c[active]), big_c, rtol=1e-9)
+                inactive = np.setdiff1d(np.arange(cols), active)
+                assert np.abs(c[inactive]).max() <= big_c * (1 + 1e-9)
+                if u is not None:
+                    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+                    angles = np.sign(c[active]) * (x[:, active].T @ u)
+                    assert angles.min() > 0.0
+                    assert np.allclose(angles, angles[0], rtol=1e-9)
+            assert lars_select(x, y, max_steps=10) == order, (rows, cols, seed)
 
 
 @pytest.mark.parametrize("dup_at", [0, 15])

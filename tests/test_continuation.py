@@ -63,10 +63,11 @@ def test_secant_prediction_extrapolates():
 
 
 def test_tangent_prediction_on_linear_curve():
-    # residuals z0 + 2 z1 - 3 lam and z1 - lam define the line z = (lam, lam)
+    # residuals z0 + 2 z1 - 3 lam and z1 - lam define the line z = (lam, lam);
+    # the bordered matrix's unit row makes lam the coordinate that moves by h
     a = np.array([[1.0, 2.0, -3.0], [0.0, 1.0, -1.0]])
     z = np.zeros(3)
-    zp = predict_tangent(a, z, h=0.2, param_index=2)
+    zp = predict_tangent(np.vstack([a, [0.0, 0.0, 1.0]]), z, h=0.2)
     assert zp[2] == pytest.approx(0.2)
     assert np.allclose(a @ zp, 0.0, atol=1e-12)
     assert zp[0] == pytest.approx(0.2) and zp[1] == pytest.approx(0.2)
@@ -75,7 +76,7 @@ def test_tangent_prediction_on_linear_curve():
 def test_singular_tangent_system_raises_singular_jacobian_error():
     # a bare LinAlgError would escape the per-trace failure handling
     with pytest.raises(SingularJacobianError, match="singular"):
-        tangent(np.zeros((2, 3)), 0)
+        tangent(np.vstack([np.zeros((2, 3)), [1.0, 0.0, 0.0]]))
 
 
 # -- two-bus analytic benchmarks --------------------------------------------------

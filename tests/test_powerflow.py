@@ -12,6 +12,7 @@ from adcap.powerflow import (
     TOL,
     Curve,
     PowerFlowState,
+    _complex_power,
     branch_flows,
     correct,
     solve,
@@ -19,7 +20,15 @@ from adcap.powerflow import (
 from adcap.stochastic import assemble_variation, build_registry
 
 from conftest import delta_wye_doc, two_bus_doc
-from oracles import branch_flows_loop, dense_jacobian, jacobian, mismatch, power_balance
+from oracles import (
+    branch_flows_loop,
+    dense_jacobian,
+    jacobian,
+    mismatch,
+    mismatch_at,
+    power_balance,
+    spec_injections,
+)
 
 
 def _perturbed_state(case, scale, rng):
@@ -260,8 +269,6 @@ def test_pv_bus_switches_to_pq_at_limit():
     assert state.q_switched == {("g", "a"): "max"}
     assert state.vm[i] < 1.02  # magnitude released after pinning q at the cap
     # the delivered reactive power sits exactly at the limit
-    from adcap.powerflow import _complex_power
-
     _, _, s = _complex_power(case.y, state.vm, state.theta)
     assert s.imag[i] - case.q0[i] == pytest.approx(50.0 / 1000.0, abs=1e-8)
 
@@ -369,6 +376,66 @@ def test_jacobian_equals_the_dense_identities(case, feeder_doc, registry):
                 assert np.array_equal(
                     jac[:, -1], np.concatenate([direction[0][curve.idx_p], direction[1][curve.idx_q]])
                 )
+
+
+def test_bordered_tangent_matrix_is_the_jacobian_over_a_unit_row(case, registry):
+    """The tangent's bordered matrix is the augmented Jacobian with the unit
+    row of the coordinate that moves below it, bit for bit: for lambda and
+    for one magnitude."""
+    direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    curve = Curve(case, direction, {})
+    vm, theta = curve.unpack(curve.pack(_perturbed_state(case, 0.05, np.random.default_rng(5)), 0.5))
+    for unit in (curve.lam_coord, curve.vm_coord(int(curve.idx_q[3]))):
+        e_unit = np.zeros(curve.lam_coord + 1)
+        e_unit[unit] = 1.0
+        want = np.vstack([curve.jacobian(vm, theta), e_unit])
+        assert np.array_equal(curve.jacobian(vm, theta, unit=unit), want)
+
+
+def test_newton_residual_is_the_reference_mismatch_bit_for_bit(feeder_doc, registry):
+    """The Newton loop's residual equals oracles.mismatch_at over the
+    specified injections of oracles.spec_injections, bit for bit, on a pv
+    case with one phase switched to each reactive limit.  At a solved
+    point the residual is small enough to keep the last bits of the
+    specified injections, so adding the limits before lambda times the
+    direction would show (at lambda 0.8, not at 0.5)."""
+    case = _pv675_case(feeder_doc)
+    direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    switched = {("675", "b"): "max", ("675", "c"): "min"}
+    curve = Curve(case, direction, switched)
+    z = curve.pack(solve(case, 0.5, direction), 0.8)
+    vm, theta = curve.unpack(z)
+    net = curve.net
+    _, _, s = _complex_power(net.y, vm[net.kept], theta[net.kept])
+    p_spec, q_spec = spec_injections(case, 0.8, direction, switched)
+    want = mismatch_at(
+        s, net.local[curve.idx_p], net.local[curve.idx_q], p_spec[net.kept], q_spec[net.kept]
+    )
+    assert np.array_equal(curve.linearize(z.copy(), curve.lam_coord)[0], want)
+
+
+@pytest.mark.parametrize("pv675, lam", [(False, 0.5), (True, 0.78)])
+def test_natural_step_from_a_packed_start_matches_one_from_its_state(
+    case, feeder_doc, registry, pv675, lam
+):
+    """A solve handed a curve and a packed start returns what a solve from
+    the state of that start returns, bit for bit; on the pv case the step
+    switches reactive limits on the way."""
+    cs = _pv675_case(feeder_doc) if pv675 else case
+    direction = cs.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    base = solve(cs)
+    curve = Curve(cs, direction, base.q_switched)
+    z = curve.pack(base, 0.0)
+    packed = solve(cs, lam, direction, start=(curve, z))
+    unpacked = solve(cs, lam, direction, initial=curve.state(z))
+    assert np.array_equal(z, curve.pack(base, 0.0))  # the start is left as it was
+    assert np.array_equal(packed.vm, unpacked.vm)
+    assert np.array_equal(packed.theta, unpacked.theta)
+    assert packed.q_switched == unpacked.q_switched
+    assert bool(packed.q_switched) == pv675
+    assert packed.iterations == unpacked.iterations
+    assert packed.newton_total == unpacked.newton_total > 0
+    assert packed.max_mismatch == unpacked.max_mismatch
 
 
 def test_loading_row_equation_and_its_jacobian(case, registry):
