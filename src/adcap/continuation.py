@@ -2,39 +2,53 @@
 of delivery margins.
 
 The driver marches in the load-growth parameter lambda: every step is a
-power-flow solve at a pinned lambda (``powerflow.solve``) that starts from
-the secant through the last two accepted points, or from the tangent while
-the march holds one.  A trace builds one ``powerflow.Curve`` per switch set
-on the one reduction of its direction, and every step, crossing and fold
-iterate in that set solves on it; a step hands ``powerflow.solve`` that
-curve and its packed prediction.  The first step is STEP0 long, a
-rejected step is retried at half the length, and the step doubles, up to
-STEP_MAX, after GROW_AFTER (one) consecutive corrections of at most
-EASY_ITERS iterations:
-the margins of a trace lie a few tenths apart in lambda, so a short march
-of long steps brackets them, and each crossing is solved directly (below),
-not by shortening the steps.  A step is accepted only at nonnegative lambda and
-within MAX_VM_STEP in every magnitude of the point it started from;
-further away it has slid onto the lower branch.  The march stops at the
-first of three signs of the nose: a secant along which some magnitude
-moves further than lambda; the first step that fails or is rejected while
-the march holds two points, which is most often the step past the nose; or
-a step that fails down to the step floor STEP_MIN.  The fold is solved from
-there.  Only at the first failed step may that solve fail: the march then
-halves on as before, and waits for one of the other two signs.
+power-flow solve at a pinned lambda (``powerflow.solve``).  A trace builds
+one ``powerflow.Curve`` per switch set on the one reduction of its
+direction, and every step, crossing and fold iterate in that set solves on
+it; each accepted point keeps its z = [theta_p, vm_q, lambda] packed once on
+its set's curve, and a step hands ``powerflow.solve`` that curve and its
+prediction.  Every corrector starts from a polynomial through what the
+trace already holds (``interpolate``), and a predictor reads only points
+and tangents of the curve it predicts on; across a switch set it falls back
+to the chord or secant, the other point packed on that curve.  A step
+starts, in lambda, from the tangent at the base point for the first step,
+from that tangent and the two points for the second, and from the
+quadratic through the last three points after that.  The first step is
+STEP0 long, a rejected step is retried at half the length, and the step
+doubles, up to STEP_MAX, after GROW_AFTER (one) consecutive corrections of
+at most EASY_ITERS iterations: the margins of a trace lie a few tenths
+apart in lambda, so a short march of long steps brackets them, and each
+crossing is solved directly (below), not by shortening the steps.  A step
+is accepted only at nonnegative lambda and within MAX_VM_STEP in every
+magnitude of the point it started from; further away it has slid onto the
+lower branch.
+
+The march stops at the first of four signs of the nose: the parabola
+lambda(eta) through the last three points, all on one switch set, peaks
+below the next step's lambda (eta as below), so the step would most likely
+land past the nose; a secant along which some magnitude moves further than
+lambda; the first step that fails or is rejected while the march holds two
+points, which is most often the step past the nose; or a step that fails
+down to the step floor STEP_MIN.  The fold is solved from there, and from
+the last two points in each case, so a fold solved at the predicted nose is
+bit for bit the one solved after the failed step past it.  The march makes
+one fold solve that may fail, at the predicted nose or else at its first
+failed step: the march then goes on as before, and waits for one of the
+signs that leave no choice.
 
 The collapse point is solved directly.  At the fold lambda is
 stationary along the curve, so with eta the free voltage magnitude that
 moved most over the last step, the fold is the root of s(eta) = d lambda /
-d eta, the lambda entry of the tangent with eta's entry 1 (``tangent``).
-Eta is always a magnitude of the Newton system, which holds only the nodes
-its Kron reduction keeps (``powerflow.NetworkCase.reduction``).  A secant
-on s starts from the last two points; each iterate is one solve of the
-power flow's augmented system (``powerflow.Curve``) with eta pinned and
-lambda free, by its one Newton loop (``powerflow.correct``), from the chord
-through the two latest points, followed by one tangent solve on the
+d eta, the lambda entry of the tangent dz / d eta, the one with eta's entry
+1 (``tangent``).  Eta is always a magnitude of the Newton system, which
+holds only the nodes its Kron reduction keeps
+(``powerflow.NetworkCase.reduction``).  A secant on s starts from the last
+two points; each iterate is one solve of the power flow's augmented system
+(``powerflow.Curve``) with eta pinned and lambda free, by its one Newton
+loop (``powerflow.correct``), from the cubic Hermite in eta through the two
+latest points and their tangents, followed by one tangent solve on the
 augmented Jacobian there.  An iterate is judged like a march step, but from
-the chord it corrects from, not from the last point: the fold can lie
+the start it corrects from, not from the last point: the fold can lie
 further than MAX_VM_STEP from the last point when the step past the nose
 was long.  The secant stops once the quadratic estimate of the lambda
 still to gain is at most TOL times lambda.  A march of one point takes its
@@ -42,13 +56,16 @@ first iterate where its pending step would have started.
 
 A limit crossing (voltage band, branch ampacity) is bracketed between two
 accepted points, the fold included, and solved directly by the same
-corrector, from the chord at the margin's linear zero: the element binding
-at the violated end is held at its limit and lambda floats.  A voltage
-crossing at a node the reduction keeps pins that node's magnitude at the
-band edge; at an eliminated node, and for a thermal crossing, nothing is
-pinned and ``Curve`` adds one bordered limit row: |V| of the node's
-recovered voltage at the band edge, or the current of the branch's most
-loaded rated row at its ampacity.  Crossings converge to CROSSING_TOL
+corrector: the element binding at the violated end is held at its limit
+and lambda floats.  A voltage crossing at a node the reduction keeps starts
+at the node's own zero: on the quadratic in the node's magnitude through
+the point before the bracket and the bracket's ends, at the band edge.  Any
+other crossing starts from the chord between the bracket's ends at the
+class margin's linear zero.  A voltage crossing at a node the reduction keeps pins that
+node's magnitude at the band edge; at an eliminated node, and for a thermal
+crossing, nothing is pinned and ``Curve`` adds one bordered limit row: |V|
+of the node's recovered voltage at the band edge, or the current of the
+branch's most loaded rated row at its ampacity.  Crossings converge to CROSSING_TOL
 (1e-11), three orders below the march's ``powerflow.TOL``, so a crossing's
 lambda does not depend, at that level, on where it was started from.  If
 another element of the class lies further out than CROSSING_TOL at the
@@ -197,12 +214,32 @@ def solve_base_case(case: pf.NetworkCase):
 
 # -- predictors over augmented vectors z = [theta_p, vm_q, lambda] -------------
 
-def predict_secant(z_prev: np.ndarray, z_curr: np.ndarray, h: float, param_index: int) -> np.ndarray:
-    """Advance along the secant so the pinned coordinate moves by exactly h."""
-    d = z_curr - z_prev
-    if d[param_index] == 0.0:
-        raise ZeroDivisionError("secant direction orthogonal to parameter")
-    return z_curr + d * (h / d[param_index])
+def interpolate(nodes, x):
+    """Value at ``x`` of the polynomial through ``nodes``, each ``(x_i, z_i)``
+    or ``(x_i, z_i, dz_i)``: a node fixes the value z_i at x_i and, given
+    dz_i, the derivative there too (Hermite interpolation by Newton's divided
+    differences, the abscissa of a derivative taken twice).  Two values give
+    the secant, a value and a derivative the tangent, three values the
+    quadratic, two values and two derivatives the cubic Hermite.  Distinct
+    nodes need distinct abscissae."""
+    xs, coef, slopes = [], [], {}
+    for x_i, z_i, *dz in nodes:
+        if dz:
+            slopes[len(xs) + 1] = dz[0]
+            xs.append(x_i)
+            coef.append(z_i)
+        xs.append(x_i)
+        coef.append(z_i)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):  # downwards: coef[i - 1] is still of order k - 1
+            if k == 1 and i in slopes:
+                coef[i] = slopes[i]
+            else:
+                coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
+    z = coef[-1]
+    for i in range(len(xs) - 2, -1, -1):
+        z = coef[i] + (x - xs[i]) * z
+    return z
 
 
 def tangent(bordered: np.ndarray) -> np.ndarray:
@@ -218,17 +255,14 @@ def tangent(bordered: np.ndarray) -> np.ndarray:
         raise SingularJacobianError("bordered tangent system is singular") from None
 
 
-def predict_tangent(bordered: np.ndarray, z_curr: np.ndarray, h: float) -> np.ndarray:
-    """First-step predictor: z + h t, t the :func:`tangent` of the bordered
-    matrix, whose unit row is the coordinate that moves by h."""
-    return z_curr + h * tangent(bordered)
-
-
 @dataclass
 class _TracePoint:
     lam: float
     state: pf.PowerFlowState
-    status: LimitStatus
+    curve: pf.Curve  # the trace's curve of the state's switch set
+    z: np.ndarray  # the point on ``curve``
+    status: LimitStatus | None = None  # set once the point is accepted
+    tangent: np.ndarray | None = None  # dz / d lambda on ``curve``, once solved
 
 
 class _Tracer:
@@ -274,7 +308,8 @@ class _Tracer:
         """Correction from ``z`` to the mismatch max-norm ``tol`` with lambda
         free and the magnitude at ``pin_node`` pinned (nothing pinned for
         None, on a curve with a limit row), switching reactive limits by
-        the power-flow rule; returns ``(state, lambda)``."""
+        the power-flow rule; returns ``(state, z)``, z converged on the
+        state's switch set."""
         while True:  # each round switches one more PV phase, so this ends
             pin = None if pin_node is None else curve.vm_coord(pin_node)
             try:
@@ -286,43 +321,82 @@ class _Tracer:
             state, switched = curve.settle(z, iters, norm)
             if switched is None:
                 self.n_solves += 1
-                return state, float(z[-1])
+                return state, z
             if curve.limit is None:
                 curve = self._curve(switched)
             else:
                 curve = pf.Curve(self.case, self.direction, switched, curve.limit, self.net)
             z = curve.pack(state, z[-1])
 
+    def _point(self, lam, state, z=None) -> _TracePoint:
+        """A solved point on the curve of its switch set, packed there
+        unless its ``z`` on that curve is given."""
+        curve = self._curve(state.q_switched)
+        return _TracePoint(lam, state, curve, curve.pack(state, lam) if z is None else z)
+
+    def _last_on_one_curve(self):
+        """The last points, at most three, that lie on the last point's
+        curve with no point of another between them."""
+        points = self.points
+        k = 1
+        while k < min(3, len(points)) and points[-k - 1].curve is points[-1].curve:
+            k += 1
+        return points[-k:]
+
     def _pin(self):
         """The fold's coordinate eta: the free kept magnitude of the last
         point's switch set that moved most since the point before (the
-        first free one at the base point).  Raises ConvergenceError when
-        every magnitude is held."""
+        first free one at the base point); None when every magnitude is
+        held."""
         points = self.points
-        last = points[-1].state
-        dvm = last.vm - points[-2].state.vm if len(points) > 1 else -np.ones(self.case.n)
-        free = self._curve(last.q_switched).idx_q
-        if not free.size:
-            raise ConvergenceError(
-                "the fold has no free voltage magnitude to pin"
-            )
-        return int(free[np.abs(dvm[free]).argmax()])
+        last = points[-1]
+        dvm = last.state.vm - points[-2].state.vm if len(points) > 1 else -np.ones(self.case.n)
+        free = last.curve.idx_q
+        return int(free[np.abs(dvm[free]).argmax()]) if free.size else None
 
     def _predict(self, h):
-        """Start of the step that raises lambda by h from the last point, in
-        that point's switch set: along the secant through the last two
-        points, or the tangent while the march holds one.  Returns
-        ``(curve, z)``."""
+        """Start of the step that raises lambda by h from the last point, on
+        that point's curve: the quadratic in lambda through the last three
+        points, or through the last two and the tangent at the first of
+        them, all on that curve; else the secant through the last two
+        points, the one before packed on the last one's curve, or the
+        tangent at a lone point.  Returns ``(curve, z)``."""
         last = self.points[-1]
-        curve = self._curve(last.state.q_switched)
-        z = curve.pack(last.state, last.lam)
-        if len(self.points) >= 2:
+        curve = last.curve
+        lam = last.lam + h
+        if len(self.points) == 1:
+            if last.tangent is None:
+                last.tangent = tangent(
+                    curve.jacobian(last.state.vm, last.state.theta, unit=curve.lam_coord)
+                )
+            return curve, interpolate([(last.lam, last.z, last.tangent)], lam)
+        run = self._last_on_one_curve()
+        nodes = [(p.lam, p.z) for p in run]
+        if len(run) == 1:  # the point before lies on another switch set
             before = self.points[-2]
-            return curve, predict_secant(
-                curve.pack(before.state, before.lam), z, h, curve.lam_coord
-            )
-        bordered = curve.jacobian(last.state.vm, last.state.theta, unit=curve.lam_coord)
-        return curve, predict_tangent(bordered, z, h)
+            nodes.insert(0, (before.lam, curve.pack(before.state, before.lam)))
+        elif len(run) == 2 and run[0].tangent is not None:
+            nodes[0] += (run[0].tangent,)
+        return curve, interpolate(nodes, lam)
+
+    def _nose_ahead(self, h) -> bool:
+        """Whether the parabola lambda(eta) through the last three points,
+        all on one switch set, peaks below lambda + h, eta the magnitude
+        ``_pin`` picks: a step of h would then most likely land past the
+        nose.  With the parabola lambda_2 + s (eta - eta_2) + a (eta -
+        eta_2)^2 about the last point, its peak lies s^2 / -4a above it for
+        a < 0, and there is none for a >= 0."""
+        run = self._last_on_one_curve()
+        pin_node = self._pin() if len(run) == 3 else None
+        if pin_node is None:
+            return False
+        (e0, l0), (e1, l1), (e2, l2) = [(float(p.state.vm[pin_node]), p.lam) for p in run]
+        if e0 == e1 or e1 == e2 or e0 == e2:
+            return False
+        d12 = (l2 - l1) / (e2 - e1)
+        a = (d12 - (l1 - l0) / (e1 - e0)) / (e2 - e0)
+        s = d12 + a * (e2 - e1)  # d lambda / d eta at the last point
+        return s * s < -4.0 * a * h
 
     @staticmethod
     def _sane(lam, state, ref_vm) -> bool:
@@ -349,7 +423,8 @@ class _Tracer:
     def _accept(self, lam, state, status=None):
         """Append a solved point with its limit status (computed unless
         given), first solving each limit crossed since the previous point."""
-        new = _TracePoint(lam, state, status or check_limits(self.case, state))
+        new = self._point(lam, state)
+        new.status = status or check_limits(self.case, state)
         if self.points:
             prev = self.points[-1]
             for cls in ("voltage", "thermal"):
@@ -362,20 +437,19 @@ class _Tracer:
     # limit crossings ------------------------------------------------------------
 
     def _cross(self, cls, a: _TracePoint, b: _TracePoint):
-        """The point between accepted points ``a`` (class margin >= 0) and
-        ``b`` (< 0) where the margin of class ``cls`` is zero (module
+        """The point between the last accepted point ``a`` (class margin >=
+        0) and ``b`` (< 0) where the margin of class ``cls`` is zero (module
         docstring): returns ``(lambda, binding label)``.  Raises
         ConvergenceError when the held element keeps changing, or when the
         solution lies outside [a.lam, b.lam] or further than MAX_VM_STEP
         from ``a``."""
-        fa, fb = self._margins(a.status)[cls], self._margins(b.status)[cls]
-        t = fa / (fa - fb)
-        curve = self._curve(b.state.q_switched)
-        z = (1.0 - t) * curve.pack(a.state, a.lam) + t * curve.pack(b.state, b.lam)
         state, status = b.state, b.status
+        curve = b.curve
+        z = self._crossing_start(cls, a, b)
         for _ in range(MAX_REPINS + 1):
             element = self._binding(status, cls)
-            state, lam = self._solve_at_limit(curve, z, element, state)
+            state, z = self._solve_at_limit(curve, z, element, state)
+            lam = float(z[-1])
             status = check_limits(self.case, state)
             # the held element sits on its limit to the crossing tolerance
             if self._margins(status)[cls] >= -CROSSING_TOL:
@@ -393,6 +467,29 @@ class _Tracer:
             return lam, element
         side, (bus, phase) = element
         return lam, f"{bus}.{phase}:{side}"
+
+    def _crossing_start(self, cls, a: _TracePoint, b: _TracePoint):
+        """Where the crossing of ``_cross`` starts, on ``b``'s curve: for a
+        voltage crossing held at a kept node, with the point before ``a``
+        and both ends on that curve and the node's magnitude monotone over
+        them, the quadratic in that magnitude through those three points, at
+        the node's band edge; else the chord from ``a`` (packed on ``b``'s
+        curve when it lies on another) to ``b`` at the class margin's linear
+        zero."""
+        curve = b.curve
+        run = self.points[-2:] + [b]
+        if cls == "voltage" and len(run) == 3 and all(p.curve is curve for p in run):
+            side, node = self._binding(b.status, cls)
+            i = self.case.index[node]
+            e0, e1, e2 = (p.state.vm[i] for p in run)
+            if curve.vm_coord(i) is not None and (e1 - e0) * (e2 - e1) > 0.0:
+                limits = self.case.model.limits
+                edge = limits.v_min_pu if side == "lower" else limits.v_max_pu
+                return interpolate([(p.state.vm[i], p.z) for p in run], edge)
+        fa, fb = self._margins(a.status)[cls], self._margins(b.status)[cls]
+        t = fa / (fa - fb)
+        za = a.z if a.curve is curve else curve.pack(a.state, a.lam)
+        return (1.0 - t) * za + t * b.z
 
     def _solve_at_limit(self, curve: pf.Curve, z, element, state):
         """Solve from ``z`` to CROSSING_TOL with ``element`` held at its
@@ -425,44 +522,62 @@ class _Tracer:
 
     # the fold ---------------------------------------------------------------------
 
-    def _slope(self, curve: pf.Curve, state, pin_node) -> float:
-        """d lambda / d eta at ``state`` on ``curve``'s equations, eta the
-        magnitude at ``pin_node``."""
-        bordered = curve.jacobian(state.vm, state.theta, unit=curve.vm_coord(pin_node))
-        return float(tangent(bordered)[-1])
+    def _eta_tangent(self, curve: pf.Curve, state, pin_node):
+        """The tangent dz / d eta at ``state`` on ``curve``'s equations, eta
+        the magnitude at ``pin_node``; its lambda entry is d lambda / d
+        eta."""
+        return tangent(curve.jacobian(state.vm, state.theta, unit=curve.vm_coord(pin_node)))
 
     def _fold(self, h):
         """Solve the fold by a secant on s(eta) = d lambda / d eta (module
         docstring) and return it as ``(state, lambda)``, the last point's
         when that is the fold; ``h`` is the pending natural step.  Accepts
-        nothing.  Raises ConvergenceError when an iterate leaves the branch
-        or MAX_ITER iterates do not settle, SingularJacobianError when a
-        slope or iterate meets a singular system."""
+        nothing.  Raises ConvergenceError when no magnitude is free, an
+        iterate leaves the branch or MAX_ITER iterates do not settle,
+        SingularJacobianError when a slope or iterate meets a singular
+        system."""
         pin_node = self._pin()
-        curve, z = self._predict(h)
-        pts = [(p.state, p.lam, self._slope(curve, p.state, pin_node)) for p in self.points[-2:]]
+        if pin_node is None:
+            raise ConvergenceError("the fold has no free voltage magnitude to pin")
+        curve = self.points[-1].curve
+        if len(self.points) == 1:
+            z = self._predict(h)[1]
+        # each point with its tangent on the curve current when it joined
+        pts = [(p, self._eta_tangent(curve, p.state, pin_node)) for p in self.points[-2:]]
         for _ in range(pf.MAX_ITER):
             if len(pts) == 2:
-                (state_a, lam_a, s_a), (state_b, lam_b, s_b) = pts
-                pin = curve.vm_coord(pin_node)
-                za, zb = curve.pack(state_a, lam_a), curve.pack(state_b, lam_b)
-                if s_a == s_b:
+                (a, t_a), (b, t_b) = pts
+                eta_a, eta_b = a.state.vm[pin_node], b.state.vm[pin_node]
+                if t_a[-1] == t_b[-1]:
                     raise ConvergenceError("fold secant stalled on equal slopes")
-                step = s_b * (zb[pin] - za[pin]) / (s_a - s_b)  # to the root of s
-                if abs(0.5 * s_b * step) <= pf.TOL * lam_b:
+                step = t_b[-1] * (eta_b - eta_a) / (t_a[-1] - t_b[-1])  # to the root of s
+                if abs(0.5 * t_b[-1] * step) <= pf.TOL * b.lam:
                     break
-                z = predict_secant(za, zb, step, pin)
+                if a.curve is curve and b.curve is curve:
+                    nodes = [(eta_a, a.z, t_a), (eta_b, b.z, t_b)]
+                else:  # the chord, both ends packed on the current curve
+                    nodes = [(p.state.vm[pin_node], curve.pack(p.state, p.lam)) for p in (a, b)]
+                z = interpolate(nodes, eta_b + step)
             # judged from its own start: the fold may lie further than
-            # MAX_VM_STEP from the last point, but not from the chord there
+            # MAX_VM_STEP from the last point, but not from the start there
             start_vm = curve.unpack(z)[0]
-            state, lam = self._solve_local(curve, z, pin_node)
+            state, z = self._solve_local(curve, z, pin_node)
+            lam = float(z[-1])
             if not self._sane(lam, state, start_vm):
                 raise ConvergenceError(f"fold iterate at lambda {lam:.6g} left the branch")
-            curve = self._curve(state.q_switched)
-            pts = [pts[-1], (state, lam, self._slope(curve, state, pin_node))]
+            point = self._point(lam, state, z)
+            curve = point.curve
+            pts = [pts[-1], (point, self._eta_tangent(curve, state, pin_node))]
         else:
             raise ConvergenceError(f"fold not located in {pf.MAX_ITER} secant steps")
-        return pts[-1][:2]
+        return pts[-1][0].state, pts[-1][0].lam
+
+    def _try_fold(self, h):
+        """``_fold``, or None when it fails: the march then goes on."""
+        try:
+            return self._fold(h)
+        except (ConvergenceError, SingularJacobianError):
+            return None
 
     # main driver --------------------------------------------------------------------
 
@@ -476,9 +591,14 @@ class _Tracer:
         h = STEP0
         easy = 0
         fold = None  # (state, lambda) once solved; None on a capped trace
-        fold_tried = False
+        fold_tried = False  # the one fold solve a failure lets the march survive
 
         for _step in range(MAX_POINTS):
+            if not fold_tried and self._nose_ahead(h):
+                fold_tried = True
+                fold = self._try_fold(h)
+                if fold is not None:
+                    break
             prev = points[-1]
             lam_new = prev.lam + h
             curve, z = self._predict(h)
@@ -498,11 +618,9 @@ class _Tracer:
                 if not fold_tried and len(points) >= 2:
                     # the first failure is most often the step past the nose
                     fold_tried = True
-                    try:
-                        fold = self._fold(h)
+                    fold = self._try_fold(h)
+                    if fold is not None:
                         break
-                    except (ConvergenceError, SingularJacobianError):
-                        pass  # the march halves on towards the nose
                 continue
             self._accept(lam_new, new_state)
 

@@ -11,8 +11,7 @@ from adcap.continuation import (
     LAMBDA_CAP,
     check_limits,
     correct,
-    predict_secant,
-    predict_tangent,
+    interpolate,
     solve_base_case,
     tangent,
     trace_adc,
@@ -56,7 +55,7 @@ def test_corrector_exact_on_linear_system():
 def test_secant_prediction_extrapolates():
     z0 = np.array([1.0, 2.0, 0.0])
     z1 = np.array([1.5, 2.5, 0.5])
-    zp = predict_secant(z0, z1, h=0.25, param_index=2)
+    zp = interpolate([(0.0, z0), (0.5, z1)], 0.75)
     assert zp[2] == pytest.approx(0.75)
     assert zp[0] == pytest.approx(1.75)
     assert zp[1] == pytest.approx(2.75)
@@ -67,16 +66,52 @@ def test_tangent_prediction_on_linear_curve():
     # the bordered matrix's unit row makes lam the coordinate that moves by h
     a = np.array([[1.0, 2.0, -3.0], [0.0, 1.0, -1.0]])
     z = np.zeros(3)
-    zp = predict_tangent(np.vstack([a, [0.0, 0.0, 1.0]]), z, h=0.2)
+    zp = interpolate([(0.0, z, tangent(np.vstack([a, [0.0, 0.0, 1.0]])))], 0.2)
     assert zp[2] == pytest.approx(0.2)
     assert np.allclose(a @ zp, 0.0, atol=1e-12)
     assert zp[0] == pytest.approx(0.2) and zp[1] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "derivatives",
+    [(True,), (False, False), (True, False), (False,) * 3, (True, True)],
+    ids=["tangent", "secant", "tangent-and-two-points", "quadratic", "cubic-hermite"],
+)
+def test_each_predictor_is_exact_on_a_path_of_its_degree(derivatives):
+    # the march predicts from the base tangent, the secant, the base tangent
+    # with two points and the quadratic through three points in lambda, a
+    # voltage crossing starts from the quadratic through three points in the
+    # held magnitude and a fold iterate from the cubic Hermite in eta: each
+    # reproduces a vector polynomial path of the degree its nodes fix,
+    # extrapolated or not
+    rng = np.random.default_rng(7)
+    degree = len(derivatives) + sum(derivatives) - 1
+    coef = rng.uniform(-1.0, 1.0, (degree + 1, 5))
+
+    def path(x):
+        return sum(c * x ** k for k, c in enumerate(coef))
+
+    def slope(x):
+        return sum(k * c * x ** (k - 1) for k, c in enumerate(coef) if k)
+
+    xs = (0.25, 0.75, 1.25)
+    nodes = [(x, path(x), slope(x)) if d else (x, path(x)) for x, d in zip(xs, derivatives)]
+    for x in (0.5, 1.0, 1.75, -0.5):
+        assert np.allclose(interpolate(nodes, x), path(x), rtol=0.0, atol=1e-12)
 
 
 def test_singular_tangent_system_raises_singular_jacobian_error():
     # a bare LinAlgError would escape the per-trace failure handling
     with pytest.raises(SingularJacobianError, match="singular"):
         tangent(np.vstack([np.zeros((2, 3)), [1.0, 0.0, 0.0]]))
+
+
+def _no_early_fold(monkeypatch):
+    """Turn off the fold solve at the predicted nose, so the march stops at
+    its first failed step, the path these tests check."""
+    from adcap import continuation
+
+    monkeypatch.setattr(continuation._Tracer, "_nose_ahead", lambda self, h: False)
 
 
 # -- two-bus analytic benchmarks --------------------------------------------------
@@ -133,6 +168,7 @@ def test_fold_after_natural_failure_matches_two_bus_closed_form(monkeypatch, sca
 
     monkeypatch.setattr(powerflow, "solve", logged_solve)
     monkeypatch.setattr(continuation, "STEP_MIN", 0.2)
+    _no_early_fold(monkeypatch)
     res = trace_adc(case, var)
     assert log[-1] == "failed"
     assert (log.count("solved") == 1) == base_only
@@ -252,6 +288,49 @@ def test_bundled_nose_agrees_with_fold_oracle(case, registry):
     assert lam == pytest.approx(fold_lambda(case, case.direction_arrays(var), lam), rel=1e-7)
 
 
+def test_early_fold_gives_the_failure_path_collapse_bit_for_bit(case, registry, monkeypatch):
+    # the mean-input trace solves its fold where the parabola through its
+    # last three points predicts the nose, and takes no step past it; the
+    # failure path solves it from the same two points after such a step
+    from adcap import powerflow
+
+    var = assemble_variation(registry.mean_inputs(), registry)
+    failed = []
+    solve_ = powerflow.solve
+
+    def counting(*args, **kwargs):
+        try:
+            return solve_(*args, **kwargs)
+        except (ConvergenceError, SingularJacobianError):
+            failed.append(True)
+            raise
+
+    monkeypatch.setattr(powerflow, "solve", counting)
+    early = trace_adc(case, var)
+    assert not failed
+    _no_early_fold(monkeypatch)
+    late = trace_adc(case, var)
+    assert failed
+    assert late.lambdas["collapse"] == early.lambdas["collapse"]
+    assert late.n_newton > early.n_newton
+
+
+def test_trace_packs_each_accepted_point_once(case, registry, monkeypatch):
+    # every predictor reads the points' packed z; nothing packs them again
+    from adcap import powerflow
+
+    packs = []
+    pack = powerflow.Curve.pack
+
+    def counting(self, state, lam):
+        packs.append(lam)
+        return pack(self, state, lam)
+
+    monkeypatch.setattr(powerflow.Curve, "pack", counting)
+    res = trace_adc(case, assemble_variation(registry.mean_inputs(), registry))
+    assert packs == [p.lam for p in res.curve]
+
+
 def _pv_675_trace(feeder_doc, scenario_doc):
     """``(case, variation)`` of the bundled feeder at its mean inputs with
     bus 675 held at 1 pu by a +-300 kvar pv generator: within its limits
@@ -276,6 +355,31 @@ def test_trace_switching_reactive_limit_agrees_with_fold_oracle(feeder_doc, scen
     lam = trace_adc(case, var).lambdas["collapse"]
     assert solve(case, 0.9 * lam, d).q_switched
     assert lam == pytest.approx(fold_lambda(case, d, lam), rel=1e-7)
+
+
+def test_nose_check_is_false_across_a_switch_set_change(feeder_doc, scenario_doc, monkeypatch):
+    # phase 675.c switches to its limit at the first step, so the trace's
+    # first three points lie on two switch sets; a parabola through them
+    # peaks below the next step, far short of the fold, and the check that
+    # would solve the fold there says no
+    from adcap import continuation
+
+    case, var = _pv_675_trace(feeder_doc, scenario_doc)
+    calls = []
+    nose_ahead = continuation._Tracer._nose_ahead
+
+    def recorded(self, h):
+        calls.append((h, self.points[-3:], self._pin(), nose_ahead(self, h)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(continuation._Tracer, "_nose_ahead", recorded)
+    lam = trace_adc(case, var).lambdas["collapse"]
+    mixed = [c for c in calls if len(c[1]) == 3 and len({id(p.curve) for p in c[1]}) > 1]
+    assert mixed and not any(ahead for *_, ahead in mixed)
+    h, points, pin, _ = mixed[0]
+    c2, c1, c0 = np.polyfit([p.state.vm[pin] for p in points], [p.lam for p in points], 2)
+    assert c2 < 0 and c0 - c1 * c1 / (4.0 * c2) < points[-1].lam + h < lam
+    assert lam == pytest.approx(fold_lambda(case, case.direction_arrays(var), lam), rel=1e-7)
 
 
 def test_runaway_guard_regression(case, registry):
@@ -308,6 +412,7 @@ def test_failed_march_steps_give_up_early(case, registry, monkeypatch):
             raise
 
     monkeypatch.setattr(powerflow, "solve", counting)
+    _no_early_fold(monkeypatch)
     trace_adc(case, assemble_variation(registry.mean_inputs(), registry))
     assert failed and all(abort for abort, _ in failed)
     assert all(iters < MAX_ITER for _, iters in failed)
@@ -335,6 +440,7 @@ def test_n_newton_counts_every_corrector_iteration(model, registry, monkeypatch)
 
     monkeypatch.setattr(powerflow, "correct", counting(powerflow.correct))
     monkeypatch.setattr(continuation, "correct", counting(continuation.correct))
+    _no_early_fold(monkeypatch)
     res = trace_adc(NetworkCase(model), assemble_variation(registry.mean_inputs(), registry))
     assert any(kind == "failed" for kind, _ in iterations)
     assert res.n_newton == sum(n for _, n in iterations)
@@ -466,6 +572,41 @@ def test_mcs_traces_stop_halving_into_the_nose(case, registry):
     assert np.mean([r.n_solves for r in results]) <= 9.45
 
 
+def test_each_corrector_starts_from_what_the_trace_knows(case, registry, monkeypatch):
+    # a natural step starts from the base tangent or the quadratic through
+    # the last points, a voltage crossing at its held node's own zero and a
+    # fold iterate from the cubic Hermite in eta: per trace the steps take
+    # 7.24 Newton iterations, the two crossings 4 and the fold 3.0 (9.96,
+    # 6.0 and 6.04 from the secant, the margin's chord and the fold chord)
+    from adcap import continuation
+    from adcap.assessment import _STREAM_MCS
+    from adcap.stochastic import sample_inputs
+
+    iterations = {"_solve_natural": 0, "_cross": 0, "_fold": 0}
+
+    def counted(name):
+        method = getattr(continuation._Tracer, name)
+
+        def wrapped(self, *args):
+            before = self.n_newton
+            try:
+                return method(self, *args)
+            finally:
+                iterations[name] += self.n_newton - before
+
+        return wrapped
+
+    for name in iterations:
+        monkeypatch.setattr(continuation._Tracer, name, counted(name))
+    inputs = sample_inputs(registry.distributions(), 50, [0, _STREAM_MCS])
+    for u in inputs:
+        trace_adc(case, assemble_variation(u, registry))
+    per_trace = {name: n / len(inputs) for name, n in iterations.items()}
+    assert per_trace["_solve_natural"] <= 7.5
+    assert per_trace["_cross"] <= 4.1
+    assert per_trace["_fold"] <= 3.2
+
+
 def test_base_case_converging_through_a_rising_mismatch():
     # 1.4 pu of load with 2.7 pu of reactive injection behind x = 0.3 pu:
     # from the flat start the mismatch max-norm rises in the first Newton
@@ -532,6 +673,24 @@ def test_trace_delta_of_a_tree_against_itself_is_zero():
     assert all(float(x) == 0.0 for row in rows for x in row[1:])
     assert "binding mismatches: 0, capped mismatches: 0" in lines
     assert sum(line.startswith(("old: 0 failed,", "new: 0 failed,")) for line in lines) == 2
+
+
+def test_trace_time_of_a_tree_against_itself_prints_its_medians():
+    # scripts/trace_time.py times every trace-kernel change per trace; pin
+    # its output on the smallest run
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "trace_time.py"), src, src,
+         "--traces", "2", "--pairs", "1"],
+        check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("pair 1: old ")
+    assert lines[1].startswith("ms per trace (median of 1, 2 traces, best of 3): old ")
+    assert lines[2].startswith("ratio new / old: median ")
+    assert lines[2].endswith(("new faster in 0 of 1 pairs", "new faster in 1 of 1 pairs"))
 
 
 def test_trace_delta_fails_a_collapse_lambda_off_by_more_than_its_tolerance(tmp_path):
