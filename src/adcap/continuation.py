@@ -13,7 +13,8 @@ and tangents of the curve it predicts on; across a switch set it falls back
 to the chord or secant, the other point packed on that curve.  A step
 starts, in lambda, from the tangent at the base point for the first step,
 from that tangent and the two points for the second, and from the
-quadratic through the last three points after that.  The first step is
+polynomial through the last three points after that, with that tangent
+while the first of them is the base point.  The first step is
 STEP0 long, a rejected step is retried at half the length, and the step
 doubles, up to STEP_MAX, after GROW_AFTER (one) consecutive corrections of
 at most EASY_ITERS iterations: the margins of a trace lie a few tenths
@@ -23,18 +24,13 @@ is accepted only at nonnegative lambda and within MAX_VM_STEP in every
 magnitude of the point it started from; further away it has slid onto the
 lower branch.
 
-The march stops at the first of four signs of the nose: the parabola
-lambda(eta) through the last three points, all on one switch set, peaks
-below the next step's lambda (eta as below), so the step would most likely
-land past the nose; a secant along which some magnitude moves further than
-lambda; the first step that fails or is rejected while the march holds two
-points, which is most often the step past the nose; or a step that fails
-down to the step floor STEP_MIN.  The fold is solved from there, and from
-the last two points in each case, so a fold solved at the predicted nose is
-bit for bit the one solved after the failed step past it.  The march makes
-one fold solve that may fail, at the predicted nose or else at its first
-failed step: the march then goes on as before, and waits for one of the
-signs that leave no choice.
+The march stops at the first of three signs of the nose: a secant along
+which some magnitude moves further than lambda; the first step that fails
+or is rejected while the march holds two points, which is most often the
+step past the nose; or a step that fails down to the step floor STEP_MIN.
+The fold is solved from there.  Only at the first failed step may that
+solve fail: the march then halves on as before, and waits for one of the
+other two signs.
 
 The collapse point is solved directly.  At the fold lambda is
 stationary along the curve, so with eta the free voltage magnitude that
@@ -261,8 +257,7 @@ class _TracePoint:
     state: pf.PowerFlowState
     curve: pf.Curve  # the trace's curve of the state's switch set
     z: np.ndarray  # the point on ``curve``
-    status: LimitStatus | None = None  # set once the point is accepted
-    tangent: np.ndarray | None = None  # dz / d lambda on ``curve``, once solved
+    status: LimitStatus
 
 
 class _Tracer:
@@ -279,6 +274,7 @@ class _Tracer:
         self.n_solves = 0
         self.n_newton = 0
         self.points: list[_TracePoint] = []
+        self._base_tangent = None  # dz / d lambda at the base point, solved for the first step
         self.crossings = {}  # class -> (lambda, binding label) of each limit crossed
 
     def _curve(self, q_switched) -> pf.Curve:
@@ -328,12 +324,6 @@ class _Tracer:
                 curve = pf.Curve(self.case, self.direction, switched, curve.limit, self.net)
             z = curve.pack(state, z[-1])
 
-    def _point(self, lam, state, z=None) -> _TracePoint:
-        """A solved point on the curve of its switch set, packed there
-        unless its ``z`` on that curve is given."""
-        curve = self._curve(state.q_switched)
-        return _TracePoint(lam, state, curve, curve.pack(state, lam) if z is None else z)
-
     def _last_on_one_curve(self):
         """The last points, at most three, that lie on the last point's
         curve with no point of another between them."""
@@ -356,47 +346,28 @@ class _Tracer:
 
     def _predict(self, h):
         """Start of the step that raises lambda by h from the last point, on
-        that point's curve: the quadratic in lambda through the last three
-        points, or through the last two and the tangent at the first of
-        them, all on that curve; else the secant through the last two
+        that point's curve: the polynomial in lambda through the last three
+        points, or two, on that curve, with the base tangent while the first
+        of them is the base point; else the secant through the last two
         points, the one before packed on the last one's curve, or the
         tangent at a lone point.  Returns ``(curve, z)``."""
         last = self.points[-1]
         curve = last.curve
         lam = last.lam + h
         if len(self.points) == 1:
-            if last.tangent is None:
-                last.tangent = tangent(
+            if self._base_tangent is None:
+                self._base_tangent = tangent(
                     curve.jacobian(last.state.vm, last.state.theta, unit=curve.lam_coord)
                 )
-            return curve, interpolate([(last.lam, last.z, last.tangent)], lam)
+            return curve, interpolate([(last.lam, last.z, self._base_tangent)], lam)
         run = self._last_on_one_curve()
         nodes = [(p.lam, p.z) for p in run]
         if len(run) == 1:  # the point before lies on another switch set
             before = self.points[-2]
             nodes.insert(0, (before.lam, curve.pack(before.state, before.lam)))
-        elif len(run) == 2 and run[0].tangent is not None:
-            nodes[0] += (run[0].tangent,)
+        elif run[0] is self.points[0]:  # the base tangent lies on the base point's curve
+            nodes[0] += (self._base_tangent,)
         return curve, interpolate(nodes, lam)
-
-    def _nose_ahead(self, h) -> bool:
-        """Whether the parabola lambda(eta) through the last three points,
-        all on one switch set, peaks below lambda + h, eta the magnitude
-        ``_pin`` picks: a step of h would then most likely land past the
-        nose.  With the parabola lambda_2 + s (eta - eta_2) + a (eta -
-        eta_2)^2 about the last point, its peak lies s^2 / -4a above it for
-        a < 0, and there is none for a >= 0."""
-        run = self._last_on_one_curve()
-        pin_node = self._pin() if len(run) == 3 else None
-        if pin_node is None:
-            return False
-        (e0, l0), (e1, l1), (e2, l2) = [(float(p.state.vm[pin_node]), p.lam) for p in run]
-        if e0 == e1 or e1 == e2 or e0 == e2:
-            return False
-        d12 = (l2 - l1) / (e2 - e1)
-        a = (d12 - (l1 - l0) / (e1 - e0)) / (e2 - e0)
-        s = d12 + a * (e2 - e1)  # d lambda / d eta at the last point
-        return s * s < -4.0 * a * h
 
     @staticmethod
     def _sane(lam, state, ref_vm) -> bool:
@@ -423,8 +394,10 @@ class _Tracer:
     def _accept(self, lam, state, status=None):
         """Append a solved point with its limit status (computed unless
         given), first solving each limit crossed since the previous point."""
-        new = self._point(lam, state)
-        new.status = status or check_limits(self.case, state)
+        curve = self._curve(state.q_switched)
+        new = _TracePoint(
+            lam, state, curve, curve.pack(state, lam), status or check_limits(self.case, state)
+        )
         if self.points:
             prev = self.points[-1]
             for cls in ("voltage", "thermal"):
@@ -542,21 +515,25 @@ class _Tracer:
         curve = self.points[-1].curve
         if len(self.points) == 1:
             z = self._predict(h)[1]
-        # each point with its tangent on the curve current when it joined
-        pts = [(p, self._eta_tangent(curve, p.state, pin_node)) for p in self.points[-2:]]
+        # each point as (state, curve, z on that curve, tangent on the
+        # curve current when it joined)
+        pts = [
+            (p.state, p.curve, p.z, self._eta_tangent(curve, p.state, pin_node))
+            for p in self.points[-2:]
+        ]
         for _ in range(pf.MAX_ITER):
             if len(pts) == 2:
-                (a, t_a), (b, t_b) = pts
-                eta_a, eta_b = a.state.vm[pin_node], b.state.vm[pin_node]
+                (state_a, curve_a, z_a, t_a), (state_b, curve_b, z_b, t_b) = pts
+                eta_a, eta_b = state_a.vm[pin_node], state_b.vm[pin_node]
                 if t_a[-1] == t_b[-1]:
                     raise ConvergenceError("fold secant stalled on equal slopes")
                 step = t_b[-1] * (eta_b - eta_a) / (t_a[-1] - t_b[-1])  # to the root of s
-                if abs(0.5 * t_b[-1] * step) <= pf.TOL * b.lam:
+                if abs(0.5 * t_b[-1] * step) <= pf.TOL * z_b[-1]:
                     break
-                if a.curve is curve and b.curve is curve:
-                    nodes = [(eta_a, a.z, t_a), (eta_b, b.z, t_b)]
+                if curve_a is curve and curve_b is curve:
+                    nodes = [(eta_a, z_a, t_a), (eta_b, z_b, t_b)]
                 else:  # the chord, both ends packed on the current curve
-                    nodes = [(p.state.vm[pin_node], curve.pack(p.state, p.lam)) for p in (a, b)]
+                    nodes = [(st.vm[pin_node], curve.pack(st, zp[-1])) for st, _, zp, _ in pts]
                 z = interpolate(nodes, eta_b + step)
             # judged from its own start: the fold may lie further than
             # MAX_VM_STEP from the last point, but not from the start there
@@ -565,19 +542,12 @@ class _Tracer:
             lam = float(z[-1])
             if not self._sane(lam, state, start_vm):
                 raise ConvergenceError(f"fold iterate at lambda {lam:.6g} left the branch")
-            point = self._point(lam, state, z)
-            curve = point.curve
-            pts = [pts[-1], (point, self._eta_tangent(curve, state, pin_node))]
+            curve = self._curve(state.q_switched)
+            pts = [pts[-1], (state, curve, z, self._eta_tangent(curve, state, pin_node))]
         else:
             raise ConvergenceError(f"fold not located in {pf.MAX_ITER} secant steps")
-        return pts[-1][0].state, pts[-1][0].lam
-
-    def _try_fold(self, h):
-        """``_fold``, or None when it fails: the march then goes on."""
-        try:
-            return self._fold(h)
-        except (ConvergenceError, SingularJacobianError):
-            return None
+        state, _, z, _ = pts[-1]
+        return state, float(z[-1])
 
     # main driver --------------------------------------------------------------------
 
@@ -591,14 +561,9 @@ class _Tracer:
         h = STEP0
         easy = 0
         fold = None  # (state, lambda) once solved; None on a capped trace
-        fold_tried = False  # the one fold solve a failure lets the march survive
+        fold_tried = False
 
         for _step in range(MAX_POINTS):
-            if not fold_tried and self._nose_ahead(h):
-                fold_tried = True
-                fold = self._try_fold(h)
-                if fold is not None:
-                    break
             prev = points[-1]
             lam_new = prev.lam + h
             curve, z = self._predict(h)
@@ -618,9 +583,11 @@ class _Tracer:
                 if not fold_tried and len(points) >= 2:
                     # the first failure is most often the step past the nose
                     fold_tried = True
-                    fold = self._try_fold(h)
-                    if fold is not None:
+                    try:
+                        fold = self._fold(h)
                         break
+                    except (ConvergenceError, SingularJacobianError):
+                        pass  # the march halves on towards the nose
                 continue
             self._accept(lam_new, new_state)
 
