@@ -18,8 +18,11 @@ succeed in both trees; the traces whose binding class, binding labels
 (``AdcResult.binding_element``, or ``continuation.binding_label`` of it in
 an older tree) or ``capped`` flag differ; the failed traces of each tree
 (a convergence failure, a singular Jacobian or a zero direction, the
-failures a run counts per trace); and each tree's mean ``n_solves`` and
-``n_newton`` per successful trace.
+failures a run counts per trace); each tree's mean ``n_solves`` and
+``n_newton`` per successful trace; and, for a tree whose tracer has
+``_Tracer._cross`` and ``_Tracer._fold``, those Newton iterations split
+into the march (the base case and every natural step, failed ones
+included), each class's crossing and the fold, per successful trace.
 
 The tolerances every trace-kernel change must meet are checked, and the
 exit status says whether they hold:
@@ -44,6 +47,27 @@ import numpy as np
 
 CLASSES = ("voltage", "thermal", "collapse")
 REL_TOL = (1e-8, 1e-8, 1e-7)  # largest |delta lambda| / lambda per class
+SPLIT = ("voltage", "thermal", "fold")  # Newton iterations counted apart from the march
+
+
+def count_newton(tracer_cls, split: dict) -> bool:
+    """Wrap ``tracer_cls._cross`` and ``_fold``, where they exist, to add
+    the Newton iterations of each call to ``split``, a crossing's under its
+    class and the fold's under "fold"; returns whether they exist."""
+    def counted(method, key):
+        def wrapped(self, *args):
+            before = self.n_newton
+            try:
+                return method(self, *args)
+            finally:
+                split[key(args)] += self.n_newton - before
+        return wrapped
+
+    if not (hasattr(tracer_cls, "_cross") and hasattr(tracer_cls, "_fold")):
+        return False
+    tracer_cls._cross = counted(tracer_cls._cross, lambda args: args[0])
+    tracer_cls._fold = counted(tracer_cls._fold, lambda args: "fold")
+    return True
 
 
 def trace_all(samples: int) -> list:
@@ -70,9 +94,12 @@ def trace_all(samples: int) -> list:
 
     # a tree older than the labels in AdcResult formats elements through its binding_label
     label = getattr(continuation, "binding_label", lambda element: element)
+    split = dict.fromkeys(SPLIT, 0)
+    counted = count_newton(continuation._Tracer, split)
     rows = []
     for u in inputs:
         row = {"input": u.tolist()}
+        split.update(dict.fromkeys(SPLIT, 0))
         try:
             res = continuation.trace_adc(case, stochastic.assemble_variation(u, registry))
         except (ConvergenceError, SingularJacobianError, ZeroDirectionError) as exc:
@@ -86,6 +113,8 @@ def trace_all(samples: int) -> list:
                 n_solves=res.n_solves,
                 n_newton=res.n_newton,
             )
+            if counted:
+                row["split"] = dict(split)
         rows.append(row)
     return rows
 
@@ -145,6 +174,12 @@ def main(argv=None) -> int:
             line += (f", {np.mean([r['n_solves'] for r in ok]):.2f} solves and "
                      f"{np.mean([r['n_newton'] for r in ok]):.2f} newton iterations per trace")
         print(line)
+        if ok and "split" in ok[0]:
+            split = {key: np.mean([r["split"][key] for r in ok]) for key in SPLIT}
+            march = np.mean([r["n_newton"] for r in ok]) - sum(split.values())
+            print(f"{name} newton iterations per trace: march {march:.2f}, voltage crossing "
+                  f"{split['voltage']:.2f}, thermal crossing {split['thermal']:.2f}, "
+                  f"fold {split['fold']:.2f}")
         for r in rows:
             if "error" in r:
                 print(f"  {r['error']}")

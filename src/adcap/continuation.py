@@ -53,22 +53,22 @@ first iterate where its pending step would have started.
 A limit crossing (voltage band, branch ampacity) is bracketed between two
 accepted points, the fold included, and solved directly by the same
 corrector: the element binding at the violated end is held at its limit
-and lambda floats.  A voltage crossing at a node the reduction keeps starts
-at the node's own zero: on the quadratic in the node's magnitude through
-the point before the bracket and the bracket's ends, at the band edge.  Any
-other crossing starts from the chord between the bracket's ends at the
-class margin's linear zero.  A voltage crossing at a node the reduction keeps pins that
-node's magnitude at the band edge; at an eliminated node, and for a thermal
-crossing, nothing is pinned and ``Curve`` adds one bordered limit row: |V|
-of the node's recovered voltage at the band edge, or the current of the
-branch's most loaded rated row at its ampacity.  Crossings converge to CROSSING_TOL
-(1e-11), three orders below the march's ``powerflow.TOL``, so a crossing's
-lambda does not depend, at that level, on where it was started from.  If
-another element of the class lies further out than CROSSING_TOL at the
-solution, it is held instead (at most MAX_REPINS times).  A crossing not
-solved inside its bracket fails the trace.  Violations that first appear
-past the fold are ignored: every margin is evaluated on the upper branch
-only.
+and lambda floats.  Every crossing starts at the zero of the binding side's
+margin (``LimitStatus.v_lower_margin``, ``v_upper_margin`` or
+``thermal_margin``): on the quadratic in that margin through the point
+before the bracket and the bracket's ends, when all three lie on one switch
+set and the margin is monotone over them; else on the chord between the
+ends.  A node the reduction keeps is held by pinning its magnitude at the
+band edge; an eliminated node, or a branch, by one bordered limit row of
+``Curve``: |V| of the node's recovered voltage at the band edge, or the
+current of the branch's most loaded rated row at its ampacity.  Crossings
+converge to CROSSING_TOL (1e-11), three orders below the march's
+``powerflow.TOL``, so a crossing's lambda does not depend, at that level,
+on where it was started from.  If another element of the class lies
+further out than CROSSING_TOL at the solution, it is held instead (at most
+MAX_REPINS times).  A crossing not solved inside its bracket fails the
+trace.  Violations that first appear past the fold are ignored: every
+margin is evaluated on the upper branch only.
 
 A trace decides its result once (``AdcResult``): per class its lambda, MW
 margin and binding label, the class of the overall margin, and its curve,
@@ -385,11 +385,13 @@ class _Tracer:
         }
 
     def _binding(self, status: LimitStatus, cls):
-        if cls == "voltage":
-            if status.v_lower_margin <= status.v_upper_margin:
-                return ("lower", status.v_lower_node)
-            return ("upper", status.v_upper_node)
-        return status.thermal_branch
+        """The report label ("611.c:lower", a branch id) of the element of
+        class ``cls`` binding at ``status``, and its side: its margin's field."""
+        if cls == "thermal":
+            return status.thermal_branch, "thermal_margin"
+        side = "lower" if status.v_lower_margin <= status.v_upper_margin else "upper"
+        bus, phase = getattr(status, f"v_{side}_node")
+        return f"{bus}.{phase}:{side}", f"v_{side}_margin"
 
     def _accept(self, lam, state, status=None):
         """Append a solved point with its limit status (computed unless
@@ -416,19 +418,18 @@ class _Tracer:
         ConvergenceError when the held element keeps changing, or when the
         solution lies outside [a.lam, b.lam] or further than MAX_VM_STEP
         from ``a``."""
-        state, status = b.state, b.status
-        curve = b.curve
-        z = self._crossing_start(cls, a, b)
+        point = b
+        label, side = self._binding(b.status, cls)
+        z = self._crossing_start(side, a, b)
         for _ in range(MAX_REPINS + 1):
-            element = self._binding(status, cls)
-            state, z = self._solve_at_limit(curve, z, element, state)
+            state, z = self._solve_at_limit(point, z, side)
             lam = float(z[-1])
             status = check_limits(self.case, state)
             # the held element sits on its limit to the crossing tolerance
             if self._margins(status)[cls] >= -CROSSING_TOL:
                 break
-            curve = self._curve(state.q_switched)
-            z = curve.pack(state, lam)
+            point = _TracePoint(lam, state, self._curve(state.q_switched), z, status)
+            label, side = self._binding(status, cls)
         else:
             raise ConvergenceError(f"{cls} crossing moved on after {MAX_REPINS} re-pins")
         if not (min(a.lam, b.lam) <= lam <= max(a.lam, b.lam) and self._sane(lam, state, a.state.vm)):
@@ -436,61 +437,50 @@ class _Tracer:
                 f"{cls} crossing solved at lambda {lam:.6g}, off its bracket "
                 f"[{a.lam:.6g}, {b.lam:.6g}] or its branch"
             )
-        if cls == "thermal":
-            return lam, element
-        side, (bus, phase) = element
-        return lam, f"{bus}.{phase}:{side}"
+        return lam, label
 
-    def _crossing_start(self, cls, a: _TracePoint, b: _TracePoint):
-        """Where the crossing of ``_cross`` starts, on ``b``'s curve: for a
-        voltage crossing held at a kept node, with the point before ``a``
-        and both ends on that curve and the node's magnitude monotone over
-        them, the quadratic in that magnitude through those three points, at
-        the node's band edge; else the chord from ``a`` (packed on ``b``'s
-        curve when it lies on another) to ``b`` at the class margin's linear
-        zero."""
+    def _crossing_start(self, side, a: _TracePoint, b: _TracePoint):
+        """Where the crossing of ``_cross`` starts on ``b``'s curve: at the
+        zero of the margin ``side`` (module docstring), ``a`` packed on that
+        curve when it lies on another."""
         curve = b.curve
         run = self.points[-2:] + [b]
-        if cls == "voltage" and len(run) == 3 and all(p.curve is curve for p in run):
-            side, node = self._binding(b.status, cls)
-            i = self.case.index[node]
-            e0, e1, e2 = (p.state.vm[i] for p in run)
-            if curve.vm_coord(i) is not None and (e1 - e0) * (e2 - e1) > 0.0:
-                limits = self.case.model.limits
-                edge = limits.v_min_pu if side == "lower" else limits.v_max_pu
-                return interpolate([(p.state.vm[i], p.z) for p in run], edge)
-        fa, fb = self._margins(a.status)[cls], self._margins(b.status)[cls]
-        t = fa / (fa - fb)
+        m = [getattr(p.status, side) for p in run]
+        monotone = len(m) == 3 and (m[1] - m[0]) * (m[2] - m[1]) > 0.0
+        if monotone and all(p.curve is curve for p in run):
+            return interpolate([(m_i, p.z) for m_i, p in zip(m, run)], 0.0)
+        t = m[-2] / (m[-2] - m[-1])
         za = a.z if a.curve is curve else curve.pack(a.state, a.lam)
         return (1.0 - t) * za + t * b.z
 
-    def _solve_at_limit(self, curve: pf.Curve, z, element, state):
-        """Solve from ``z`` to CROSSING_TOL with ``element`` held at its
-        limit: a voltage element ``(side, node)`` at its band edge, by
-        pinning a kept node's magnitude or by the limit row of an eliminated
-        node's voltage; a branch id by the limit row of the branch's rated
-        row carrying the most current in ``state``, at its ampacity."""
-        case = self.case
-        if isinstance(element, str):
-            k = case.branch_ids.index(element)
+    def _solve_at_limit(self, p: _TracePoint, z, side):
+        """Solve from ``z`` to CROSSING_TOL with the element binding the
+        margin ``side`` at ``p`` held at its limit (module docstring); a
+        branch by its rated row carrying the most current at ``p``."""
+        case, status = self.case, p.status
+        if side == "thermal_margin":
+            k = case.branch_ids.index(status.thermal_branch)
             bounds = np.append(case.rated_starts, case.n_rated_rows)
             start, stop = bounds[k], bounds[k + 1]
-            row = start + int(pf.branch_flows(case, state).amps[start:stop].argmax())
+            row = start + int(pf.branch_flows(case, p.state).amps[start:stop].argmax())
             limit = case.branch_current[row] * (case.branch_i_base[row] / case.ampacity[k]), 1.0
         else:
-            side, node = element
             limits = case.model.limits
-            edge = limits.v_min_pu if side == "lower" else limits.v_max_pu
+            lower = side == "v_lower_margin"
+            node = status.v_lower_node if lower else status.v_upper_node
+            edge = limits.v_min_pu if lower else limits.v_max_pu
             i = case.index[node]
-            pin = curve.vm_coord(i)
+            pin = p.curve.vm_coord(i)
+            # pinned, not bordered: the limit row for kept nodes too made a
+            # trace 1.05-1.06x slower, its bordered solve 30-40% slower
             if pin is not None:
                 z = z.copy()
                 z[pin] = edge
-                return self._solve_local(curve, z, i, CROSSING_TOL)
+                return self._solve_local(p.curve, z, i, CROSSING_TOL)
             unit = np.zeros(case.n, dtype=complex)  # an eliminated node's voltage
             unit[i] = 1.0
             limit = unit, edge
-        bordered = pf.Curve(case, self.direction, curve.q_switched, limit, self.net)
+        bordered = pf.Curve(case, self.direction, p.curve.q_switched, limit, self.net)
         return self._solve_local(bordered, z, None, CROSSING_TOL)
 
     # the fold ---------------------------------------------------------------------

@@ -185,6 +185,49 @@ def test_mcs_binding_tallies_cover_all_traces():
     assert set(res.binding_freq["thermal"]) == {"ln"}
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("moved-on", "crossing moved on after 3 re-pins"),
+    ("off-bracket", "off its bracket"),
+])
+def test_a_crossing_that_cannot_be_solved_fails_its_trace_only(monkeypatch, fault, message):
+    # the first crossing solved either finds its class past the limit after
+    # every re-pin or lands outside its bracket: that trace fails with one
+    # counted ConvergenceError, and the others hold
+    solve_at_limit = continuation._Tracer._solve_at_limit
+    check_limits = continuation.check_limits
+    n_forced = 4 if fault == "moved-on" else 1  # the solves of the first crossing
+    held = []  # the states they solved
+
+    def forced_solve(self, p, z, side):
+        state, z = solve_at_limit(self, p, z, side)
+        if len(held) < n_forced:
+            held.append(state)
+            if fault == "off-bracket":
+                z = z.copy()
+                z[-1] += 1.0
+        return state, z
+
+    def past_the_limit(case, state):
+        status = check_limits(case, state)
+        if any(state is s for s in held):
+            status.v_lower_margin -= 1e-6
+            status.v_upper_margin -= 1e-6
+            status.thermal_margin -= 1e-6
+        return status
+
+    monkeypatch.setattr(continuation._Tracer, "_solve_at_limit", forced_solve)
+    if fault == "moved-on":
+        monkeypatch.setattr(continuation, "check_limits", past_the_limit)
+    ctx, _ = _small_ctx()
+    res = _mcs(ctx, AssessmentConfig(method="mcs", mcs_samples=6, seed=0))
+    assert len(held) == n_forced
+    assert res.eval_count == 6 and res.failures == 1
+    assert res.to_dict()["failure_counts"] == {"ConvergenceError": 1}
+    assert res.failure_reasons[0].startswith("ConvergenceError: ")
+    assert message in res.failure_reasons[0]
+    assert len(res.classes["overall"].samples) == 5
+
+
 def test_pce_full_design_trace_count():
     # one random input at order 2: basis size comb(3, 2) = 3
     ctx, _ = _small_ctx()
@@ -194,6 +237,27 @@ def test_pce_full_design_trace_count():
     assert res.diagnostics["basis_size"] == 3
     assert res.diagnostics["design_rows"] == 3
     assert res.failures == 0
+
+
+def test_pce_fails_when_a_design_trace_fails(monkeypatch):
+    # a fit needs every design row, so one failed design trace fails the run
+    from adcap.errors import ConvergenceError
+
+    ctx, _ = _small_ctx()
+    inputs = stochastic.physical_inputs(_design(ctx).points, ctx[1].distributions())
+    target = stochastic.assemble_variation(inputs[1], ctx[1])
+    trace = continuation.trace_adc
+
+    def faulty(case, variation, memo=None):
+        if variation == target:
+            raise ConvergenceError("injected")
+        return trace(case, variation, memo=memo)
+
+    monkeypatch.setattr(continuation, "trace_adc", faulty)
+    cfg = AssessmentConfig(method="pce", surrogate_samples=256, seed=0)
+    with pytest.raises(ConvergenceError) as exc:
+        _pce(ctx, cfg, sparse=False)
+    assert str(exc.value).startswith("design-point trace 1 failed (ConvergenceError: injected); ")
 
 
 def test_spce_trace_count_follows_term_budget():
@@ -671,11 +735,11 @@ def _solar_on_phases(phases, p_rated_kw=50.0):
     return scenario
 
 
-def _wind_rated_at(p_rated_kw):
+def _wind_with(**fields):
     scenario = _small_scenario()
     scenario["wind"] = [{
-        "bus": "r", "phases": "a", "p_rated_kw": p_rated_kw, "v_cut_in": 3.0,
-        "v_rated": 12.0, "v_cut_out": 25.0, "mean_speed": 10.0, "std_speed": 1.0,
+        "bus": "r", "phases": "a", "p_rated_kw": 100.0, "v_cut_in": 3.0,
+        "v_rated": 12.0, "v_cut_out": 25.0, "mean_speed": 10.0, "std_speed": 1.0, **fields,
     }]
     return scenario
 
@@ -706,6 +770,21 @@ def _pv_bus_without_generator():
 
 def _transformer_with_tap(tap):
     return _line_with(kind="transformer", tap={"a": tap})
+
+
+def _ill_conditioned_line():
+    # invertible, but its condition number is about 4e13
+    doc = _line_with(phases="ab", r_ohm=[[1.0, 1.0], [1.0, 1.0 + 1e-13]],
+                     x_ohm=[[0.0, 0.0], [0.0, 0.0]], b_shunt_s=[[0.0, 0.0], [0.0, 0.0]])
+    for bus in doc["buses"]:
+        bus["phases"] = "ab"
+    return doc
+
+
+def _delta_wye_with_two_taps():
+    doc = delta_wye_doc()
+    doc["branches"][0]["tap"] = {"a": 1.0, "b": 1.05, "c": 1.0}
+    return doc
 
 
 def _slack_only():
@@ -751,7 +830,7 @@ def _slack_only():
          "generator 'g': pv generator on pq bus 'r'", {}),
         (_pv_generator_set_at(1.05), _small_scenario(),
          "generator 'g': v0_pu 1.05 differs from bus 'r' v0_pu 1.0", {}),
-        (two_bus_doc(v_min=0.90), _wind_rated_at(-100.0),
+        (two_bus_doc(v_min=0.90), _wind_with(p_rated_kw=-100.0),
          "wind at 'r': p_rated_kw must be positive", {}),
         (two_bus_doc(v_min=0.90), _solar_on_phases("a", p_rated_kw=-50.0),
          "solar at 'r': p_rated_kw must be positive", {}),
@@ -767,6 +846,16 @@ def _slack_only():
          "branch 'ln': 'r_ohm' must be a matrix of numbers", {}),
         (_pv_bus_without_generator(), _small_scenario(),
          "bus 'r': pv phase 'a' has no pv generator", {}),
+        (_ill_conditioned_line(), _small_scenario(),
+         "branch 'ln': ill-conditioned series impedance block", {}),
+        (_delta_wye_with_two_taps(), _small_scenario(),
+         "branch 'xf': delta-wye requires a single tap value", {}),
+        (two_bus_doc(v_min=0.90), _wind_with(std_speed=-1.0),
+         "std_dev must be nonnegative", {}),
+        (two_bus_doc(v_min=0.90), _wind_with(v_cut_in=12.0),
+         "wind at 'r': require v_cut_in < v_rated < v_cut_out", {}),
+        (two_bus_doc(v_min=0.90), _wind_with(power_factor=0.0),
+         "wind at 'r': bad power factor", {}),
     ],
     ids=[
         "singular-impedance", "coupled-delta-wye", "wind-without-mean-speed", "nan-std",
@@ -778,7 +867,8 @@ def _slack_only():
         "pv-generator-set-point-off-bus", "wind-rated-negative", "solar-rated-negative",
         "empty-scenario-mcs", "empty-scenario-pce", "empty-scenario-spce", "empty-scenario-all",
         "boolean-ampacity", "boolean-mean-kw", "string-matrix-entry", "boolean-matrix-entry",
-        "pv-bus-without-generator",
+        "pv-bus-without-generator", "ill-conditioned-impedance", "delta-wye-two-taps",
+        "wind-std-negative", "wind-cut-in-at-rated", "wind-power-factor-zero",
     ],
 )
 def test_cli_bad_input_exits_1_with_one_line(

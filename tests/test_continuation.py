@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -515,12 +516,12 @@ def test_mcs_traces_stop_halving_into_the_nose(case, registry):
 
 def test_each_corrector_starts_from_what_the_trace_knows(case, registry, monkeypatch):
     # a natural step starts from the base tangent or the polynomial through
-    # the last points, a voltage crossing at its held node's own zero and a
-    # fold iterate from the cubic Hermite in eta: per trace the converged
-    # steps take 7.06 Newton iterations, the two crossings 4 and the fold
-    # 3.0 (8.96, 6.0 and 6.04 from the secant, the margin's chord and the
-    # fold chord); the failed step past the nose, counted by the march, is
-    # not in these
+    # the last points, a crossing at the zero of its binding side's margin
+    # and a fold iterate from the cubic Hermite in eta: per trace the
+    # converged steps take 7.06 Newton iterations, the two crossings 4 and
+    # the fold 3.0 (8.96, 6.0 and 6.04 from the secant, the margin's chord
+    # and the fold chord); the failed step past the nose, counted by the
+    # march, is not in these
     from adcap import continuation
     from adcap.assessment import _STREAM_MCS
     from adcap.stochastic import sample_inputs
@@ -616,6 +617,17 @@ def test_trace_delta_of_a_tree_against_itself_is_zero():
     assert all(float(x) == 0.0 for row in rows for x in row[1:])
     assert "binding mismatches: 0, capped mismatches: 0" in lines
     assert sum(line.startswith(("old: 0 failed,", "new: 0 failed,")) for line in lines) == 2
+    # each tree's Newton iterations per trace, split into the march, the
+    # crossing of each class and the fold, add up to its total
+    split = re.compile(
+        r"(old|new) newton iterations per trace: march (\S+), voltage crossing (\S+), "
+        r"thermal crossing (\S+), fold (\S+)$"
+    )
+    parts = [m.groups() for m in map(split.match, lines) if m]
+    assert [name for name, *_ in parts] == ["old", "new"] and parts[0][1:] == parts[1][1:]
+    total = float(next(line for line in lines if line.startswith("old: ")).split()[6])
+    assert all(float(x) > 0 for x in parts[0][1:])
+    assert sum(map(float, parts[0][1:])) == pytest.approx(total, abs=0.021)
 
 
 def test_trace_time_of_a_tree_against_itself_prints_its_medians():

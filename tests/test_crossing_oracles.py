@@ -17,6 +17,7 @@ from adcap.powerflow import NetworkCase, solve
 from adcap.stochastic import (
     VariationVector,
     assemble_variation,
+    build_registry,
     physical_inputs,
     sample_inputs,
 )
@@ -46,6 +47,20 @@ def _binding(status, cls):
     if status.v_lower_margin <= status.v_upper_margin:
         return "{}.{}:lower".format(*status.v_lower_node)
     return "{}.{}:upper".format(*status.v_upper_node)
+
+
+def _bisect(case, d, cls, hi):
+    """The class margin's first sign change in [0, ``hi``] along direction
+    ``d``, to BISECT_TOL; the margin is negative at ``hi``."""
+    lo = 0.0
+    assert _class_margin(check_limits(case, solve(case, hi, d)), cls) < 0
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if _class_margin(check_limits(case, solve(case, mid, d)), cls) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @pytest.fixture(scope="module")
@@ -84,15 +99,7 @@ def test_crossings_agree_with_bisection_oracle(case, traced):
     n = 0
     for cls, d, res in _crossings(traced):
         lam = res.lambdas[cls]
-        lo, hi = 0.0, lam + 1e-4
-        assert _class_margin(check_limits(case, solve(case, hi, d)), cls) < 0
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if _class_margin(check_limits(case, solve(case, mid, d)), cls) >= 0:
-                lo = mid
-            else:
-                hi = mid
-        assert lam == pytest.approx(lo, abs=ORACLE_TOL), cls
+        assert lam == pytest.approx(_bisect(case, d, cls, lam + 1e-4), abs=ORACLE_TOL), cls
         assert lam < res.lambdas["collapse"]
         n += 1
     assert n >= 100
@@ -151,3 +158,55 @@ def test_voltage_crossing_when_the_binding_node_changes_inside_the_bracket():
     vm_a = solve(case, lams[k], case.direction_arrays(var)).vm[case.index[("r", "a")]]
     assert vm_a < 0.9 and end.v_lower_margin < vm_a - 0.9
     assert np.isfinite(res.lambdas["collapse"])
+
+
+def _eliminated_node_case():
+    """two_bus_doc with an unloaded bus m between the slack and r: the line
+    runs s -> m and a wye-wye transformer at tap 1.1 runs m -> r, so r sits
+    above m and m, which injects nothing, is eliminated by the reduction;
+    the load and a stochastic load are at r."""
+    doc = two_bus_doc(v_min=0.90)
+    doc["buses"].insert(1, dict(doc["buses"][1], id="m"))
+    line = doc["branches"][0]
+    line["to"] = "m"
+    doc["branches"].append(dict(
+        line, id="xf", to="r", kind="transformer", connection="wye-wye", tap={"a": 1.1},
+        **{"from": "m"},
+    ))
+    model = load_feeder(doc)
+    registry = build_registry(model, {"loads_stochastic": [
+        {"bus": "r", "phase": "a", "mean_kw": 200.0, "std_kw": 20.0, "power_factor": 0.9},
+    ]})
+    return NetworkCase(model), assemble_variation(registry.mean_inputs(), registry)
+
+
+def _injecting_case():
+    """two_bus_doc with r = x = 0.3 pu and v_max 1.05, and a direction that
+    injects 1 pu of active power at r per unit lambda: r rises past v_max."""
+    doc = two_bus_doc(v_min=0.90)
+    doc["limits"]["v_max_pu"] = 1.05
+    doc["branches"][0]["r_ohm"] = [[0.3]]
+    var = VariationVector(dp_kw={("r", "a"): 1000.0}, dq_kvar={}, load_increase_kw=1000.0)
+    return NetworkCase(load_feeder(doc)), var
+
+
+@pytest.mark.parametrize("make, node, eliminated, label", [
+    (_eliminated_node_case, ("m", "a"), True, "m.a:lower"),
+    (_injecting_case, ("r", "a"), False, "r.a:upper"),
+], ids=["eliminated-node-lower", "kept-node-upper"])
+def test_voltage_crossing_held_by_each_rule_agrees_with_bisection_oracle(
+    make, node, eliminated, label
+):
+    # a crossing at an eliminated node is held by the limit row of its
+    # recovered voltage, one at a kept node by pinning its magnitude
+    case, var = make()
+    d = case.direction_arrays(var)
+    assert (case.index[node] in case.reduction(d).elim) == eliminated
+    res = trace_adc(case, var)
+    lam = res.lambdas["voltage"]
+    assert res.binding_element["voltage"] == label
+    assert res.binding_class == "voltage" and lam < res.lambdas["collapse"]
+    assert lam == pytest.approx(_bisect(case, d, "voltage", lam + 1e-4), abs=ORACLE_TOL)
+    status = check_limits(case, solve_tight(case, lam, d))
+    assert abs(_class_margin(status, "voltage")) <= MARGIN_TOL
+    assert _binding(status, "voltage") == label

@@ -124,6 +124,12 @@ def test_shunt_capacitor_enters_diagonal(model):
         (lambda d: d["branches"].clear(), TopologyError),  # disconnected
         (lambda d: d["branches"][0].update(to="nowhere"), FeederFormatError),
         (lambda d: d["limits"].update(v_min_pu=2.5), FeederFormatError),
+        (lambda d: d["buses"].append(dict(d["buses"][1])), TopologyError),  # duplicate bus
+        (lambda d: d["branches"].append(dict(d["branches"][0])), TopologyError),  # duplicate branch
+        (lambda d: d["generators"].extend(  # duplicate generator
+            [{"id": "g", "bus": "r", "phases": "a", "type": "pq", "p_kw": 1.0}] * 2),
+         TopologyError),
+        (lambda d: d["buses"][1].update(v0_pu=1.0), FeederFormatError),  # v0_pu on a pq bus
     ],
 )
 def test_validation_rejects(mutate, exc):
