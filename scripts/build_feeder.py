@@ -303,13 +303,18 @@ def calibrate():
 
     from adcap.continuation import check_limits, trace_adc
     from adcap.feeder import load_feeder
-    from adcap.powerflow import NetworkCase, branch_flows, solve
+    from adcap.powerflow import Curve, NetworkCase, branch_flows, solve
     from adcap.stochastic import assemble_variation, build_registry
 
     model = load_feeder(build_feeder())
     case = NetworkCase(model)
     registry = build_registry(model, build_scenario())
-    base = solve(case)
+
+    def solve_at(lam=0.0, direction=None):
+        curve = Curve(case, direction, {})
+        return solve(curve, curve.pack(case.flat_state(), lam))
+
+    base = solve_at()
     status = check_limits(case, base)
     print(f"base: iters={base.iterations} mism={base.max_mismatch:.2e}")
     mon = ~case.slack_mask
@@ -330,7 +335,7 @@ def calibrate():
 
     # branch currents at the thermal-target lambda for ampacity calibration
     lam_t = 0.7231
-    st = solve(case, lam_t, case.direction_arrays(var))
+    st = solve_at(lam_t, case.direction_arrays(var))
     print(f"currents at lambda={lam_t}:")
     flows = branch_flows(case, st)
     for k, bid in enumerate(case.branch_ids):

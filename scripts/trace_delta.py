@@ -21,8 +21,9 @@ an older tree) or ``capped`` flag differ; the failed traces of each tree
 failures a run counts per trace); each tree's mean ``n_solves`` and
 ``n_newton`` per successful trace; and, for a tree whose tracer has
 ``_Tracer._cross`` and ``_Tracer._fold``, those Newton iterations split
-into the march (the base case and every natural step, failed ones
-included), each class's crossing and the fold, per successful trace.
+into the march (every natural step, failed ones included, and the base
+case in a tree that counts it per trace), each class's crossing and the
+fold, per successful trace.
 
 The tolerances every trace-kernel change must meet are checked, and the
 exit status says whether they hold:

@@ -2,12 +2,15 @@
 of delivery margins.
 
 The driver marches in the load-growth parameter lambda: every step is a
-power-flow solve at a pinned lambda (``powerflow.solve``).  A trace builds
+power-flow solve at a pinned lambda.  Every solve of a trace (step,
+crossing, fold iterate) is one call of ``powerflow.solve``, the one
+reactive-limit switching driver, with the pin of its kind.  A trace builds
 one ``powerflow.Curve`` per switch set on the one reduction of its
-direction, and every step, crossing and fold iterate in that set solves on
-it; each accepted point keeps its z = [theta_p, vm_q, lambda] packed once on
-its set's curve, and a step hands ``powerflow.solve`` that curve and its
-prediction.  Every corrector starts from a polynomial through what the
+direction, and every step, crossing and fold iterate in that set starts on
+it, or on its system bordered by a limit row; each accepted point keeps its
+z = [theta_p, vm_q, lambda] packed once on its set's curve, and a step
+hands ``powerflow.solve`` that curve and its prediction, the step's lambda
+set in it.  Every corrector starts from a polynomial through what the
 trace already holds (``interpolate``), and a predictor reads only points
 and tangents of the curve it predicts on; across a switch set it falls back
 to the chord or secant, the other point packed on that curve.  A step
@@ -40,8 +43,8 @@ d eta, the lambda entry of the tangent dz / d eta, the one with eta's entry
 holds only the nodes its Kron reduction keeps
 (``powerflow.NetworkCase.reduction``).  A secant on s starts from the last
 two points; each iterate is one solve of the power flow's augmented system
-(``powerflow.Curve``) with eta pinned and lambda free, by its one Newton
-loop (``powerflow.correct``), from the cubic Hermite in eta through the two
+(``powerflow.Curve``) with eta pinned and lambda free (``powerflow.solve``),
+from the cubic Hermite in eta through the two
 latest points and their tangents, followed by one tangent solve on the
 augmented Jacobian there.  An iterate is judged like a march step, but from
 the start it corrects from, not from the last point: the fold can lie
@@ -97,7 +100,8 @@ from .errors import (
     ZeroDirectionError,
 )
 from . import powerflow as pf
-# fold and crossing solves call the loop as this module's ``correct``; a wrapper set here sees only them
+# nothing here calls it: perfbench's tracer wraps every name of its TRACED
+# list, this one included, so it stays importable from this module
 from .powerflow import correct
 
 CLASSES = ("voltage", "thermal", "collapse")  # the margin classes of a trace, in report order
@@ -158,7 +162,7 @@ class AdcResult:
     binding_element: dict  # class -> report label ("611.c:lower", a branch id) or None
     curve: list  # one CurvePoint per accepted point, in the order accepted
     capped: bool = False
-    n_solves: int = 0  # converged solves, base case included, each once however it switched
+    n_solves: int = 0  # converged solves, each once however it switched; not the cached base case
     n_newton: int = 0  # every Newton iteration, failed runs included
 
 
@@ -194,7 +198,8 @@ def solve_base_case(case: pf.NetworkCase):
     solves it once, for its gate, and pool workers inherit it with the case.
     """
     if case.base_case is None:
-        state = pf.solve(case)
+        curve = pf.Curve(case, None, {})
+        state = pf.solve(curve, curve.pack(case.flat_state(), 0.0))
         status = check_limits(case, state)
         bad = status.violated()
         if bad:
@@ -287,42 +292,21 @@ class _Tracer:
             )
         return curve
 
-    # corrector entry points ---------------------------------------------------
-    # ``abort_on_rise`` (see ``powerflow.correct``) is set for the steps of
-    # the march, which retry a failure shorter; limit crossings and the fold
-    # secant read a failure as "no solution there" and keep the budget.
-
-    def _solve_natural(self, lam, curve: pf.Curve, z) -> pf.PowerFlowState:
-        state = pf.solve(
-            self.case, lam, self.direction, start=(curve, z), abort_on_rise=True
-        )
+    def _solve(self, curve: pf.Curve, z, node=None, **kwargs) -> pf.PowerFlowState:
+        """``powerflow.solve`` from ``z`` on ``curve``, its Newton iterations
+        counted, a failed run's included, and a converged solve counted once.
+        ``abort_on_rise`` (see ``powerflow.correct``) is set for the steps of
+        the march, which retry a failure shorter; limit crossings and the
+        fold secant read a failure as "no solution there" and keep the
+        budget."""
+        try:
+            state = pf.solve(curve, z, node, **kwargs)
+        except ConvergenceError as exc:
+            self.n_newton += exc.iterations
+            raise
         self.n_solves += 1
         self.n_newton += state.newton_total
         return state
-
-    def _solve_local(self, curve: pf.Curve, z, pin_node, tol=pf.TOL):
-        """Correction from ``z`` to the mismatch max-norm ``tol`` with lambda
-        free and the magnitude at ``pin_node`` pinned (nothing pinned for
-        None, on a curve with a limit row), switching reactive limits by
-        the power-flow rule; returns ``(state, z)``, z converged on the
-        state's switch set."""
-        while True:  # each round switches one more PV phase, so this ends
-            pin = None if pin_node is None else curve.vm_coord(pin_node)
-            try:
-                z, iters, norm = correct(curve.linearize, z, pin, tol=tol)
-            except ConvergenceError as exc:
-                self.n_newton += exc.iterations
-                raise
-            self.n_newton += iters
-            state, switched = curve.settle(z, iters, norm)
-            if switched is None:
-                self.n_solves += 1
-                return state, z
-            if curve.limit is None:
-                curve = self._curve(switched)
-            else:
-                curve = pf.Curve(self.case, self.direction, switched, curve.limit, self.net)
-            z = curve.pack(state, z[-1])
 
     def _last_on_one_curve(self):
         """The last points, at most three, that lie on the last point's
@@ -422,8 +406,8 @@ class _Tracer:
         label, side = self._binding(b.status, cls)
         z = self._crossing_start(side, a, b)
         for _ in range(MAX_REPINS + 1):
-            state, z = self._solve_at_limit(point, z, side)
-            lam = float(z[-1])
+            state = self._solve_at_limit(point, z, side)
+            z, lam = state.z, float(state.z[-1])
             status = check_limits(self.case, state)
             # the held element sits on its limit to the crossing tolerance
             if self._margins(status)[cls] >= -CROSSING_TOL:
@@ -456,7 +440,8 @@ class _Tracer:
     def _solve_at_limit(self, p: _TracePoint, z, side):
         """Solve from ``z`` to CROSSING_TOL with the element binding the
         margin ``side`` at ``p`` held at its limit (module docstring); a
-        branch by its rated row carrying the most current at ``p``."""
+        branch by its rated row carrying the most current at ``p``.
+        Returns the solved state, its z on its switch set."""
         case, status = self.case, p.status
         if side == "thermal_margin":
             k = case.branch_ids.index(status.thermal_branch)
@@ -476,12 +461,12 @@ class _Tracer:
             if pin is not None:
                 z = z.copy()
                 z[pin] = edge
-                return self._solve_local(p.curve, z, i, CROSSING_TOL)
+                return self._solve(p.curve, z, i, tol=CROSSING_TOL)
             unit = np.zeros(case.n, dtype=complex)  # an eliminated node's voltage
             unit[i] = 1.0
             limit = unit, edge
         bordered = pf.Curve(case, self.direction, p.curve.q_switched, limit, self.net)
-        return self._solve_local(bordered, z, None, CROSSING_TOL)
+        return self._solve(bordered, z, tol=CROSSING_TOL)
 
     # the fold ---------------------------------------------------------------------
 
@@ -528,8 +513,8 @@ class _Tracer:
             # judged from its own start: the fold may lie further than
             # MAX_VM_STEP from the last point, but not from the start there
             start_vm = curve.unpack(z)[0]
-            state, z = self._solve_local(curve, z, pin_node)
-            lam = float(z[-1])
+            state = self._solve(curve, z, pin_node)
+            z, lam = state.z, float(state.z[-1])
             if not self._sane(lam, state, start_vm):
                 raise ConvergenceError(f"fold iterate at lambda {lam:.6g} left the branch")
             curve = self._curve(state.q_switched)
@@ -542,10 +527,7 @@ class _Tracer:
     # main driver --------------------------------------------------------------------
 
     def run(self) -> AdcResult:
-        base, status0 = solve_base_case(self.case)
-        self.n_solves += 1
-        self.n_newton += base.newton_total
-        self._accept(0.0, base, status0)
+        self._accept(0.0, *solve_base_case(self.case))
         points = self.points
 
         h = STEP0
@@ -557,12 +539,10 @@ class _Tracer:
             prev = points[-1]
             lam_new = prev.lam + h
             curve, z = self._predict(h)
+            z[-1] = lam_new
             try:
-                new_state = self._solve_natural(lam_new, curve, z)
-            except ConvergenceError as exc:
-                self.n_newton += exc.iterations  # summed over its switching rounds
-                new_state = None
-            except SingularJacobianError:
+                new_state = self._solve(curve, z, abort_on_rise=True)
+            except (ConvergenceError, SingularJacobianError):
                 new_state = None
             if new_state is None or not self._sane(lam_new, new_state, prev.state.vm):
                 h *= 0.5

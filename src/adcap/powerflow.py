@@ -40,13 +40,15 @@ switch set (:meth:`NetworkCase.partition`), a reduction's rows and the
 Jacobian's index maps once per switch set and pinned coordinate
 (:meth:`Reduction.partition`, :meth:`Reduction.jacobian_scatter`).
 
-A :class:`Curve` is one switch set's system along one direction, and a
-continuation trace builds it once per switch set.  It precomputes what its iterates share: its rows' flat positions in the
-complex power read as interleaved reals, the base injections and the
-direction on those rows and the switched reactive limits, so the residual
-is spec - S at those positions with spec = spec0 + lambda dir (the limits
-added after) evaluated once per lambda; each free magnitude's coordinate;
-and per pinned coordinate the Jacobian's maps and template.  At m = 44 a
+A :class:`Curve` is one switch set's system along one direction; a
+continuation trace builds it once per switch set of its points, and a
+switching round of :func:`solve` builds its own.  It precomputes what its
+iterates share: its rows' flat positions in the complex power read as
+interleaved reals, the base injections and the direction on those rows
+and the switched reactive limits, so the residual is spec - S at those
+positions with spec = spec0 + lambda dir (the limits added after) evaluated
+once per lambda; each free magnitude's coordinate; and per pinned
+coordinate the Jacobian's maps and template.  At m = 44 a
 trace's cost is call overhead, not LAPACK: a Newton iteration takes about
 48 us (timeit), of which the residual takes 8, the Jacobian 16 and
 ``np.linalg.solve`` 20, only about 12 of them in LAPACK's ``dgesv``; the
@@ -58,13 +60,16 @@ branch-current matrix, one row per (branch, phase, end), with V; each
 branch's loading is the largest current over its rated ends.  Y and that
 matrix are built in one pass over the branches (:class:`NetworkCase`).
 
-Every power-flow solve, whether a plain solve or a continuation step, runs
+Every power-flow solve (the base case, a step of a continuation march, a
+limit crossing, an iterate of the fold) is one call of :func:`solve`, the
+one reactive-limit switching driver, and each of its switching rounds runs
 one Newton loop (:func:`correct`) on one augmented system (:class:`Curve`):
 the m mismatch rows of a switch set over the m + 1 coordinates
-z = [theta_p, vm_q, lambda], with one coordinate pinned.  :func:`solve` pins
-lambda; a limit crossing at a kept node or an iterate of the fold pins one
-kept voltage magnitude; any other limit crossing pins nothing and adds one
-bordered limit row |w V|^2 = c^2: for a thermal crossing w is a rated
+z = [theta_p, vm_q, lambda], with one coordinate pinned.  The base case and
+a march step pin lambda; a limit crossing at a kept node or an iterate of
+the fold pins one kept voltage magnitude; any other limit crossing pins
+nothing, on a curve that adds one bordered limit row |w V|^2 = c^2: for a
+thermal crossing w is a rated
 branch-current row in units of its ampacity and c = 1, for a voltage
 crossing at an eliminated node w is that node's recovery row and c the band
 edge.  After every update the loop projects the magnitudes of its iterate
@@ -83,8 +88,9 @@ here" (the base case, limit crossings, the fold) keeps the whole budget.
 Reactive limits follow one rule in every solve: after each converged round,
 the PV phase whose reactive output exceeds its limit by the smallest margin
 (node order breaking ties) is switched to PQ at that limit and the round is
-solved again, until no unswitched PV phase is in violation.  A state carries
-its switch set, so re-solving from a solved state performs no further
+solved again on the same system of the new switch set (same direction, pin
+and limit row), until no unswitched PV phase is in violation.  A solved state
+carries its switch set and its z, so re-solving from it performs no further
 switching.
 """
 
@@ -127,7 +133,8 @@ class PowerFlowState:
     q_switched: dict = field(default_factory=dict)  # (bus, phase) -> "min"/"max"
     iterations: int = 0
     max_mismatch: float = math.inf
-    newton_total: int = 0  # cumulative over switching rounds
+    newton_total: int = 0  # of its solve, summed over the switching rounds
+    z: np.ndarray | None = None  # of its solve: the converged point on the last round's curve
 
     def voltage(self) -> np.ndarray:
         return self.vm * np.exp(1j * self.theta)
@@ -640,50 +647,40 @@ def correct(
     raise AssertionError("unreachable")
 
 
-def solve(
-    case: NetworkCase,
-    lam: float = 0.0,
-    direction=None,
-    *,
-    initial: PowerFlowState | None = None,
-    abort_on_rise: bool = False,
-    start: tuple | None = None,
-) -> PowerFlowState:
-    """Newton solve at fixed lambda with reactive-limit switching; each
-    switching round is one :func:`correct` with lambda pinned.
+def solve(curve: Curve, z, node=None, *, tol=TOL, abort_on_rise=False) -> PowerFlowState:
+    """Newton solve from the packed point ``z`` on ``curve`` with
+    reactive-limit switching (module docstring), each switching round one
+    :func:`correct` on that round's curve.  The pin: nothing on a curve
+    with a limit row, else lambda when ``node`` is None, else the magnitude
+    at the node index ``node``, looked up on each round's curve.  The next
+    round's curve is the same system on the next switch set.
 
-    ``initial`` (default: the flat start) provides both the starting point
-    and the inherited switch set; solving again from a returned state
-    performs zero extra switches.  ``start = (curve, z)`` starts instead
-    from the packed point z, its lambda entry set to ``lam``, on the curve
-    of the starting switch set: a continuation step hands over the
-    prediction it holds.  The returned ``newton_total`` adds this solve's
-    iterations to ``initial``'s.  ``abort_on_rise`` is passed to
-    :func:`correct`.  A ConvergenceError counts the iterations of every
-    round.
+    Returns the last round's state with its converged ``z`` and the
+    iterations of every round in ``newton_total``; solving again from that
+    z on its switch set's curve performs no further switching.  ``tol`` and
+    ``abort_on_rise`` are passed to :func:`correct`.  A ConvergenceError
+    counts the iterations of every round.
     """
-    if start is None:
-        origin = initial if initial is not None else case.flat_state()
-        curve = Curve(case, direction, origin.q_switched)
-        z = curve.pack(origin, lam)
-    else:
-        curve, z = start
-        z = z.copy()
-        z[-1] = lam
     total = 0
     while True:  # each round switches one more PV phase, so this ends
+        if curve.limit is not None:
+            pin = None
+        elif node is None:
+            pin = curve.lam_coord
+        else:
+            pin = curve.vm_coord(node)
         try:
-            z, iters, norm = correct(curve.linearize, z, curve.lam_coord, abort_on_rise)
+            z, iters, norm = correct(curve.linearize, z, pin, abort_on_rise, tol)
         except ConvergenceError as exc:
             exc.iterations += total
             raise
         total += iters
         state, switched = curve.settle(z, iters, norm)
         if switched is None:
-            state.newton_total = (0 if initial is None else initial.newton_total) + total
+            state.z, state.newton_total = z, total
             return state
-        curve = Curve(case, direction, switched, net=curve.net)
-        z = curve.pack(state, lam)
+        curve = Curve(curve.case, curve.direction, switched, curve.limit, curve.net)
+        z = curve.pack(state, z[-1])
 
 
 # -- branch flows -------------------------------------------------------------

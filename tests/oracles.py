@@ -120,11 +120,19 @@ def dense_jacobian(y, vm, theta, rows, cols):
     ])
 
 
+def solve_at(case, lam=0.0, direction=None, initial=None, **kwargs):
+    """``powerflow.solve`` with lambda pinned at ``lam``, from ``initial``
+    (the flat start by default) on the curve of its switch set."""
+    origin = case.flat_state() if initial is None else initial
+    curve = powerflow.Curve(case, direction, origin.q_switched)
+    return powerflow.solve(curve, curve.pack(origin, lam), **kwargs)
+
+
 def solve_tight(case, lam, direction, tol=1e-12):
-    """``powerflow.solve`` at ``lam``, whose Newton loop stops at
+    """``solve_at`` at ``lam``, whose Newton loop stops at
     ``powerflow.TOL``, run on to the mismatch max-norm ``tol`` in its last
     switch set."""
-    state = powerflow.solve(case, lam, direction)
+    state = solve_at(case, lam, direction)
     curve = powerflow.Curve(case, direction, state.q_switched)
     z, iters, norm = powerflow.correct(
         curve.linearize, curve.pack(state, lam), curve.lam_coord, tol=tol
@@ -144,11 +152,11 @@ def fold_lambda(case, direction, lam_below, eta_tol=1e-7):
     magnitude that moved most over its last step.  Eta is then moved on from
     there in doubling steps until lambda falls, which brackets the maximum,
     and the bracket is narrowed to ``eta_tol``."""
-    state = powerflow.solve(case)
+    state = solve_at(case)
     for lam in [lam_below * k / 32 for k in range(1, 32)] + [
         lam_below * (1 - 2.0 ** -k) for k in range(6, 11)
     ]:
-        prev, state = state, powerflow.solve(case, lam, direction, initial=state)
+        prev, state = state, solve_at(case, lam, direction, initial=state)
     free = case.partition(state.q_switched)[1]
     node = free[np.argmax(np.abs(state.vm - prev.vm)[free])]
     solved = [(state, lam)]

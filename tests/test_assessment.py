@@ -89,17 +89,17 @@ def test_config_rejects_bad_values():
 def test_base_case_solved_once_per_run(model, scenario_doc, monkeypatch):
     from adcap import powerflow
 
-    lambdas = []
+    directions = []
     solve = powerflow.solve
 
-    def counting(case, lam=0.0, *args, **kwargs):
-        lambdas.append(lam)
-        return solve(case, lam, *args, **kwargs)
+    def counting(curve, *args, **kwargs):
+        directions.append(curve.direction)
+        return solve(curve, *args, **kwargs)
 
     monkeypatch.setattr(powerflow, "solve", counting)
     run_assessment(model, scenario_doc, AssessmentConfig(method="mcs", mcs_samples=8))
-    assert lambdas.count(0.0) == 1
-    assert len(lambdas) > 8  # the traces themselves still solve
+    assert sum(d is None for d in directions) == 1  # the base case has no direction
+    assert len(directions) > 8  # the traces themselves still solve
 
 
 def test_trace_memo_traces_each_direction_once_per_run(model, scenario_doc, monkeypatch):
@@ -199,13 +199,13 @@ def test_a_crossing_that_cannot_be_solved_fails_its_trace_only(monkeypatch, faul
     held = []  # the states they solved
 
     def forced_solve(self, p, z, side):
-        state, z = solve_at_limit(self, p, z, side)
+        state = solve_at_limit(self, p, z, side)
         if len(held) < n_forced:
             held.append(state)
             if fault == "off-bracket":
-                z = z.copy()
-                z[-1] += 1.0
-        return state, z
+                state.z = state.z.copy()
+                state.z[-1] += 1.0
+        return state
 
     def past_the_limit(case, state):
         status = check_limits(case, state)

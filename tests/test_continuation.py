@@ -24,11 +24,11 @@ from adcap.errors import (
     ZeroDirectionError,
 )
 from adcap.feeder import load_feeder
-from adcap.powerflow import MAX_ITER, NetworkCase, solve
+from adcap.powerflow import MAX_ITER, NetworkCase
 from adcap.stochastic import VariationVector, assemble_variation, build_registry
 
 from conftest import pv_two_bus_doc, two_bus_doc
-from oracles import fold_lambda, solve_tight, to_document
+from oracles import fold_lambda, solve_at, solve_tight, to_document
 
 
 # -- predictor/corrector primitives ---------------------------------------------
@@ -151,12 +151,14 @@ def test_fold_after_natural_failure_matches_two_bus_closed_form(monkeypatch, sca
     p, q, x = scale, 0.2 * scale, 0.3
     case, var, _ = _two_bus_case(1000.0 * p, 1000.0 * q, x_ohm=x)
     lam_star = (math.sqrt(p * p + q * q) - q) / (2 * x * p * p)
-    log = []
+    log = []  # of the solves with lambda pinned: the base case and the march
     solve_ = powerflow.solve
 
-    def logged_solve(*args, **kwargs):
+    def logged_solve(curve, z, node=None, **kwargs):
+        if node is not None or curve.limit is not None:  # a fold iterate or crossing
+            return solve_(curve, z, node, **kwargs)
         try:
-            state = solve_(*args, **kwargs)
+            state = solve_(curve, z, node, **kwargs)
         except (ConvergenceError, SingularJacobianError):
             log.append("failed")
             raise
@@ -198,7 +200,7 @@ def test_two_bus_thermal_crossing_refined_to_margin():
     # rate the line at its current partway up the curve, then the trace must
     # report the crossing there; i_base is 1 MVA / (1 kV phase) = 1000 A
     lam_probe = 0.6
-    st = solve(case, lam_probe, case.direction_arrays(var))
+    st = solve_at(case, lam_probe, case.direction_arrays(var))
     i_r = case.index[("r", "a")]
     v = st.vm[i_r] * np.exp(1j * st.theta[i_r])
     i_pu = abs((st.vm[0] * np.exp(1j * st.theta[0]) - v) / (1j * x))
@@ -258,7 +260,7 @@ def test_check_limits_ignores_slack():
     doc["limits"] = {"v_min_pu": 0.2, "v_max_pu": 0.95}  # slack sits above vmax
     model = load_feeder(doc)
     case = NetworkCase(model)
-    st = solve(case)
+    st = solve_at(case)
     status = check_limits(case, st)
     bad = status.violated()
     assert all(el != ("s", "a") for _, el, _ in bad)
@@ -272,7 +274,7 @@ def test_bundled_crossing_sits_on_margin(case, model, registry):
     var = assemble_variation(registry.mean_inputs(), registry)
     res = trace_adc(case, var)
     lam_v = res.lambdas["voltage"]
-    st = solve(case, lam_v, case.direction_arrays(var))
+    st = solve_at(case, lam_v, case.direction_arrays(var))
     i = case.index[("611", "c")]
     assert st.vm[i] == pytest.approx(0.90, abs=5e-6)
     assert res.binding_element["voltage"] == "611.c:lower"
@@ -320,9 +322,9 @@ def _pv_675_trace(feeder_doc, scenario_doc):
 def test_trace_switching_reactive_limit_agrees_with_fold_oracle(feeder_doc, scenario_doc):
     case, var = _pv_675_trace(feeder_doc, scenario_doc)
     d = case.direction_arrays(var)
-    assert not solve(case).q_switched
+    assert not solve_at(case).q_switched
     lam = trace_adc(case, var).lambdas["collapse"]
-    assert solve(case, 0.9 * lam, d).q_switched
+    assert solve_at(case, 0.9 * lam, d).q_switched
     assert lam == pytest.approx(fold_lambda(case, d, lam), rel=1e-7)
 
 
@@ -362,10 +364,11 @@ def test_failed_march_steps_give_up_early(case, registry, monkeypatch):
 
 
 def test_n_newton_counts_every_corrector_iteration(model, registry, monkeypatch):
-    # a fresh case solves its base case inside the trace, and the mean-input
-    # trace fails natural steps at the nose: every Newton iteration of every
-    # corrector run, converged or failed, is in the trace's n_newton
-    from adcap import continuation, powerflow
+    # the mean-input trace fails natural steps at the nose: every Newton
+    # iteration of every corrector run of the trace, converged or failed, is
+    # in its n_newton; the base case, solved once per case before the trace,
+    # is not
+    from adcap import powerflow
 
     iterations = []
 
@@ -381,9 +384,10 @@ def test_n_newton_counts_every_corrector_iteration(model, registry, monkeypatch)
 
         return wrapped
 
+    case = NetworkCase(model)
+    solve_base_case(case)
     monkeypatch.setattr(powerflow, "correct", counting(powerflow.correct))
-    monkeypatch.setattr(continuation, "correct", counting(continuation.correct))
-    res = trace_adc(NetworkCase(model), assemble_variation(registry.mean_inputs(), registry))
+    res = trace_adc(case, assemble_variation(registry.mean_inputs(), registry))
     assert any(kind == "failed" for kind, _ in iterations)
     assert res.n_newton == sum(n for _, n in iterations)
 
@@ -404,24 +408,22 @@ def _fail_first_fold(monkeypatch):
         folds.append(h)
         return fold_(self, h)
 
-    def counting(correct_, fail_first_fold):
-        def wrapped(*args, **kwargs):
-            try:
-                z, iters, norm = correct_(*args, **kwargs)
-            except ConvergenceError as exc:
-                iterations.append(exc.iterations)
-                raise
-            iterations.append(iters)
-            if fail_first_fold and len(folds) == 1 and not injected:
-                injected.append(iters)
-                raise ConvergenceError("injected fold failure", iterations=iters)
-            return z, iters, norm
+    correct_ = powerflow.correct
 
-        return wrapped
+    def counting(*args, **kwargs):
+        try:
+            z, iters, norm = correct_(*args, **kwargs)
+        except ConvergenceError as exc:
+            iterations.append(exc.iterations)
+            raise
+        iterations.append(iters)
+        if len(folds) == 1 and not injected:  # the first fold's first run
+            injected.append(iters)
+            raise ConvergenceError("injected fold failure", iterations=iters)
+        return z, iters, norm
 
     monkeypatch.setattr(continuation._Tracer, "_fold", fold)
-    monkeypatch.setattr(powerflow, "correct", counting(powerflow.correct, False))
-    monkeypatch.setattr(continuation, "correct", counting(continuation.correct, True))
+    monkeypatch.setattr(powerflow, "correct", counting)
     return iterations, folds, injected
 
 
@@ -429,8 +431,9 @@ def test_failed_fold_attempt_falls_back_to_halving(model, registry, monkeypatch)
     # the fold attempt at the mean-input trace's first failed natural step
     # fails in its first corrector run: the march halves on and solves the
     # fold once more, and the failed run's iterations stay in n_newton
-    iterations, folds, injected = _fail_first_fold(monkeypatch)
     case = NetworkCase(model)
+    solve_base_case(case)  # once per case, not counted by the trace
+    iterations, folds, injected = _fail_first_fold(monkeypatch)
     var = assemble_variation(registry.mean_inputs(), registry)
     res = trace_adc(case, var)
     assert injected and len(folds) == 2
@@ -469,26 +472,21 @@ def test_fold_iterate_far_from_the_last_point_is_accepted(case, registry, monkey
 def test_n_solves_counts_each_converged_solve_once(
     feeder_doc, scenario_doc, model, registry, monkeypatch, trace
 ):
-    # the base case plus one per converged natural step, fold iterate or
-    # crossing, however many reactive-limit switching rounds it took; a
-    # failed corrector run counts none
+    # one per converged natural step, fold iterate or crossing, however many
+    # reactive-limit switching rounds it took; a failed corrector run counts
+    # none, and the base case, solved once per case, none
     from adcap import continuation
 
     returns, local_switches = [], []
-    tracer = continuation._Tracer
-    solve_natural, solve_local = tracer._solve_natural, tracer._solve_local
+    solve_ = continuation._Tracer._solve
 
-    def counted_natural(self, *args):
-        returns.append(solve_natural(self, *args))
+    def counted(self, curve, z, node=None, **kwargs):
+        returns.append(solve_(self, curve, z, node, **kwargs))
+        if node is not None or curve.limit is not None:  # a fold iterate or crossing
+            local_switches.append(returns[-1].q_switched != curve.q_switched)
         return returns[-1]
 
-    def counted_local(self, curve, *args):
-        returns.append(solve_local(self, curve, *args))
-        local_switches.append(returns[-1][0].q_switched != curve.q_switched)
-        return returns[-1]
-
-    monkeypatch.setattr(tracer, "_solve_natural", counted_natural)
-    monkeypatch.setattr(tracer, "_solve_local", counted_local)
+    monkeypatch.setattr(continuation._Tracer, "_solve", counted)
     if trace == "failed-fold":
         injected = _fail_first_fold(monkeypatch)[2]
         case = NetworkCase(model)
@@ -496,7 +494,7 @@ def test_n_solves_counts_each_converged_solve_once(
     else:
         case, var = _pv_675_trace(feeder_doc, scenario_doc)
     res = trace_adc(case, var)
-    assert res.n_solves == 1 + len(returns)
+    assert res.n_solves == len(returns)
     assert injected if trace == "failed-fold" else any(local_switches)
 
 
@@ -510,8 +508,8 @@ def test_mcs_traces_stop_halving_into_the_nose(case, registry):
         trace_adc(case, assemble_variation(u, registry))
         for u in sample_inputs(registry.distributions(), 50, [0, _STREAM_MCS])
     ]
-    assert np.mean([r.n_newton for r in results]) <= 27.3
-    assert np.mean([r.n_solves for r in results]) <= 9.45
+    assert np.mean([r.n_newton for r in results]) <= 23.3
+    assert np.mean([r.n_solves for r in results]) <= 8.45
 
 
 def test_each_corrector_starts_from_what_the_trace_knows(case, registry, monkeypatch):
@@ -520,13 +518,19 @@ def test_each_corrector_starts_from_what_the_trace_knows(case, registry, monkeyp
     # and a fold iterate from the cubic Hermite in eta: per trace the
     # converged steps take 7.06 Newton iterations, the two crossings 4 and
     # the fold 3.0 (8.96, 6.0 and 6.04 from the secant, the margin's chord
-    # and the fold chord); the failed step past the nose, counted by the
-    # march, is not in these
+    # and the fold chord); the failed step past the nose is not in these
     from adcap import continuation
     from adcap.assessment import _STREAM_MCS
     from adcap.stochastic import sample_inputs
 
-    iterations = {"_solve_natural": 0, "_cross": 0, "_fold": 0}
+    iterations = {"steps": 0, "_cross": 0, "_fold": 0}
+    solve_ = continuation._Tracer._solve
+
+    def solve(self, curve, z, node=None, **kwargs):
+        state = solve_(self, curve, z, node, **kwargs)
+        if kwargs.get("abort_on_rise"):  # a converged step of the march
+            iterations["steps"] += state.newton_total
+        return state
 
     def counted(name):
         method = getattr(continuation._Tracer, name)
@@ -540,13 +544,14 @@ def test_each_corrector_starts_from_what_the_trace_knows(case, registry, monkeyp
 
         return wrapped
 
-    for name in iterations:
+    monkeypatch.setattr(continuation._Tracer, "_solve", solve)
+    for name in ("_cross", "_fold"):
         monkeypatch.setattr(continuation._Tracer, name, counted(name))
     inputs = sample_inputs(registry.distributions(), 50, [0, _STREAM_MCS])
     for u in inputs:
         trace_adc(case, assemble_variation(u, registry))
     per_trace = {name: n / len(inputs) for name, n in iterations.items()}
-    assert per_trace["_solve_natural"] <= 7.3
+    assert per_trace["steps"] <= 7.3
     assert per_trace["_cross"] <= 4.1
     assert per_trace["_fold"] <= 3.2
 
@@ -559,7 +564,7 @@ def test_base_case_converging_through_a_rising_mismatch():
     # give up there; the base case keeps the whole budget and solves it.
     case = NetworkCase(load_feeder(two_bus_doc(p_kw=1400.0, q_kvar=-2700.0)))
     with pytest.raises(ConvergenceError, match="diverging"):
-        solve(case, abort_on_rise=True)
+        solve_at(case, abort_on_rise=True)
     state, _ = solve_base_case(case)
     assert state.vm[case.index[("r", "a")]] == pytest.approx(1.5, abs=1e-9)
     assert solve_base_case(case)[0] is state  # kept on the case

@@ -1,5 +1,5 @@
 """Voltage and thermal crossings of whole traces against oracles that use
-only ``solve`` and ``check_limits``: bisection on the class margin from the
+only ``solve_at`` and ``check_limits``: bisection on the class margin from the
 base case, and the margin at the reported lambda.  The collapse point
 against a golden-section maximum of lambda over one pinned magnitude
 (``oracles.fold_lambda``).  The inputs are 100 Monte Carlo draws at seed 0
@@ -13,7 +13,7 @@ import pytest
 from adcap import chaos
 from adcap.continuation import check_limits, trace_adc
 from adcap.feeder import load_feeder
-from adcap.powerflow import NetworkCase, solve
+from adcap.powerflow import NetworkCase
 from adcap.stochastic import (
     VariationVector,
     assemble_variation,
@@ -23,7 +23,7 @@ from adcap.stochastic import (
 )
 
 from conftest import two_bus_doc
-from oracles import fold_lambda, solve_tight
+from oracles import fold_lambda, solve_at, solve_tight
 
 N_MCS = 100
 BISECT_TOL = 1e-10  # width of the final bisection bracket in lambda
@@ -53,10 +53,10 @@ def _bisect(case, d, cls, hi):
     """The class margin's first sign change in [0, ``hi``] along direction
     ``d``, to BISECT_TOL; the margin is negative at ``hi``."""
     lo = 0.0
-    assert _class_margin(check_limits(case, solve(case, hi, d)), cls) < 0
+    assert _class_margin(check_limits(case, solve_at(case, hi, d)), cls) < 0
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if _class_margin(check_limits(case, solve(case, mid, d)), cls) >= 0:
+        if _class_margin(check_limits(case, solve_at(case, mid, d)), cls) >= 0:
             lo = mid
         else:
             hi = mid
@@ -153,9 +153,9 @@ def test_voltage_crossing_when_the_binding_node_changes_inside_the_bracket():
     lams = [p.lam for p in res.curve]
     k = next(i for i, lam in enumerate(lams) if lam > res.lambdas["voltage"])
     assert lams[k] > lam_b
-    end = check_limits(case, solve(case, lams[k], case.direction_arrays(var)))
+    end = check_limits(case, solve_at(case, lams[k], case.direction_arrays(var)))
     assert end.v_lower_node == ("r", "b")
-    vm_a = solve(case, lams[k], case.direction_arrays(var)).vm[case.index[("r", "a")]]
+    vm_a = solve_at(case, lams[k], case.direction_arrays(var)).vm[case.index[("r", "a")]]
     assert vm_a < 0.9 and end.v_lower_margin < vm_a - 0.9
     assert np.isfinite(res.lambdas["collapse"])
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from adcap import powerflow
 from adcap.errors import ConvergenceError
 from adcap.feeder import load_feeder
 from adcap.powerflow import (
@@ -27,6 +28,7 @@ from oracles import (
     mismatch,
     mismatch_at,
     power_balance,
+    solve_at,
     spec_injections,
 )
 
@@ -150,14 +152,14 @@ def test_correct_gives_up_when_the_mismatch_rises():
 
 
 def test_power_balance_on_converged_state(case):
-    state = solve(case)
+    state = solve_at(case)
     s_nodal, s_elem = power_balance(case, state)
     assert abs(s_nodal - s_elem) < 10 * TOL
 
 
 def test_power_balance_under_direction(case, registry):
     var = assemble_variation(registry.mean_inputs(), registry)
-    state = solve(case, 0.4, case.direction_arrays(var))
+    state = solve_at(case, 0.4, case.direction_arrays(var))
     s_nodal, s_elem = power_balance(case, state)
     assert abs(s_nodal - s_elem) < 10 * TOL
 
@@ -168,7 +170,7 @@ def test_delta_wye_bank_solves_and_balances():
     # per-element flows
     case = NetworkCase(load_feeder(delta_wye_doc()))
     assert np.array_equal(case.y, case.y.T)
-    state = solve(case)
+    state = solve_at(case)
     assert state.iterations <= 5 and state.max_mismatch < TOL
     s_nodal, s_elem = power_balance(case, state)
     assert abs(s_nodal - s_elem) < 10 * TOL
@@ -177,7 +179,7 @@ def test_delta_wye_bank_solves_and_balances():
 def test_no_load_flat_profile():
     doc = two_bus_doc(p_kw=0.0)
     case = NetworkCase(load_feeder(doc))
-    state = solve(case)
+    state = solve_at(case)
     assert np.allclose(state.vm, 1.0, atol=1e-10)
     assert np.allclose(state.theta, state.theta[0], atol=1e-10)
 
@@ -186,7 +188,7 @@ def _two_bus_closed_form_vm(doc, p, q, x):
     # E^2 y = y^2 + 2 lam Q x y + x^2(P^2+Q^2) with y = V^2 solves the
     # receiving-end voltage of a lossless two-bus link exactly
     case = NetworkCase(load_feeder(doc))
-    state = solve(case)
+    state = solve_at(case)
     pp, qq = p / 1000.0, q / 1000.0
     coeffs = [1.0, 2 * qq * x - 1.0, x * x * (pp * pp + qq * qq)]
     y = max(np.roots(coeffs))  # upper branch
@@ -221,7 +223,7 @@ def test_two_bus_closed_form_voltage_through_unloaded_buses(x_mid, n_elim):
 
 
 def test_newton_iteration_count_reasonable(case):
-    state = solve(case)
+    state = solve_at(case)
     assert state.iterations <= 6
     assert state.max_mismatch < TOL
 
@@ -230,11 +232,11 @@ def test_unsolvable_raises():
     doc = two_bus_doc(p_kw=3000.0, x_ohm=0.3)  # beyond the nose
     case = NetworkCase(load_feeder(doc))
     with pytest.raises(ConvergenceError):
-        solve(case)
+        solve_at(case)
     # a caller that retries shorter gives up once the mismatch rises, not
     # after the whole budget
     with pytest.raises(ConvergenceError, match="diverging") as exc:
-        solve(case, abort_on_rise=True)
+        solve_at(case, abort_on_rise=True)
     assert exc.value.iterations < MAX_ITER
 
 
@@ -256,7 +258,7 @@ def _pv_doc(q_max_kvar):
 
 def test_pv_bus_holds_setpoint_within_limits():
     case = NetworkCase(load_feeder(_pv_doc(q_max_kvar=1e6)))
-    state = solve(case)
+    state = solve_at(case)
     i = case.index[("g", "a")]
     assert state.vm[i] == pytest.approx(1.02, abs=1e-9)
     assert not state.q_switched
@@ -264,7 +266,7 @@ def test_pv_bus_holds_setpoint_within_limits():
 
 def test_pv_bus_switches_to_pq_at_limit():
     case = NetworkCase(load_feeder(_pv_doc(q_max_kvar=50.0)))
-    state = solve(case)
+    state = solve_at(case)
     i = case.index[("g", "a")]
     assert state.q_switched == {("g", "a"): "max"}
     assert state.vm[i] < 1.02  # magnitude released after pinning q at the cap
@@ -275,8 +277,8 @@ def test_pv_bus_switches_to_pq_at_limit():
 
 def test_pv_switching_idempotent():
     case = NetworkCase(load_feeder(_pv_doc(q_max_kvar=50.0)))
-    state = solve(case)
-    again = solve(case, initial=state)
+    state = solve_at(case)
+    again = solve_at(case, initial=state)
     assert again.q_switched == state.q_switched
     assert again.iterations <= 2  # warm start: nothing to redo
     assert np.allclose(again.vm, state.vm, atol=1e-9)
@@ -287,7 +289,7 @@ def _end_rows(case, branch_id, end):
 
 
 def test_branch_flow_transformer_rated_from_side_only(case):
-    state = solve(case)
+    state = solve_at(case)
     flows = branch_flows(case, state)
     i_from = flows.amps[_end_rows(case, "xf-633-634", "from")]
     i_to = flows.amps[_end_rows(case, "xf-633-634", "to")]
@@ -313,9 +315,9 @@ def test_branch_flows_match_the_per_branch_loop(case, registry):
     assert {len(br.phases) for br in case.model.branches} == {1, 2, 3}
     assert any(br.kind == "transformer" for br in case.model.branches)
     direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
-    state = solve(case)
+    state = solve_at(case)
     for lam in (0.0, 0.4, 0.8):
-        state = solve(case, lam, direction, initial=state)
+        state = solve_at(case, lam, direction, initial=state)
         flows = branch_flows(case, state)
         ref = branch_flows_loop(case, state)
         assert case.branch_ids == [bid for bid, *_ in ref]
@@ -403,7 +405,7 @@ def test_newton_residual_is_the_reference_mismatch_bit_for_bit(feeder_doc, regis
     direction = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
     switched = {("675", "b"): "max", ("675", "c"): "min"}
     curve = Curve(case, direction, switched)
-    z = curve.pack(solve(case, 0.5, direction), 0.8)
+    z = curve.pack(solve_at(case, 0.5, direction), 0.8)
     vm, theta = curve.unpack(z)
     net = curve.net
     _, _, s = _complex_power(net.y, vm[net.kept], theta[net.kept])
@@ -414,28 +416,55 @@ def test_newton_residual_is_the_reference_mismatch_bit_for_bit(feeder_doc, regis
     assert np.array_equal(curve.linearize(z.copy(), curve.lam_coord)[0], want)
 
 
-@pytest.mark.parametrize("pv675, lam", [(False, 0.5), (True, 0.78)])
-def test_natural_step_from_a_packed_start_matches_one_from_its_state(
-    case, feeder_doc, registry, pv675, lam
-):
-    """A solve handed a curve and a packed start returns what a solve from
-    the state of that start returns, bit for bit; on the pv case the step
-    switches reactive limits on the way."""
-    cs = _pv675_case(feeder_doc) if pv675 else case
-    direction = cs.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
-    base = solve(cs)
-    curve = Curve(cs, direction, base.q_switched)
-    z = curve.pack(base, 0.0)
-    packed = solve(cs, lam, direction, start=(curve, z))
-    unpacked = solve(cs, lam, direction, initial=curve.state(z))
-    assert np.array_equal(z, curve.pack(base, 0.0))  # the start is left as it was
-    assert np.array_equal(packed.vm, unpacked.vm)
-    assert np.array_equal(packed.theta, unpacked.theta)
-    assert packed.q_switched == unpacked.q_switched
-    assert bool(packed.q_switched) == pv675
-    assert packed.iterations == unpacked.iterations
-    assert packed.newton_total == unpacked.newton_total > 0
-    assert packed.max_mismatch == unpacked.max_mismatch
+@pytest.mark.parametrize("pin", ["lambda", "kept magnitude", "limit row"])
+def test_solve_holds_its_pin_through_every_switching_round(feeder_doc, registry, monkeypatch, pin):
+    """``solve`` pins lambda, the magnitude at a given kept node, or nothing
+    on a curve with a limit row (here at an eliminated node).  On the pv
+    case each solve starts at the unswitched base case and ends at the
+    point solved at lambda 0.7, its magnitude or lambda held there, so its
+    rounds switch three reactive limits.  The pinned coordinate keeps its
+    start value bit for bit, or the limit row meets the tolerance; the
+    returned z is the state packed on its switch set's curve; and
+    ``newton_total`` sums the rounds' iterations."""
+    case = _pv675_case(feeder_doc)
+    d = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
+    end = solve_at(case, 0.7, d)
+    node = case.index[("633", "a") if pin == "limit row" else ("680", "a")]
+    limit = None
+    if pin == "limit row":
+        assert node in case.reduction(d).elim
+        unit = np.zeros(case.n, dtype=complex)
+        unit[node] = 1.0
+        limit = unit, end.vm[node]
+    curve = Curve(case, d, {}, limit)
+    z0 = curve.pack(solve_at(case), 0.7 if pin == "lambda" else 0.0)
+    if pin == "lambda":
+        node = None
+    elif pin == "kept magnitude":
+        z0[curve.vm_coord(node)] = end.vm[node]
+    rounds = []
+    correct_ = powerflow.correct
+
+    def counted(*args, **kwargs):
+        z, iters, norm = correct_(*args, **kwargs)
+        rounds.append(iters)
+        return z, iters, norm
+
+    monkeypatch.setattr(powerflow, "correct", counted)
+    state = solve(curve, z0, node)
+    monkeypatch.undo()
+    assert state.q_switched == end.q_switched and len(rounds) == 1 + len(end.q_switched)
+    last = Curve(case, d, state.q_switched, limit)
+    if pin == "lambda":
+        assert state.z[-1] == z0[-1]
+    elif pin == "kept magnitude":
+        assert state.z[last.vm_coord(node)] == z0[curve.vm_coord(node)] == state.vm[node]
+    else:
+        assert np.abs(last.linearize(state.z.copy(), None)[0]).max() < TOL
+        assert state.vm[node] == pytest.approx(end.vm[node], abs=1e-12)
+    assert np.array_equal(state.z, Curve(case, d, state.q_switched).pack(state, state.z[-1]))
+    assert state.newton_total == sum(rounds) > 0
+    assert state.z[-1] == pytest.approx(0.7, abs=1e-6)
 
 
 def test_loading_row_equation_and_its_jacobian(case, registry):
@@ -481,7 +510,7 @@ def test_reduced_solve_balances_every_node_of_the_whole_network(case, registry):
         ("633", "a"), ("633", "b"), ("633", "c"), ("645", "c"), ("646", "c"),
         ("684", "a"), ("684", "c"), ("rg60", "a"), ("rg60", "b"), ("rg60", "c"),
     ]
-    state = solve(case, 0.5, d)
+    state = solve_at(case, 0.5, d)
     g = mismatch(case, state, 0.5, d)
     assert len(g) == 2 * len(case.monitored)
     assert np.max(np.abs(g)) < 1e-8
@@ -493,7 +522,7 @@ def test_limit_row_holds_an_eliminated_magnitude_at_its_target(case, registry):
     d = case.direction_arrays(assemble_variation(registry.mean_inputs(), registry))
     i = case.index[("684", "c")]
     assert i in case.reduction(d).elim
-    state = solve(case, 0.5, d)
+    state = solve_at(case, 0.5, d)
     target = state.vm[i] - 0.01
     unit = np.zeros(case.n, dtype=complex)
     unit[i] = 1.0
@@ -525,6 +554,6 @@ def test_direction_arrays_sign_convention(case, registry):
 def test_solve_at_lambda_moves_load(case, registry):
     var = assemble_variation(registry.mean_inputs(), registry)
     d = case.direction_arrays(var)
-    s0 = solve(case)
-    s1 = solve(case, 0.3, d, initial=s0)
+    s0 = solve_at(case)
+    s1 = solve_at(case, 0.3, d, initial=s0)
     assert s1.vm.min() < s0.vm.min()  # more load, deeper sag
