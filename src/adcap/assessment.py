@@ -144,11 +144,13 @@ def _init_worker(ctx):
 @contextmanager
 def trace_pool(ctx, workers: int):
     """Context manager yielding ``trace(inputs, memoise)``: the guarded
-    traces of ``inputs`` (:func:`_guarded_trace`) in input order, over
-    ``min(workers, CPU count)`` processes, since a pool starts every worker
-    at its first task.  At one process it traces here with ``ctx``; else a
-    process pool, which closes on exit, hands ``ctx`` to each worker once."""
-    size = min(workers, os.cpu_count() or 1)
+    traces of ``inputs`` (:func:`_guarded_trace`) in input order, over at
+    most ``workers`` processes and one per CPU this process may run on,
+    since a pool starts every worker at its first task.  At one process it
+    traces here with ``ctx``; else a process pool, which closes on exit,
+    hands ``ctx`` to each worker once."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    size = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if size == 1:
         yield lambda inputs, memoise: [_guarded_trace(ctx, memoise, u) for u in inputs]
         return

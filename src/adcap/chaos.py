@@ -307,12 +307,10 @@ def fit_sparse(design: CollocationDesign, y, target_terms) -> PceModel:
 
     if auto:
         best = None
-        for m in range(len(order) + 1):
+        for m in range(min(len(order) + 1, n_rows - 1)):
             cols = order[:m]
             b, coef = _refit(cols)
             m_tot = m + 1
-            if m_tot >= n_rows:
-                break
             # hat-matrix leave-one-out with a degrees-of-freedom correction
             q, _ = np.linalg.qr(b)
             h = np.clip(np.sum(q * q, axis=1), 0.0, 1.0 - 1e-12)

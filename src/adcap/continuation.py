@@ -19,10 +19,10 @@ from that tangent and the two points for the second, and from the
 polynomial through the last three points after that, with that tangent
 while the first of them is the base point.  The first step is
 STEP0 long, a rejected step is retried at half the length, and the step
-doubles, up to STEP_MAX, after GROW_AFTER (one) consecutive corrections of
-at most EASY_ITERS iterations: the margins of a trace lie a few tenths
-apart in lambda, so a short march of long steps brackets them, and each
-crossing is solved directly (below), not by shortening the steps.  A step
+doubles, up to STEP_MAX, after every correction of at most EASY_ITERS
+iterations: the margins of a trace lie a few tenths apart in lambda, so a
+short march of long steps brackets them, and each crossing is solved
+directly (below), not by shortening the steps.  A step
 is accepted only at nonnegative lambda and within MAX_VM_STEP in every
 magnitude of the point it started from; further away it has slid onto the
 lower branch.
@@ -107,11 +107,10 @@ from .powerflow import correct
 CLASSES = ("voltage", "thermal", "collapse")  # the margin classes of a trace, in report order
 
 # Step control: the first lambda step, its bounds, and doubling after
-# GROW_AFTER consecutive corrections of at most EASY_ITERS Newton iterations
+# every correction of at most EASY_ITERS Newton iterations
 STEP0 = 0.25
 STEP_MAX = 0.5
 STEP_MIN = 1e-4
-GROW_AFTER = 1
 EASY_ITERS = 3
 LAMBDA_CAP = 20.0  # a trace passing this lambda stops there, flagged capped
 MAX_POINTS = 600  # step attempts per trace, rejected ones included
@@ -531,7 +530,6 @@ class _Tracer:
         points = self.points
 
         h = STEP0
-        easy = 0
         fold = None  # (state, lambda) once solved; None on a capped trace
         fold_tried = False
 
@@ -546,7 +544,6 @@ class _Tracer:
                 new_state = None
             if new_state is None or not self._sane(lam_new, new_state, prev.state.vm):
                 h *= 0.5
-                easy = 0
                 if h < STEP_MIN:  # the corrector cannot advance in lambda
                     fold = self._fold(h)
                     break
@@ -568,12 +565,7 @@ class _Tracer:
                 fold = self._fold(h)
                 break
             if new_state.iterations <= EASY_ITERS:
-                easy += 1
-                if easy >= GROW_AFTER:
-                    h = min(h * 2.0, STEP_MAX)
-                    easy = 0
-            else:
-                easy = 0
+                h = min(h * 2.0, STEP_MAX)
         else:
             raise ConvergenceError("continuation exceeded the point budget")
 

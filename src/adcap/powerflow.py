@@ -35,10 +35,9 @@ row below the Jacobian that borders a tangent's system.
 Row/column ordering: active-power rows over the kept non-slack nodes (node
 order), then reactive rows over the kept PQ nodes (including PV phases
 switched to a reactive limit); columns are the matching angles then
-magnitudes.  The full network's node index arrays are computed once per
-switch set (:meth:`NetworkCase.partition`), a reduction's rows and the
-Jacobian's index maps once per switch set and pinned coordinate
-(:meth:`Reduction.partition`, :meth:`Reduction.jacobian_scatter`).
+magnitudes.  A reduction computes its rows once per switch set
+(:meth:`Reduction.partition`) and the Jacobian's index maps once per switch
+set and pinned coordinate (:meth:`Reduction.jacobian_scatter`).
 
 A :class:`Curve` is one switch set's system along one direction; a
 continuation trace builds it once per switch set of its points, and a
@@ -146,7 +145,6 @@ class NetworkCase:
     branch-current matrix.  Shared read-only by every worker; solves never
     mutate it beyond filling its memos:
 
-    - the node partitions, per set of switched nodes (:meth:`partition`);
     - the Kron reductions, per set of kept nodes (:meth:`reduction`), each
       with memos of its own, built at a case's first solve;
     - the feasible base case (``continuation.solve_base_case``)."""
@@ -157,7 +155,6 @@ class NetworkCase:
         self.index = {node: i for i, node in enumerate(self.nodes)}
         n = len(self.nodes)
         self.n = n
-        self._partitions = {}  # frozenset of switched nodes -> (idx_p, idx_q)
         self._reductions = {}  # bytes of the kept-node mask -> Reduction
         self.base_case = None  # (state, status) once solved and found feasible
 
@@ -205,8 +202,7 @@ class NetworkCase:
 
         self.pv_nodes = [i for i in range(n) if self.pv_mask[i]]
 
-        # voltage-band scan and P rows of every switch set: every node but
-        # the slack phases
+        # voltage-band scan: every node but the slack phases
         self.monitored = np.flatnonzero(~self.slack_mask)
         self.monitored.flags.writeable = False
         self.monitored_nodes = [self.nodes[i] for i in self.monitored]
@@ -254,24 +250,6 @@ class NetworkCase:
         self.rated_starts = np.array(rated_starts, dtype=int)
         self.branch_ids = [br.id for br in model.branches]
         self.ampacity = np.array([br.ampacity_a for br in model.branches])
-
-    # -- node partitions -----------------------------------------------------
-
-    def partition(self, q_switched: dict):
-        """(P-row node indices, Q-row node indices) of the full network for a
-        given switch set, computed once per set of switched nodes; the arrays
-        are read-only.  The P rows are ``monitored`` for every set; the Q
-        rows add a PV phase only once it is switched to PQ."""
-        key = frozenset(q_switched)
-        parts = self._partitions.get(key)
-        if parts is None:
-            switched = np.zeros(self.n, dtype=bool)
-            switched[[self.index[k] for k in key]] = True
-            idx_q = np.flatnonzero(~self.slack_mask & (~self.pv_mask | switched))
-            idx_q.flags.writeable = False
-            parts = self.monitored, idx_q
-            self._partitions[key] = parts
-        return parts
 
     def reduction(self, direction) -> "Reduction":
         """The network of every Newton system along ``direction`` (a pair
@@ -356,14 +334,21 @@ class Reduction:
         return full_vm, full_theta
 
     def partition(self, q_switched: dict):
-        """``NetworkCase.partition``'s P-row and Q-row node indices for a
-        switch set, less the eliminated nodes, then the same rows as
-        positions among the kept nodes; read-only arrays."""
+        """The rows of this reduction's Newton system for a switch set: P rows
+        at every kept node but the slack phases, Q rows at those same nodes
+        but the PV phases not switched to a reactive limit.  Returns
+        ``(idx_p, idx_q, loc_p, loc_q)``, the rows as node indices, then as
+        positions among the kept nodes; read-only arrays, computed once per
+        set of switched nodes."""
         key = frozenset(q_switched)
         rows = self._partitions.get(key)
         if rows is None:
-            idx = [i[self.local[i] >= 0] for i in self.case.partition(q_switched)]
-            rows = *idx, *(self.local[i] for i in idx)
+            case = self.case
+            idx_p = self.kept[~case.slack_mask[self.kept]]
+            pq = ~case.pv_mask
+            pq[[case.index[k] for k in key]] = True
+            idx_q = idx_p[pq[idx_p]]
+            rows = idx_p, idx_q, self.local[idx_p], self.local[idx_q]
             for a in rows:
                 a.flags.writeable = False
             self._partitions[key] = rows

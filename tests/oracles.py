@@ -71,6 +71,16 @@ def spec_injections(case, lam, direction, q_switched):
     return p_spec, q_spec
 
 
+def partition(case, q_switched):
+    """(P-row, Q-row) node indices of the whole network for a switch set,
+    node by node from the feeder model: P rows at every node but the slack
+    phases, Q rows at those but the PV phases not in ``q_switched``."""
+    kind = {(bus.id, ph): bus.bus_type for bus in case.model.buses for ph in bus.phases}
+    idx_p = [i for i, node in enumerate(case.nodes) if kind[node] != "slack"]
+    idx_q = [i for i in idx_p if kind[case.nodes[i]] != "pv" or case.nodes[i] in q_switched]
+    return np.array(idx_p, dtype=int), np.array(idx_q, dtype=int)
+
+
 def mismatch_at(s, idx_p, idx_q, p_spec, q_spec):
     """Power mismatch g = S_spec - S at the nodal complex power ``s``: P
     rows over ``idx_p``, then Q rows over ``idx_q``."""
@@ -81,7 +91,7 @@ def mismatch(case, state, lam=0.0, direction=None):
     """Power mismatch g = S_spec(lambda) - S(x) of a state over the unknown
     rows of the whole network."""
     p_spec, q_spec = spec_injections(case, lam, direction, state.q_switched)
-    idx_p, idx_q = case.partition(state.q_switched)
+    idx_p, idx_q = partition(case, state.q_switched)
     v = state.voltage()
     return mismatch_at(v * np.conj(case.y @ v), idx_p, idx_q, p_spec, q_spec)
 
@@ -157,7 +167,7 @@ def fold_lambda(case, direction, lam_below, eta_tol=1e-7):
         lam_below * (1 - 2.0 ** -k) for k in range(6, 11)
     ]:
         prev, state = state, solve_at(case, lam, direction, initial=state)
-    free = case.partition(state.q_switched)[1]
+    free = partition(case, state.q_switched)[1]
     node = free[np.argmax(np.abs(state.vm - prev.vm)[free])]
     solved = [(state, lam)]
 

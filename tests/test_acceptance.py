@@ -31,7 +31,7 @@ from adcap.stochastic import (
 )
 
 from conftest import two_bus_doc
-from oracles import jacobian, mismatch, power_balance, solve_at
+from oracles import jacobian, mismatch, partition, power_balance, solve_at
 
 # paper-reported margins for the modified feeder (MW); the reconstruction is
 # documented as approximate, so criterion 2 uses +/-15% windows around these
@@ -95,7 +95,7 @@ def test_criterion_4_solver_correctness(case):
     theta = case.theta_ref + 0.05 * rng.uniform(-1, 1, case.n)
     state = PowerFlowState(vm=vm, theta=theta, q_switched={},
                            iterations=0, max_mismatch=np.inf)
-    idx_p, idx_q = case.partition({})
+    idx_p, idx_q = partition(case, {})
     jac = jacobian(case, state)
     h = 1e-7
 

@@ -371,7 +371,8 @@ def test_failures_counted_by_type_beyond_the_listed_reasons():
 
 def test_pool_capped_at_cpu_count(monkeypatch):
     # a process pool starts all its workers at its first task, so the pool
-    # and the chunk size use at most the CPU count; the fake starts nothing
+    # and the chunk size use at most the CPUs this process may run on (the
+    # CPU count where the platform cannot say); the fake starts nothing
     opened = []
 
     class FakePool:
@@ -389,7 +390,8 @@ def test_pool_capped_at_cpu_count(monkeypatch):
             return []
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     ctx, _ = _small_ctx()
     with assessment.trace_pool(ctx, 5000) as trace:
         trace(list(range(240)), False)
@@ -397,10 +399,14 @@ def test_pool_capped_at_cpu_count(monkeypatch):
     with assessment.trace_pool(ctx, 2) as trace:
         trace(list(range(240)), False)
     assert opened[-2:] == [("workers", 2), ("chunk", 15)]  # 240 // (2 * 8)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     with assessment.trace_pool(ctx, 5000) as trace:
         assert trace([], False) == []
-    assert len(opened) == 4  # no pool opened on one CPU
+    assert len(opened) == 4  # no pool opened on one allowed CPU of eight
+    monkeypatch.delattr(os, "sched_getaffinity")
+    with assessment.trace_pool(ctx, 5000) as trace:
+        trace(list(range(240)), False)
+    assert opened[-2:] == [("workers", 8), ("chunk", 3)]  # 240 // (8 * 8)
 
 
 def test_ks_distance_matches_scipy():

@@ -580,6 +580,21 @@ def test_curve_collection(case, registry, model):
     assert all(0 < p.min_vm <= 1.2 for p in res.curve)
 
 
+def test_the_step_doubles_after_every_easy_correction(case, registry, monkeypatch):
+    # from STEP0 = 0.25 the mean-input march doubles to STEP_MAX = 0.5 after
+    # its first correction and stays there to the nose; with no correction
+    # easy enough every step stays at STEP0
+    from adcap import continuation
+
+    var = assemble_variation(registry.mean_inputs(), registry)
+    res = trace_adc(case, var)
+    assert [p.lam for p in res.curve] == [0.0, 0.25, 0.75, 1.25, res.lambdas["collapse"]]
+    monkeypatch.setattr(continuation, "EASY_ITERS", 0)
+    res = trace_adc(case, var)
+    assert [p.lam for p in res.curve[:-1]] == [0.25 * k for k in range(6)]
+    assert res.curve[-1].lam == res.lambdas["collapse"]
+
+
 def test_every_trace_curve_rises_in_lambda_and_ends_at_the_fold(case, registry):
     from adcap.stochastic import sample_inputs
 

@@ -13,6 +13,7 @@ from adcap.powerflow import (
     TOL,
     Curve,
     PowerFlowState,
+    Reduction,
     _complex_power,
     branch_flows,
     correct,
@@ -27,6 +28,7 @@ from oracles import (
     jacobian,
     mismatch,
     mismatch_at,
+    partition,
     power_balance,
     solve_at,
     spec_injections,
@@ -44,7 +46,7 @@ def test_jacobian_matches_finite_differences(case):
     """Analytic mismatch jacobian vs central differences at a random point."""
     rng = np.random.default_rng(42)
     state = _perturbed_state(case, 0.05, rng)
-    idx_p, idx_q = case.partition({})
+    idx_p, idx_q = partition(case, {})
     jac = jacobian(case, state)
 
     h = 1e-7
@@ -79,6 +81,22 @@ def _pv675_case(feeder_doc):
         "v0_pu": 1.0, "q_min_kvar": -300.0, "q_max_kvar": 300.0,
     })
     return NetworkCase(load_feeder(doc))
+
+
+def test_reduction_rows_over_every_node_are_the_whole_networks(feeder_doc):
+    """A reduction that keeps every node has the node-by-node oracle's rows,
+    as node indices and as positions, with no PV phase switched and with
+    one; they are read-only and computed once per set of switched nodes."""
+    case = _pv675_case(feeder_doc)
+    full = Reduction(case, np.ones(case.n, dtype=bool))
+    for q_switched, n_pv in (({}, 3), ({("675", "b"): "max"}, 2)):
+        rows = full.partition(q_switched)
+        want_p, want_q = partition(case, q_switched)
+        assert len(want_q) == len(want_p) - n_pv
+        for got, want in zip(rows, (want_p, want_q, want_p, want_q)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert full.partition(dict(q_switched)) is rows
 
 
 def test_switched_and_augmented_jacobians_match_finite_differences(feeder_doc, registry):
@@ -123,7 +141,7 @@ def test_switched_and_augmented_jacobians_match_finite_differences(feeder_doc, r
     # network's, taken at the recovered state, where the eliminated nodes'
     # power balance holds by construction
     state = PowerFlowState(vm, theta, dict(curve.q_switched))
-    full_p, full_q = case.partition(curve.q_switched)
+    full_p, full_q = partition(case, curve.q_switched)
     held = np.concatenate([curve.net.local[full_p], curve.net.local[full_q]]) >= 0
     k, e = np.flatnonzero(held), np.flatnonzero(~held)
     assert len(e) == 2 * len(curve.net.elim) > 0
