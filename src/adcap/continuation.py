@@ -7,25 +7,25 @@ crossing, fold iterate) is one call of ``powerflow.solve``, the one
 reactive-limit switching driver, with the pin of its kind.  A trace builds
 one ``powerflow.Curve`` per switch set on the one reduction of its
 direction, and every step, crossing and fold iterate in that set starts on
-it, or on its system bordered by a limit row; each accepted point keeps its
-z = [theta_p, vm_q, lambda] packed once on its set's curve, and a step
-hands ``powerflow.solve`` that curve and its prediction, the step's lambda
-set in it.  Every corrector starts from a polynomial through what the
-trace already holds (``interpolate``), and a predictor reads only points
-and tangents of the curve it predicts on; across a switch set it falls back
-to the chord or secant, the other point packed on that curve.  A step
-starts, in lambda, from the tangent at the base point for the first step,
-from that tangent and the two points for the second, and from the
-polynomial through the last three points after that, with that tangent
-while the first of them is the base point.  The first step is
-STEP0 long, a rejected step is retried at half the length, and the step
-doubles, up to STEP_MAX, after every correction of at most EASY_ITERS
-iterations: the margins of a trace lie a few tenths apart in lambda, so a
-short march of long steps brackets them, and each crossing is solved
-directly (below), not by shortening the steps.  A step
-is accepted only at nonnegative lambda and within MAX_VM_STEP in every
-magnitude of the point it started from; further away it has slid onto the
-lower branch.
+it, or on its system bordered by a limit row.  A point's z = [theta_p,
+vm_q, lambda] is its solve's (``PowerFlowState.z``); only the base point's
+is packed, as the base case is solved on another reduction.  A step hands
+``powerflow.solve`` its point's curve and its prediction, the step's
+lambda set in it.  Every corrector starts from a polynomial through what
+the trace already holds (``interpolate``); a predictor reads the last
+points on the curve it predicts on, and across a switch set falls back to
+the chord or secant, the other point packed on that curve.  A step starts,
+in lambda, from the tangent at the base point for the first step, from
+that tangent and the two points for the second, and from the polynomial
+through the last three points after that, with that tangent while the
+first of them is the base point.  The first step is STEP0 long, a rejected
+step is retried at half the length, and the step doubles, up to STEP_MAX,
+after every correction of at most EASY_ITERS iterations: the margins of a
+trace lie a few tenths apart in lambda, so a short march of long steps
+brackets them, and each crossing is solved directly (below), not by
+shortening the steps.  A step is accepted only at nonnegative lambda and
+within MAX_VM_STEP in every magnitude of the point it started from;
+further away it has slid onto the lower branch.
 
 The march stops at the first of three signs of the nose: a secant along
 which some magnitude moves further than lambda; the first step that fails
@@ -89,7 +89,7 @@ which also bound the fold secant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -257,11 +257,17 @@ def tangent(bordered: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _TracePoint:
-    lam: float
-    state: pf.PowerFlowState
+    state: pf.PowerFlowState  # its z on ``curve``
     curve: pf.Curve  # the trace's curve of the state's switch set
-    z: np.ndarray  # the point on ``curve``
-    status: LimitStatus
+    status: LimitStatus | None  # None for a fold iterate
+
+    @property
+    def lam(self) -> float:
+        return float(self.state.z[-1])
+
+    def on(self, curve: pf.Curve) -> np.ndarray:
+        """Its z on ``curve``: its own, or packed when it lies on another."""
+        return self.state.z if curve is self.curve else curve.pack(self.state, self.lam)
 
 
 class _Tracer:
@@ -307,14 +313,13 @@ class _Tracer:
         self.n_newton += state.newton_total
         return state
 
-    def _last_on_one_curve(self):
-        """The last points, at most three, that lie on the last point's
-        curve with no point of another between them."""
-        points = self.points
-        k = 1
-        while k < min(3, len(points)) and points[-k - 1].curve is points[-1].curve:
-            k += 1
-        return points[-k:]
+    @staticmethod
+    def _run_on(curve, run):
+        """The consecutive points ``run`` but the leading ones off ``curve``,
+        the last two kept: switch sets only grow along a trace."""
+        while len(run) > 2 and run[0].curve is not curve:
+            run = run[1:]
+        return run
 
     def _pin(self):
         """The fold's coordinate eta: the free kept magnitude of the last
@@ -328,12 +333,12 @@ class _Tracer:
         return int(free[np.abs(dvm[free]).argmax()]) if free.size else None
 
     def _predict(self, h):
-        """Start of the step that raises lambda by h from the last point, on
-        that point's curve: the polynomial in lambda through the last three
-        points, or two, on that curve, with the base tangent while the first
-        of them is the base point; else the secant through the last two
-        points, the one before packed on the last one's curve, or the
-        tangent at a lone point.  Returns ``(curve, z)``."""
+        """Start, on the last point's curve, of the step that raises lambda
+        by h from that point: the polynomial in lambda through the last
+        three points on that curve (``_run_on``), with the base tangent
+        while the first of them is the base point on that curve; else the
+        secant through the last two points, the one before packed on that
+        curve, or the tangent at a lone point."""
         last = self.points[-1]
         curve = last.curve
         lam = last.lam + h
@@ -342,15 +347,12 @@ class _Tracer:
                 self._base_tangent = tangent(
                     curve.jacobian(last.state.vm, last.state.theta, unit=curve.lam_coord)
                 )
-            return curve, interpolate([(last.lam, last.z, self._base_tangent)], lam)
-        run = self._last_on_one_curve()
-        nodes = [(p.lam, p.z) for p in run]
-        if len(run) == 1:  # the point before lies on another switch set
-            before = self.points[-2]
-            nodes.insert(0, (before.lam, curve.pack(before.state, before.lam)))
-        elif run[0] is self.points[0]:  # the base tangent lies on the base point's curve
+            return interpolate([(last.lam, last.state.z, self._base_tangent)], lam)
+        run = self._run_on(curve, self.points[-3:])
+        nodes = [(p.lam, p.on(curve)) for p in run]
+        if run[0] is self.points[0] and run[0].curve is curve:
             nodes[0] += (self._base_tangent,)
-        return curve, interpolate(nodes, lam)
+        return interpolate(nodes, lam)
 
     @staticmethod
     def _sane(lam, state, ref_vm) -> bool:
@@ -376,12 +378,11 @@ class _Tracer:
         bus, phase = getattr(status, f"v_{side}_node")
         return f"{bus}.{phase}:{side}", f"v_{side}_margin"
 
-    def _accept(self, lam, state, status=None):
+    def _accept(self, state, status=None):
         """Append a solved point with its limit status (computed unless
         given), first solving each limit crossed since the previous point."""
-        curve = self._curve(state.q_switched)
         new = _TracePoint(
-            lam, state, curve, curve.pack(state, lam), status or check_limits(self.case, state)
+            state, self._curve(state.q_switched), status or check_limits(self.case, state)
         )
         if self.points:
             prev = self.points[-1]
@@ -406,15 +407,16 @@ class _Tracer:
         z = self._crossing_start(side, a, b)
         for _ in range(MAX_REPINS + 1):
             state = self._solve_at_limit(point, z, side)
-            z, lam = state.z, float(state.z[-1])
             status = check_limits(self.case, state)
             # the held element sits on its limit to the crossing tolerance
             if self._margins(status)[cls] >= -CROSSING_TOL:
                 break
-            point = _TracePoint(lam, state, self._curve(state.q_switched), z, status)
+            z = state.z
+            point = _TracePoint(state, self._curve(state.q_switched), status)
             label, side = self._binding(status, cls)
         else:
             raise ConvergenceError(f"{cls} crossing moved on after {MAX_REPINS} re-pins")
+        lam = float(state.z[-1])
         if not (min(a.lam, b.lam) <= lam <= max(a.lam, b.lam) and self._sane(lam, state, a.state.vm)):
             raise ConvergenceError(
                 f"{cls} crossing solved at lambda {lam:.6g}, off its bracket "
@@ -424,17 +426,15 @@ class _Tracer:
 
     def _crossing_start(self, side, a: _TracePoint, b: _TracePoint):
         """Where the crossing of ``_cross`` starts on ``b``'s curve: at the
-        zero of the margin ``side`` (module docstring), ``a`` packed on that
-        curve when it lies on another."""
+        zero of the margin ``side`` (module docstring) through the points
+        before and at ``b`` on that curve (``_run_on``)."""
         curve = b.curve
-        run = self.points[-2:] + [b]
+        run = self._run_on(curve, self.points[-2:] + [b])
         m = [getattr(p.status, side) for p in run]
-        monotone = len(m) == 3 and (m[1] - m[0]) * (m[2] - m[1]) > 0.0
-        if monotone and all(p.curve is curve for p in run):
-            return interpolate([(m_i, p.z) for m_i, p in zip(m, run)], 0.0)
+        if len(m) == 3 and (m[1] - m[0]) * (m[2] - m[1]) > 0.0:  # monotone
+            return interpolate([(m_i, p.state.z) for m_i, p in zip(m, run)], 0.0)
         t = m[-2] / (m[-2] - m[-1])
-        za = a.z if a.curve is curve else curve.pack(a.state, a.lam)
-        return (1.0 - t) * za + t * b.z
+        return (1.0 - t) * a.on(curve) + t * b.state.z
 
     def _solve_at_limit(self, p: _TracePoint, z, side):
         """Solve from ``z`` to CROSSING_TOL with the element binding the
@@ -477,69 +477,67 @@ class _Tracer:
 
     def _fold(self, h):
         """Solve the fold by a secant on s(eta) = d lambda / d eta (module
-        docstring) and return it as ``(state, lambda)``, the last point's
-        when that is the fold; ``h`` is the pending natural step.  Accepts
-        nothing.  Raises ConvergenceError when no magnitude is free, an
-        iterate leaves the branch or MAX_ITER iterates do not settle,
-        SingularJacobianError when a slope or iterate meets a singular
-        system."""
+        docstring) and return it as a point with no limit status, the last
+        point itself when that is the fold; ``h`` is the pending natural
+        step.  Accepts nothing.  Raises ConvergenceError when no magnitude
+        is free, an iterate leaves the branch or MAX_ITER iterates do not
+        settle, SingularJacobianError when a slope or iterate meets a
+        singular system."""
         pin_node = self._pin()
         if pin_node is None:
             raise ConvergenceError("the fold has no free voltage magnitude to pin")
         curve = self.points[-1].curve
         if len(self.points) == 1:
-            z = self._predict(h)[1]
-        # each point as (state, curve, z on that curve, tangent on the
-        # curve current when it joined)
-        pts = [
-            (p.state, p.curve, p.z, self._eta_tangent(curve, p.state, pin_node))
-            for p in self.points[-2:]
-        ]
+            z = self._predict(h)
+        # each point with its tangent on the curve current when it joined
+        pts = [(p, self._eta_tangent(curve, p.state, pin_node)) for p in self.points[-2:]]
         for _ in range(pf.MAX_ITER):
             if len(pts) == 2:
-                (state_a, curve_a, z_a, t_a), (state_b, curve_b, z_b, t_b) = pts
-                eta_a, eta_b = state_a.vm[pin_node], state_b.vm[pin_node]
+                (a, t_a), (b, t_b) = pts
+                eta_a, eta_b = a.state.vm[pin_node], b.state.vm[pin_node]
                 if t_a[-1] == t_b[-1]:
                     raise ConvergenceError("fold secant stalled on equal slopes")
                 step = t_b[-1] * (eta_b - eta_a) / (t_a[-1] - t_b[-1])  # to the root of s
-                if abs(0.5 * t_b[-1] * step) <= pf.TOL * z_b[-1]:
+                if abs(0.5 * t_b[-1] * step) <= pf.TOL * b.lam:
                     break
-                if curve_a is curve and curve_b is curve:
-                    nodes = [(eta_a, z_a, t_a), (eta_b, z_b, t_b)]
-                else:  # the chord, both ends packed on the current curve
-                    nodes = [(st.vm[pin_node], curve.pack(st, zp[-1])) for st, _, zp, _ in pts]
+                if a.curve is curve and b.curve is curve:
+                    nodes = [(eta_a, a.state.z, t_a), (eta_b, b.state.z, t_b)]
+                else:  # the chord, both ends on the current curve
+                    nodes = [(eta_a, a.on(curve)), (eta_b, b.on(curve))]
                 z = interpolate(nodes, eta_b + step)
             # judged from its own start: the fold may lie further than
             # MAX_VM_STEP from the last point, but not from the start there
             start_vm = curve.unpack(z)[0]
             state = self._solve(curve, z, pin_node)
-            z, lam = state.z, float(state.z[-1])
+            lam = float(state.z[-1])
             if not self._sane(lam, state, start_vm):
                 raise ConvergenceError(f"fold iterate at lambda {lam:.6g} left the branch")
             curve = self._curve(state.q_switched)
-            pts = [pts[-1], (state, curve, z, self._eta_tangent(curve, state, pin_node))]
+            t = self._eta_tangent(curve, state, pin_node)
+            pts = [pts[-1], (_TracePoint(state, curve, None), t)]
         else:
             raise ConvergenceError(f"fold not located in {pf.MAX_ITER} secant steps")
-        state, _, z, _ = pts[-1]
-        return state, float(z[-1])
+        return pts[-1][0]
 
     # main driver --------------------------------------------------------------------
 
     def run(self) -> AdcResult:
-        self._accept(0.0, *solve_base_case(self.case))
+        # the base case is solved on the reduction no direction touches
+        base, status = solve_base_case(self.case)
+        self._accept(replace(base, z=self._curve(base.q_switched).pack(base, 0.0)), status)
         points = self.points
 
         h = STEP0
-        fold = None  # (state, lambda) once solved; None on a capped trace
+        fold = None  # the fold's point once solved; None on a capped trace
         fold_tried = False
 
         for _step in range(MAX_POINTS):
             prev = points[-1]
             lam_new = prev.lam + h
-            curve, z = self._predict(h)
+            z = self._predict(h)
             z[-1] = lam_new
             try:
-                new_state = self._solve(curve, z, abort_on_rise=True)
+                new_state = self._solve(prev.curve, z, abort_on_rise=True)
             except (ConvergenceError, SingularJacobianError):
                 new_state = None
             if new_state is None or not self._sane(lam_new, new_state, prev.state.vm):
@@ -556,7 +554,7 @@ class _Tracer:
                     except (ConvergenceError, SingularJacobianError):
                         pass  # the march halves on towards the nose
                 continue
-            self._accept(lam_new, new_state)
+            self._accept(new_state)
 
             if lam_new > LAMBDA_CAP:
                 break
@@ -572,9 +570,9 @@ class _Tracer:
         if fold is None:
             lam_collapse = LAMBDA_CAP
         else:
-            state, lam_collapse = fold
-            if state is not points[-1].state:
-                self._accept(lam_collapse, state)
+            lam_collapse = fold.lam
+            if fold is not points[-1]:
+                self._accept(fold.state)
         unbound = (lam_collapse, None)  # a class never crossed ends at the fold
         lambdas = {c: self.crossings.get(c, unbound)[0] for c in CLASSES}
         scale = self.variation.load_increase_kw / 1000.0

@@ -190,6 +190,7 @@ def _parse_matrix(entry, key, k, context):
         all(isinstance(v, (int, float)) and not isinstance(v, bool) for row in raw for v in row),
         f"{context}: '{key}' must be a matrix of numbers",
     )
+    _require(np.isfinite(m).all(), f"{context}: '{key}' must be finite")
     if not np.allclose(m, m.T, atol=1e-12):
         raise FeederFormatError(f"{context}: '{key}' must be symmetric")
     return m

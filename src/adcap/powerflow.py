@@ -300,8 +300,8 @@ class Reduction:
         if elim.size:
             sv = np.linalg.svd(y[np.ix_(elim, elim)], compute_uv=False)
             if not sv[-1] > sv[0] / MAX_ELIM_COND:  # singular or ill-conditioned
-                elim = elim[:0]
-        kept = np.setdiff1d(np.arange(case.n), elim)
+                keep = np.ones(case.n, dtype=bool)
+        kept, elim = np.flatnonzero(keep), np.flatnonzero(~keep)
         self.kept, self.elim = kept, elim
         self.local = np.full(case.n, -1)  # node index -> position among the kept
         self.local[kept] = np.arange(len(kept))

@@ -850,6 +850,10 @@ def _slack_only():
          "branch 'ln': 'r_ohm' must be a matrix of numbers", {}),
         (_line_with(r_ohm=[[True]]), _small_scenario(),
          "branch 'ln': 'r_ohm' must be a matrix of numbers", {}),
+        (_line_with(b_shunt_s=[[math.inf]]), _small_scenario(),
+         "branch 'ln': 'b_shunt_s' must be finite", {}),
+        (_line_with(r_ohm=[[math.nan]]), _small_scenario(),
+         "branch 'ln': 'r_ohm' must be finite", {}),
         (_pv_bus_without_generator(), _small_scenario(),
          "bus 'r': pv phase 'a' has no pv generator", {}),
         (_ill_conditioned_line(), _small_scenario(),
@@ -873,6 +877,7 @@ def _slack_only():
         "pv-generator-set-point-off-bus", "wind-rated-negative", "solar-rated-negative",
         "empty-scenario-mcs", "empty-scenario-pce", "empty-scenario-spce", "empty-scenario-all",
         "boolean-ampacity", "boolean-mean-kw", "string-matrix-entry", "boolean-matrix-entry",
+        "infinite-matrix-entry", "nan-matrix-entry",
         "pv-bus-without-generator", "ill-conditioned-impedance", "delta-wye-two-taps",
         "wind-std-negative", "wind-cut-in-at-rated", "wind-power-factor-zero",
     ],

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from adcap.continuation import (
+    CLASSES,
     LAMBDA_CAP,
     check_limits,
     correct,
@@ -287,9 +288,12 @@ def test_bundled_nose_agrees_with_fold_oracle(case, registry):
 
 
 def test_trace_packs_each_accepted_point_once(case, registry, monkeypatch):
-    # every predictor reads the points' packed z; nothing packs them again
+    # a point's z is its solve's; only the base point, solved on the
+    # reduction no direction touches, is packed on the trace's curve, and
+    # the mean-input trace never switches, so nothing else packs a point
     from adcap import powerflow
 
+    solve_base_case(case)  # once per case, from its packed flat start
     packs = []
     pack = powerflow.Curve.pack
 
@@ -298,8 +302,8 @@ def test_trace_packs_each_accepted_point_once(case, registry, monkeypatch):
         return pack(self, state, lam)
 
     monkeypatch.setattr(powerflow.Curve, "pack", counting)
-    res = trace_adc(case, assemble_variation(registry.mean_inputs(), registry))
-    assert packs == [p.lam for p in res.curve]
+    trace_adc(case, assemble_variation(registry.mean_inputs(), registry))
+    assert packs == [0.0]
 
 
 def _pv_675_trace(feeder_doc, scenario_doc):
@@ -456,9 +460,9 @@ def test_fold_iterate_far_from_the_last_point_is_accepted(case, registry, monkey
     fold_ = continuation._Tracer._fold
 
     def fold(self, h):
-        state, lam = fold_(self, h)
-        folds.append(float(np.max(np.abs(state.vm - self.points[-1].state.vm))))
-        return state, lam
+        point = fold_(self, h)
+        folds.append(float(np.max(np.abs(point.state.vm - self.points[-1].state.vm))))
+        return point
 
     monkeypatch.setattr(continuation._Tracer, "_fold", fold)
     var = assemble_variation(u, registry)
@@ -632,22 +636,27 @@ def test_trace_delta_of_a_tree_against_itself_is_zero():
     ).stdout
     lines = out.splitlines()
     assert lines[0] == "traces: 93 (2 MCS + 91 design)"
-    rows = [line.split() for line in lines if line.split()[0] in ("voltage", "thermal", "collapse")]
-    assert len(rows) == 3
-    assert all(float(x) == 0.0 for row in rows for x in row[1:])
-    assert "binding mismatches: 0, capped mismatches: 0" in lines
-    assert sum(line.startswith(("old: 0 failed,", "new: 0 failed,")) for line in lines) == 2
-    # each tree's Newton iterations per trace, split into the march, the
-    # crossing of each class and the fold, add up to its total
+    # then the PV-675 feeder's traces, which switch reactive limits, in
+    # lines of their own
+    k = lines.index("pv-675 traces: 201 (mean input + 200 MCS)")
+    assert all(line.startswith("pv-675 ") for line in lines[k:])
     split = re.compile(
         r"(old|new) newton iterations per trace: march (\S+), voltage crossing (\S+), "
         r"thermal crossing (\S+), fold (\S+)$"
     )
-    parts = [m.groups() for m in map(split.match, lines) if m]
-    assert [name for name, *_ in parts] == ["old", "new"] and parts[0][1:] == parts[1][1:]
-    total = float(next(line for line in lines if line.startswith("old: ")).split()[6])
-    assert all(float(x) > 0 for x in parts[0][1:])
-    assert sum(map(float, parts[0][1:])) == pytest.approx(total, abs=0.021)
+    for block in (lines[1:k], [line[len("pv-675 "):] for line in lines[k + 1:]]):
+        rows = [line.split() for line in block if line.split()[0] in CLASSES]
+        assert len(rows) == 3
+        assert all(float(x) == 0.0 for row in rows for x in row[1:])
+        assert "binding mismatches: 0, capped mismatches: 0" in block
+        assert sum(line.startswith(("old: 0 failed,", "new: 0 failed,")) for line in block) == 2
+        # each tree's Newton iterations per trace, split into the march, the
+        # crossing of each class and the fold, add up to its total
+        parts = [m.groups() for m in map(split.match, block) if m]
+        assert [name for name, *_ in parts] == ["old", "new"] and parts[0][1:] == parts[1][1:]
+        total = float(next(line for line in block if line.startswith("old: ")).split()[6])
+        assert all(float(x) > 0 for x in parts[0][1:])
+        assert sum(map(float, parts[0][1:])) == pytest.approx(total, abs=0.021)
 
 
 def test_trace_time_of_a_tree_against_itself_prints_its_medians():
